@@ -29,12 +29,13 @@ for s in range(1, inst.k + 1):
     row = [slot_weight(pairs[0], s, inst.value(1, j), eps) for j in inst.goods()]
     print(f"  slot {s}: {[str(w) for w in row]}")
 
-allocation, alpha = solve_bivalued(inst)
+solution = solve_bivalued(inst)
+allocation, alpha = solution.allocation, solution.alpha
 print("\nallocation:", [sorted(b) for b in allocation.bundles])
 print("certificate weights 1/(a_i - b_i):", [str(a) for a in alpha])
 print("EF1:", is_ef1(inst, allocation).holds)
-print("fPO via the weighted-matching test:", check_bivalued_fpo(inst, allocation))
-print("fPO via the exact LP test:        ", check_fpo(inst, allocation).is_fpo)
+print("fPO via the weighted exchange graph:", check_bivalued_fpo(inst, allocation))
+print("fPO via the exact LP test:         ", check_fpo(inst, allocation).is_fpo)
 
 high_per_agent = [
     sum(1 for j in allocation.bundle(i) if inst.value(i, j) == pairs[i - 1][0])

@@ -12,7 +12,7 @@ from fairbalance import (
     make_allocation,
     make_instance,
     nash_product,
-    solve_two_types,
+    solve,
 )
 
 inst = make_instance(2, 4, [[10, 10, 21, 22], [0, 1, 6, 8]])
@@ -38,7 +38,8 @@ po_only = make_allocation([{1, 4}, {2, 3}])
 print(f"  [[1, 4], [2, 3]] is Pareto optimal but a fractional lottery dominates it:"
       f" fPO check says {check_fpo(inst, po_only).is_fpo}")
 
-allocation, gamma, potentials = solve_two_types(inst)
+solution = solve(inst)  # two rows, so the two-type solver
+allocation, gamma, potentials = solution.allocation, solution.gamma, solution.potentials
 print(f"\nsolver output: {[sorted(b) for b in allocation.bundles]}  (weight ratio {gamma})")
 print(f"  EF1: {is_ef1(inst, allocation).holds}")
 print(f"  fPO: {check_fpo(inst, allocation).is_fpo}")

@@ -47,6 +47,7 @@ for gamma in (delta, Fraction(1), Fraction(3, 2), grid.upper):
           f"type-2 bundles {[sorted(b) for b in typed.y_bundles]} "
           f"prices {[str(p) for p in pot.p]}")
 
-allocation, gamma, potentials = solve_two_types(inst)
+solution = solve_two_types(inst)
+allocation, gamma = solution.allocation, solution.gamma
 print(f"\nsolver returns {[sorted(b) for b in allocation.bundles]} at gamma = {gamma}")
 print("EF1:", is_ef1(inst, allocation).holds, " fPO:", check_fpo(inst, allocation).is_fpo)

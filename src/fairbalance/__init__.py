@@ -16,6 +16,7 @@ from .core import (
     Instance,
     Rational,
     SingleType,
+    Solution,
     TwoType,
     bundle_value,
     classify,
@@ -30,6 +31,7 @@ from .graph import Potentials, build_exchange_graph, compute_potentials, detect_
 from .lp import check_fpo, solve_dual, solve_primal, verify_complementary_slackness
 from .matching import max_weight_perfect_matching
 from .oracle import enumerate_balanced, full_report
+from .solver import solve
 from .twotypes import (
     compute_delta,
     critical_values,
@@ -50,6 +52,7 @@ __all__ = [
     "Potentials",
     "Rational",
     "SingleType",
+    "Solution",
     "TwoType",
     "build_exchange_graph",
     "bundle_value",
@@ -75,6 +78,7 @@ __all__ = [
     "round_robin_by_preference",
     "round_robin_by_price",
     "slot_weight",
+    "solve",
     "solve_bivalued",
     "solve_dual",
     "solve_primal",

@@ -14,19 +14,20 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import matching as matching_mod
+from . import verify as verify_mod
 from .core import (
     Allocation,
-    Bivalued,
     Instance,
     InternalInvariantError,
     NotBivalued,
-    SingleType,
+    Solution,
+    _distinct_rows,
+    _value_pairs,
     as_rational,
     bundle_value,
-    check_allocation,
-    classify,
     make_allocation,
 )
+from .graph import compute_potentials
 
 
 @dataclass(frozen=True)
@@ -65,22 +66,13 @@ def slot_weight(params: tuple, s: int, value, eps) -> Fraction:
 
 
 def bivalued_pairs(inst: Instance) -> tuple:
-    """(a_i, b_i) per agent; single-type rows use the constant-row rule
-    (all goods count as low).  Raises NotBivalued otherwise."""
-    cls = classify(inst)
-    if isinstance(cls, Bivalued):
-        return cls.pairs
-    if isinstance(cls, SingleType):
-        pairs = []
-        for row in inst.values:
-            vals = sorted(set(row))
-            if len(vals) == 1:
-                pairs.append((vals[0] + 1, vals[0]))
-            elif len(vals) == 2:
-                pairs.append((vals[1], vals[0]))
-            else:
-                raise NotBivalued("identical rows with more than two distinct values")
-        return tuple(pairs)
+    """(a_i, b_i) per agent; a constant row counts every good as low.
+    Raises NotBivalued otherwise."""
+    pairs = _value_pairs(inst)
+    if pairs is not None:
+        return pairs
+    if len(_distinct_rows(inst)) == 1:
+        raise NotBivalued("identical rows with more than two distinct values")
     raise NotBivalued("some agent uses more than two distinct values")
 
 
@@ -88,11 +80,6 @@ def certificate_alpha(pairs: Sequence[tuple]) -> tuple:
     """The weight vector 1/(a_i - b_i) whose maximizers are exactly the
     fPO balanced allocations on a bivalued instance."""
     return tuple(Fraction(1, 1) / (a - b) for a, b in pairs)
-
-
-def _slot_row(i: int, s: int, k: int) -> int:
-    # slot s of agent i occupies matching row (i-1)*k + s, 1-based
-    return (i - 1) * k + s
 
 
 def _matching_to_allocation(inst: Instance, assignment: Sequence[int]) -> Allocation:
@@ -104,11 +91,12 @@ def _matching_to_allocation(inst: Instance, assignment: Sequence[int]) -> Alloca
     return make_allocation(bundles)
 
 
-def solve_bivalued(inst: Instance) -> tuple:
-    """Balanced EF1 + fPO allocation and its certificate weights.
+def solve_bivalued(inst: Instance) -> Solution:
+    """Balanced EF1 + fPO allocation and its certificate.
 
-    Returns ``(Allocation, alpha)`` where alpha_i = 1/(a_i - b_i); the
-    allocation maximizes the alpha-weighted welfare, which certifies fPO.
+    The :class:`Solution` carries alpha_i = 1/(a_i - b_i) and the optimal
+    duals at alpha (gamma is None); the allocation maximizes the
+    alpha-weighted welfare, which certifies fPO.
     """
     pairs = bivalued_pairs(inst)
     n, k = inst.n, inst.k
@@ -136,7 +124,7 @@ def solve_bivalued(inst: Instance) -> tuple:
         raise InternalInvariantError(
             f"perturbation drift {drift} outside [0, 1/2]"
         )
-    return alloc, alpha
+    return Solution(alloc, alpha, None, compute_potentials(inst, alloc, alpha))
 
 
 def high_counts(inst: Instance, alloc: Allocation, viewer: int, pairs: Sequence[tuple]) -> list:
@@ -150,23 +138,7 @@ def high_counts(inst: Instance, alloc: Allocation, viewer: int, pairs: Sequence[
 
 def check_bivalued_fpo(inst: Instance, alloc: Allocation) -> bool:
     """fPO test specific to bivalued instances: the allocation is fPO iff
-    it attains the maximum of sum_i v_i(A_i)/(a_i-b_i), computed here by
-    one unperturbed maximum-weight slot matching."""
+    it maximizes sum_i v_i(A_i)/(a_i-b_i), i.e. iff its exchange graph
+    under those weights has no negative cycle."""
     pairs = bivalued_pairs(inst)
-    check_allocation(inst, alloc, balanced=True)
-    alpha = certificate_alpha(pairs)
-    k = inst.k
-    rows = []
-    for i in inst.agents():
-        weight_row = tuple(alpha[i - 1] * inst.value(i, j) for j in inst.goods())
-        for _ in range(k):
-            rows.append(weight_row)
-    best = matching_mod.max_weight_perfect_matching(
-        matching_mod.BipartiteWeights(size=inst.m, weight=tuple(rows))
-    ).value
-    mine = sum(
-        (alpha[i - 1] * bundle_value(inst, i, alloc.bundle(i)) for i in inst.agents()),
-        Fraction(0),
-    )
-    assert mine <= best
-    return mine == best
+    return verify_mod.certify_fpo(inst, alloc, certificate_alpha(pairs)).holds

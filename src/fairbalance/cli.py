@@ -18,30 +18,26 @@ import random
 import sys
 from fractions import Fraction
 
-from . import bivalued as bivalued_mod
 from . import lp as lp_mod
 from . import oracle as oracle_mod
-from . import twotypes as twotypes_mod
 from . import verify as verify_mod
 from .core import (
     Allocation,
-    Bivalued,
     FairDivisionError,
     Instance,
     InternalInvariantError,
     MoreThanTwoTypes,
     NotBivalued,
-    SingleType,
+    Solution,
     TooLargeError,
-    TwoType,
     allocation_matrix,
-    classify,
     make_allocation,
     make_instance,
     reduce_unconstrained,
-    round_robin_by_preference,
 )
-from .graph import compute_potentials
+# bench/test_bench.py checks that the tracer rebinds compute_potentials here
+from .graph import compute_potentials  # noqa: F401
+from .solver import solve
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -104,6 +100,8 @@ def parse_instance(data: dict, require_balanced_shape: bool = True) -> Instance:
         not isinstance(r, list) or len(r) != m for r in rows
     ):
         raise InputError("valuations must be an n x m array")
+    if n < 1 or m < 1:
+        raise InputError("need at least one agent and one good")
     values = [[rational_from_json(v) for v in row] for row in rows]
     if any(v < 0 for row in values for v in row):
         raise InputError("valuations must be nonnegative")
@@ -150,76 +148,52 @@ def dump_json(obj, path: str | None) -> None:
 
 # --- solve --------------------------------------------------------------------
 
-def _certificate(inst: Instance, alpha, gamma, pot) -> dict | None:
-    if alpha is None:
+def _certificate(sol: Solution) -> dict | None:
+    if sol.alpha is None:
         return None
     return {
-        "alpha": [rational_to_json(a) for a in alpha],
-        "gamma": rational_to_json(gamma) if gamma is not None else None,
-        "q": [rational_to_json(v) for v in pot.q],
-        "p": [rational_to_json(v) for v in pot.p],
+        "alpha": [rational_to_json(a) for a in sol.alpha],
+        "gamma": rational_to_json(sol.gamma) if sol.gamma is not None else None,
+        "q": [rational_to_json(v) for v in sol.potentials.q],
+        "p": [rational_to_json(v) for v in sol.potentials.p],
     }
 
 
-def _dispatch(inst: Instance, algorithm: str):
-    """Returns (allocation, alpha | None, gamma | None, potentials | None)."""
-    cls = classify(inst)
-    if algorithm == "auto":
-        if isinstance(cls, SingleType):
-            algorithm = "round-robin"
-        elif isinstance(cls, Bivalued):
-            algorithm = "bivalued"
-        elif isinstance(cls, TwoType):
-            algorithm = "two-types"
-        else:
-            raise MoreThanTwoTypes(
-                "no certified solver applies; rerun with --algorithm round-robin "
-                "for an EF1-only allocation"
-            )
-
-    if algorithm == "bivalued":
-        alloc, alpha = bivalued_mod.solve_bivalued(inst)
-        pot = compute_potentials(inst, alloc, alpha)
-        return alloc, alpha, None, pot
-    if algorithm == "two-types":
-        alloc, gamma, pot = twotypes_mod.solve_two_types(inst)
-        view = twotypes_mod._two_type_view(inst)
-        alpha = twotypes_mod._alpha_for(view, inst.n, gamma)
-        return alloc, alpha, gamma, pot
-    if algorithm == "round-robin":
-        alloc = round_robin_by_preference(inst)
-        if isinstance(cls, SingleType):
-            alpha = tuple(Fraction(1) for _ in inst.agents())
-            pot = compute_potentials(inst, alloc, alpha)
-            return alloc, alpha, Fraction(1), pot
-        return alloc, None, None, None
-    raise InputError(f"unknown algorithm {algorithm!r}")
+def _certificate_holds(inst: Instance, sol: Solution) -> bool:
+    """alpha > 0, dual feasibility and complementary slackness: an exact
+    proof that the allocation maximizes the alpha-weighted welfare over
+    balanced fractional allocations, hence is fPO."""
+    x = allocation_matrix(inst, sol.allocation)
+    try:
+        return lp_mod.verify_complementary_slackness(inst, x, sol.potentials, sol.alpha)
+    except ValueError:  # infeasible duals or a non-positive alpha
+        return False
 
 
 def cmd_solve(args) -> int:
     inst = parse_instance(load_json(args.input))
     try:
-        alloc, alpha, gamma, pot = _dispatch(inst, args.algorithm)
+        sol = solve(inst, args.algorithm)
     except (NotBivalued, MoreThanTwoTypes) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
 
+    alloc = sol.allocation
+    if sol.alpha is None:
+        fpo = lp_mod.check_fpo(inst, alloc).is_fpo
+    elif _certificate_holds(inst, sol):
+        fpo = True
+    else:
+        print("error: certificate failed re-verification", file=sys.stderr)
+        return EXIT_INTERNAL
     checks = {
         "ef1": verify_mod.is_ef1(inst, alloc).holds,
-        "fpo": lp_mod.check_fpo(inst, alloc).is_fpo,
+        "fpo": fpo,
         "balanced": alloc.is_balanced(inst),
     }
-    if alpha is not None:
-        cert_ok = verify_mod.certify_fpo(inst, alloc, alpha).holds
-        slack_ok = lp_mod.verify_complementary_slackness(
-            inst, allocation_matrix(inst, alloc), pot, alpha
-        )
-        if not (cert_ok and slack_ok):
-            print("error: certificate failed re-verification", file=sys.stderr)
-            return EXIT_INTERNAL
     result = {
         "allocation": allocation_to_json(alloc),
-        "certificate": _certificate(inst, alpha, gamma, pot),
+        "certificate": _certificate(sol),
         "checks": checks,
     }
     dump_json(result, args.output)
@@ -248,6 +222,10 @@ def _print_verdict(name: str, verdict, quiet: bool) -> None:
 def cmd_check(args) -> int:
     inst = parse_instance(load_json(args.instance))
     alloc = parse_allocation(load_json(args.allocation), inst)
+    if (args.po or (args.fpo and not args.unconstrained)) and not alloc.is_balanced(inst):
+        raise InputError(f"allocation is not balanced (every bundle needs {inst.k} goods)")
+    if args.pef1 is not None and not all(alloc.bundles):
+        raise InputError("price EF1 needs non-empty bundles")
     requested = False
     all_hold = True
 

@@ -10,7 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+
+if TYPE_CHECKING:
+    from .graph import Potentials
 
 Rational = Fraction
 RationalLike = Union[int, Fraction]
@@ -195,6 +198,22 @@ class FractionalAllocation:
         return True
 
 
+@dataclass(frozen=True)
+class Solution:
+    """A solver's allocation with its fPO certificate.
+
+    ``alpha`` (agent weights, all positive) and ``potentials`` (the optimal
+    duals (q, p) of the alpha-weighted welfare LP) are None together when
+    the allocation is uncertified; ``gamma`` is the type-2 weight of the
+    two-type solver (1 on single-type instances), else None.
+    """
+
+    allocation: Allocation
+    alpha: Optional[tuple]
+    gamma: Optional[Fraction]
+    potentials: Optional[Potentials]
+
+
 def allocation_matrix(inst: Instance, alloc: Allocation) -> FractionalAllocation:
     """0/1 matrix form of an integral allocation."""
     rows = []
@@ -236,40 +255,38 @@ class General:
 InstanceClass = Union[SingleType, Bivalued, TwoType, General]
 
 
+def _distinct_rows(inst: Instance) -> tuple:
+    """Distinct valuation rows in first-appearance order, each paired with
+    the agents (1-based, ascending) that hold it."""
+    members = {}
+    for i, row in enumerate(inst.values, start=1):
+        members.setdefault(row, []).append(i)
+    return tuple((row, tuple(agents)) for row, agents in members.items())
+
+
+def _value_pairs(inst: Instance):
+    """Per-agent (a_i, b_i) with a_i > b_i, or None when some row uses more
+    than two distinct values.  A constant row counts every good as low."""
+    pairs = []
+    for row in inst.values:
+        vals = sorted(set(row))
+        if len(vals) > 2:
+            return None
+        pairs.append((vals[1], vals[0]) if len(vals) == 2 else (vals[0] + 1, vals[0]))
+    return tuple(pairs)
+
+
 def classify(inst: Instance) -> InstanceClass:
     """Most specific class, preferring SingleType > Bivalued > TwoType."""
-    rows = inst.values
-    distinct_rows = []
-    for r in rows:
-        if r not in distinct_rows:
-            distinct_rows.append(r)
-    if len(distinct_rows) == 1:
-        return SingleType(row=distinct_rows[0])
-
-    pairs = []
-    bivalued = True
-    for r in rows:
-        vals = sorted(set(r))
-        if len(vals) == 1:
-            # constant row: treat every good as the low value
-            pairs.append((vals[0] + 1, vals[0]))
-        elif len(vals) == 2:
-            pairs.append((vals[1], vals[0]))
-        else:
-            bivalued = False
-            break
-    if bivalued:
-        return Bivalued(pairs=tuple(pairs))
-
-    if len(distinct_rows) == 2:
-        u1 = rows[0]
-        u2 = distinct_rows[1] if distinct_rows[0] == u1 else distinct_rows[0]
-        if u2 == u1:
-            u2 = next(r for r in distinct_rows if r != u1)
-        members1 = tuple(i for i in inst.agents() if rows[i - 1] == u1)
-        members2 = tuple(i for i in inst.agents() if rows[i - 1] != u1)
+    rows = _distinct_rows(inst)
+    if len(rows) == 1:
+        return SingleType(row=rows[0][0])
+    pairs = _value_pairs(inst)
+    if pairs is not None:
+        return Bivalued(pairs=pairs)
+    if len(rows) == 2:
+        (u1, members1), (u2, members2) = rows
         return TwoType(u1=u1, u2=u2, members1=members1, members2=members2)
-
     return General()
 
 

@@ -55,6 +55,12 @@ def enumerate_balanced(inst: Instance, max_states: int = 10 ** 6) -> Iterator[Al
     return rec(0)
 
 
+def pareto_dominates(theirs, mine) -> bool:
+    """Does value vector ``theirs`` Pareto-dominate ``mine``: at least as
+    good for every agent and strictly better for one?"""
+    return all(t >= v for t, v in zip(theirs, mine)) and any(t > v for t, v in zip(theirs, mine))
+
+
 @dataclass(frozen=True)
 class AllocationRecord:
     allocation: Allocation
@@ -96,14 +102,6 @@ def full_report(inst: Instance, max_states: int = 10 ** 4) -> EnumerationReport:
     ]
     distinct = set(value_vectors)
 
-    def dominated(vec) -> bool:
-        for other in distinct:
-            if all(o >= v for o, v in zip(other, vec)) and any(
-                o > v for o, v in zip(other, vec)
-            ):
-                return True
-        return False
-
     records = []
     for alloc, vec in zip(allocations, value_vectors):
         records.append(
@@ -111,7 +109,7 @@ def full_report(inst: Instance, max_states: int = 10 ** 4) -> EnumerationReport:
                 allocation=alloc,
                 values=vec,
                 ef1=verify_mod.is_ef1(inst, alloc).holds,
-                po=not dominated(vec),
+                po=not any(pareto_dominates(other, vec) for other in distinct),
                 fpo=lp_mod.check_fpo(inst, alloc).is_fpo,
                 nash=nash_product(inst, alloc),
                 utilitarian=utilitarian_value(inst, alloc),

@@ -1,0 +1,57 @@
+"""One entry point over the solvers: classify, dispatch, return a Solution."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .bivalued import solve_bivalued
+from .core import (
+    Bivalued,
+    Instance,
+    MoreThanTwoTypes,
+    SingleType,
+    Solution,
+    TwoType,
+    classify,
+    round_robin_by_preference,
+)
+from .graph import compute_potentials
+from .twotypes import solve_two_types
+
+
+def solve(inst: Instance, algorithm: str = "auto") -> Solution:
+    """Balanced EF1 allocation, with its fPO certificate when one exists.
+
+    ``algorithm`` is one of "auto", "bivalued", "two-types" and
+    "round-robin", as in the CLI's ``--algorithm``.  "auto" runs round
+    robin on single-type instances, the bivalued solver on bivalued ones
+    and the two-type solver on two-type ones, and raises MoreThanTwoTypes
+    otherwise.  A named solver raises NotBivalued or MoreThanTwoTypes when
+    the instance is outside its class.  Round robin is certified (alpha =
+    1, gamma = 1) only on single-type instances.
+    """
+    cls = classify(inst)
+    if algorithm == "auto":
+        if isinstance(cls, SingleType):
+            algorithm = "round-robin"
+        elif isinstance(cls, Bivalued):
+            algorithm = "bivalued"
+        elif isinstance(cls, TwoType):
+            algorithm = "two-types"
+        else:
+            raise MoreThanTwoTypes(
+                "no certified solver applies; rerun with --algorithm round-robin "
+                "for an EF1-only allocation"
+            )
+
+    if algorithm == "bivalued":
+        return solve_bivalued(inst)
+    if algorithm == "two-types":
+        return solve_two_types(inst)
+    if algorithm == "round-robin":
+        alloc = round_robin_by_preference(inst)
+        if isinstance(cls, SingleType):
+            alpha = (Fraction(1),) * inst.n
+            return Solution(alloc, alpha, Fraction(1), compute_potentials(inst, alloc, alpha))
+        return Solution(alloc, None, None, None)
+    raise ValueError(f"unknown algorithm {algorithm!r}")

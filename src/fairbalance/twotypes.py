@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from . import verify as verify_mod
@@ -22,10 +23,9 @@ from .core import (
     Instance,
     InternalInvariantError,
     MoreThanTwoTypes,
-    SingleType,
-    TwoType,
+    Solution,
+    _distinct_rows,
     as_rational,
-    classify,
     make_allocation,
 )
 from .graph import Potentials, compute_potentials
@@ -92,14 +92,6 @@ class TypedAllocation:
     gamma: Fraction
     potentials: Potentials
 
-    @property
-    def n1(self) -> int:
-        return len(self.x_bundles)
-
-    @property
-    def n2(self) -> int:
-        return len(self.y_bundles)
-
 
 def compute_delta(u1: Sequence, u2: Sequence) -> Fraction:
     """Smallest positive same-type value difference scaled by one plus the
@@ -145,9 +137,13 @@ def optimal_split(u1: Sequence, u2: Sequence, gamma: Fraction, n1: int, k: int) 
     gamma = as_rational(gamma)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    order = sorted(range(1, len(u1) + 1), key=lambda j: (-(u1[j - 1] - gamma * u2[j - 1]), j))
-    s = frozenset(order[: k * n1])
-    return Split(s=s, t=frozenset(order[k * n1:]))
+    # minus each score times a positive integer (gamma's denominator and a
+    # common denominator of the values): exact integers, same order and ties
+    scale = lcm(*(v.denominator for v in u1 + u2))
+    key = [gamma.numerator * b.numerator * (scale // b.denominator)
+           - gamma.denominator * a.numerator * (scale // a.denominator) for a, b in zip(u1, u2)]
+    order = sorted(range(1, len(u1) + 1), key=lambda j: key[j - 1])  # stable: ties by index
+    return Split(s=frozenset(order[: k * n1]), t=frozenset(order[k * n1:]))
 
 
 def round_robin_by_price(goods, prices: Sequence, agents: int, k: int) -> tuple:
@@ -198,25 +194,13 @@ class _View:
 
 
 def _two_type_view(inst: Instance) -> _View:
-    cls = classify(inst)
-    if isinstance(cls, TwoType):
-        return _View(cls.u1, cls.u2, cls.members1, cls.members2)
-    if isinstance(cls, SingleType):
-        return _View(cls.row, (), tuple(inst.agents()), ())
-    # personalized bivalued instances may still have at most two rows
-    rows = []
-    for r in inst.values:
-        if r not in rows:
-            rows.append(r)
+    rows = _distinct_rows(inst)
+    if len(rows) > 2:
+        raise MoreThanTwoTypes(f"{len(rows)} distinct valuation rows")
     if len(rows) == 1:
-        return _View(rows[0], (), tuple(inst.agents()), ())
-    if len(rows) == 2:
-        u1 = inst.values[0]
-        members1 = tuple(i for i in inst.agents() if inst.values[i - 1] == u1)
-        members2 = tuple(i for i in inst.agents() if inst.values[i - 1] != u1)
-        u2 = inst.values[members2[0] - 1]
-        return _View(u1, u2, members1, members2)
-    raise MoreThanTwoTypes(f"{len(rows)} distinct valuation rows")
+        return _View(rows[0][0], (), rows[0][1], ())
+    (u1, members1), (u2, members2) = rows
+    return _View(u1, u2, members1, members2)
 
 
 def _alpha_for(view: _View, n: int, gamma: Fraction) -> tuple:
@@ -478,51 +462,66 @@ def case2_exchange(inst: Instance, grid: GammaGrid, ell: int) -> Allocation:
     raise ExchangeExhausted(f"no EF1 allocation between intervals {ell} and {ell + 1}")
 
 
-def _trivial_allocation(inst: Instance, view: _View) -> tuple:
+def _solution(inst: Instance, view: _View, alloc: Allocation, gamma: Fraction, pot: Potentials) -> Solution:
+    return Solution(alloc, _alpha_for(view, inst.n, gamma), gamma, pot)
+
+
+def _trivial_solution(inst: Instance, view: _View) -> Solution:
     """Single-type or constant-row case: deal by descending value."""
-    prices = list(view.u1)
-    bundles = round_robin_by_price(inst.goods(), prices, inst.n, inst.k)
+    bundles = round_robin_by_price(inst.goods(), list(view.u1), inst.n, inst.k)
     alloc = make_allocation(bundles)
-    gamma = Fraction(1)
-    pot = compute_potentials(inst, alloc, _alpha_for(view, inst.n, gamma))
-    return alloc, gamma, pot
+    pot = compute_potentials(inst, alloc, _alpha_for(view, inst.n, Fraction(1)))
+    return _solution(inst, view, alloc, Fraction(1), pot)
 
 
-def solve_two_types(inst: Instance) -> tuple:
+def solve_two_types(inst: Instance) -> Solution:
     """Balanced EF1 + fPO allocation for a one- or two-type instance.
 
-    Returns ``(Allocation, gamma, Potentials)``; the allocation maximizes
-    the welfare weighted 1 on type-1 agents and gamma on type-2 agents,
-    and the potentials are the optimal duals at that gamma.
+    The :class:`Solution`'s allocation maximizes the welfare weighted
+    alpha = 1 on type-1 agents and gamma on type-2 agents, and its
+    potentials are the optimal duals at that gamma.
     """
     view = _two_type_view(inst)
     inst.k  # fail fast on unbalanced shapes
 
     if view.n2 == 0:
-        return _trivial_allocation(inst, view)
+        return _trivial_solution(inst, view)
     try:
         grid = critical_values(view.u1, view.u2)
     except AllValuesEqual:
-        return _trivial_allocation(inst, view)
+        return _trivial_solution(inst, view)
 
-    evaluated = {}
-    pot_cache = {}
-
-    def potentials_for(gamma, split):
-        if gamma not in pot_cache:
-            pot_cache[gamma] = _potentials_at(inst, view, split, gamma)
-        return pot_cache[gamma]
-
+    # Owned goods are tight and agents of one type share q, so on an
+    # interval prices order each type's goods as that type's values do: the
+    # dealt allocation depends on the split, not on gamma, and only the first
+    # EF1 one needs duals (at its interval's lower end, where both adjacent
+    # splits are optimal and give the same shortest-path potentials).
+    prev = None
     for ell in range(1, grid.interval_count + 1):
         lo, hi = grid.interval(ell)
-        mid = (lo + hi) / 2
-        split = optimal_split(view.u1, view.u2, mid, view.n1, inst.k)
-        for gamma in (lo, hi):
-            typed = _deal(inst, view, split, gamma, potentials_for(gamma, split))
-            alloc = _assemble(view, typed)
+        split = optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
+        if split != prev:
+            x = round_robin_by_price(split.s, view.u1, view.n1, inst.k)
+            y = round_robin_by_price(split.t, view.u2, view.n2, inst.k)
+            alloc = _assemble(view, TypedAllocation(x, y, lo, None))
             if verify_mod.is_ef1(inst, alloc).holds:
-                return alloc, gamma, typed.potentials
-            evaluated[(ell, gamma)] = conditions_ab(typed)
+                typed = _deal(inst, view, split, lo, _potentials_at(inst, view, split, lo))
+                if _assemble(view, typed) != alloc:
+                    raise InternalInvariantError("prices must order each type's goods by value")
+                conditions_ab(typed)  # raises if both price conditions fail
+                return _solution(inst, view, alloc, lo, typed.potentials)
+        prev = split
+
+    # no split deals an EF1 allocation: price conditions (a) and (b) at every end
+    evaluated = {}
+    pot_cache = {}  # one Bellman-Ford run per grid point
+    for ell in range(1, grid.interval_count + 1):
+        lo, hi = grid.interval(ell)
+        split = optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
+        for gamma in (lo, hi):
+            if gamma not in pot_cache:
+                pot_cache[gamma] = _potentials_at(inst, view, split, gamma)
+            evaluated[(ell, gamma)] = conditions_ab(_deal(inst, view, split, gamma, pot_cache[gamma]))
 
     for ell in range(1, grid.interval_count + 1):
         lo, hi = grid.interval(ell)
@@ -531,12 +530,11 @@ def solve_two_types(inst: Instance) -> tuple:
             alloc = _assemble(view, typed)
             if not verify_mod.is_ef1(inst, alloc).holds:
                 raise InternalInvariantError("sweep result must be EF1")
-            return alloc, gamma, typed.potentials
+            return _solution(inst, view, alloc, gamma, typed.potentials)
 
     for ell in range(1, grid.interval_count):
         shared = grid.endpoint(ell)
         if evaluated[(ell, shared)][0] and evaluated[(ell + 1, shared)][1]:
             alloc = case2_exchange(inst, grid, ell)
-            pot = pot_cache[shared]
-            return alloc, shared, pot
+            return _solution(inst, view, alloc, shared, pot_cache[shared])
     raise InternalInvariantError("neither sweep nor exchange case occurred")

@@ -12,14 +12,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import graph as graph_mod
-from .core import (
-    Allocation,
-    Instance,
-    TooLargeError,
-    balanced_allocation_count,
-    bundle_value,
-    check_allocation,
-)
+from .core import Allocation, Instance, bundle_value, check_allocation
 
 
 @dataclass(frozen=True)
@@ -98,22 +91,16 @@ def is_po_bruteforce(inst: Instance, alloc: Allocation, max_states: int = 10 ** 
     """Pareto optimality by enumerating all balanced allocations.
 
     Deciding PO is intractable in general, so this is guarded: instances
-    with more than ``max_states`` balanced allocations are rejected.
+    with more than ``max_states`` balanced allocations raise TooLargeError
+    (from the enumeration).
     """
-    from .oracle import enumerate_balanced  # local import to avoid a cycle
+    from .oracle import enumerate_balanced, pareto_dominates  # local import to avoid a cycle
 
     check_allocation(inst, alloc, balanced=True)
-    if balanced_allocation_count(inst) > max_states:
-        raise TooLargeError(
-            f"{balanced_allocation_count(inst)} balanced allocations exceed the "
-            f"guard of {max_states}"
-        )
     mine = [bundle_value(inst, i, alloc.bundle(i)) for i in inst.agents()]
     for cand in enumerate_balanced(inst, max_states=max_states):
         theirs = [bundle_value(inst, i, cand.bundle(i)) for i in inst.agents()]
-        if all(t >= m for t, m in zip(theirs, mine)) and any(
-            t > m for t, m in zip(theirs, mine)
-        ):
+        if pareto_dominates(theirs, mine):
             return Verdict(
                 holds=False,
                 witness={

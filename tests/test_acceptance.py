@@ -83,7 +83,8 @@ def test_criterion_2_bivalued_solver_suite():
             high = rng.randint(low + 1, 9)
             rows.append([high if rng.random() < 0.5 else low for _ in range(n * k)])
         inst = make_instance(n, n * k, rows)
-        out, alpha = solve_bivalued(inst)
+        sol = solve_bivalued(inst)
+        out, alpha = sol.allocation, sol.alpha
         assert out.is_balanced(inst)
         assert is_ef1(inst, out).holds
         assert check_bivalued_fpo(inst, out)
@@ -115,7 +116,8 @@ def _two_type_suite():
         types = [1] * n1 + [2] * (n - n1)
         rng.shuffle(types)
         inst = make_instance(n, m, [u1 if t == 1 else u2 for t in types])
-        out, gamma, pot = solve_two_types(inst)
+        sol = solve_two_types(inst)
+        out, gamma, pot = sol.allocation, sol.gamma, sol.potentials
         suite.append((inst, out, gamma, pot))
     return suite
 
@@ -225,7 +227,8 @@ def test_criterion_7_reduction_round_trip():
 
         reduced, dummies = reduce_unconstrained(inst)
         assert reduced.m == n * m and reduced.k == m
-        out, gamma, pot = solve_two_types(reduced)
+        sol = solve_two_types(reduced)
+        out, gamma, pot = sol.allocation, sol.gamma, sol.potentials
         back = strip_dummies(out, dummies)
         assert is_ef1(inst, back).holds
         assert check_fpo(inst, back, mode="unconstrained").is_fpo

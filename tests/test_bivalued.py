@@ -58,7 +58,8 @@ class TestBivaluedPairs:
 class TestSolveBivalued:
     def test_two_by_two_tie(self):
         inst = make_instance(2, 2, [[2, 1], [3, 0]])
-        alloc, alpha = solve_bivalued(inst)
+        sol = solve_bivalued(inst)
+        alloc, alpha = sol.allocation, sol.alpha
         # both matchings tie at 9/4; the deterministic rule takes the
         # lexicographically smallest, good 1 to agent 1
         assert alloc.bundles == (frozenset({1}), frozenset({2}))
@@ -68,14 +69,15 @@ class TestSolveBivalued:
 
     def test_identical_rows(self):
         inst = make_instance(3, 6, [[7, 7, 2, 2, 7, 2]] * 3)
-        alloc, _ = solve_bivalued(inst)
+        alloc = solve_bivalued(inst).allocation
         assert alloc.is_balanced(inst)
         assert is_ef1(inst, alloc).holds
         assert check_fpo(inst, alloc).is_fpo
 
     def test_split_high_goods_evenly(self):
         inst = make_instance(2, 4, [[5, 5, 2, 2], [5, 2, 5, 2]])
-        alloc, alpha = solve_bivalued(inst)
+        sol = solve_bivalued(inst)
+        alloc, alpha = sol.allocation, sol.alpha
         pairs = bivalued_pairs(inst)
         counts1 = high_counts(inst, alloc, 1, pairs)
         counts2 = high_counts(inst, alloc, 2, pairs)
@@ -93,7 +95,7 @@ class TestSolveBivalued:
     def test_boundary_perturbation_sum(self):
         # every slot can host a high good: the drift reaches exactly 1/2
         inst = make_instance(2, 4, [[9, 9, 0, 0], [0, 0, 9, 9]])
-        alloc, _ = solve_bivalued(inst)
+        alloc = solve_bivalued(inst).allocation
         assert alloc.bundles == (frozenset({1, 2}), frozenset({3, 4}))
 
     def test_rejects_wider_value_ranges(self):
@@ -107,7 +109,7 @@ class TestCheckBivaluedFpo:
         rng = random.Random(3)
         for _ in range(15):
             inst = random_bivalued_instance(rng, rng.choice([2, 3]), rng.choice([1, 2]))
-            alloc, _ = solve_bivalued(inst)
+            alloc = solve_bivalued(inst).allocation
             assert check_bivalued_fpo(inst, alloc)
 
     def test_tied_singletons(self):
@@ -132,7 +134,8 @@ class TestSolverPropertySweep:
             n = rng.choice([2, 3])
             k = rng.choice([1, 2, 3])
             inst = random_bivalued_instance(rng, n, k)
-            alloc, alpha = solve_bivalued(inst)
+            sol = solve_bivalued(inst)
+            alloc, alpha = sol.allocation, sol.alpha
             pairs = bivalued_pairs(inst)
             assert alloc.is_balanced(inst)
             assert is_ef1(inst, alloc).holds

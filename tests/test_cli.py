@@ -1,9 +1,12 @@
 import csv
+import dataclasses
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
+from fairbalance import cli, solve
 from fairbalance.cli import (
     main,
     parse_instance,
@@ -15,6 +18,10 @@ from fairbalance.core import classify, Bivalued, TwoType
 from conftest import REF_VALUES
 
 REF_FILE = {"n": 2, "m": 4, "valuations": REF_VALUES}
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "solve_golden.json").read_text(encoding="utf-8")
+)
+EMPTY_INSTANCE = {"n": 0, "m": 0, "valuations": []}
 
 
 def write_json(path, obj):
@@ -104,6 +111,68 @@ class TestSolve:
         path = write_json(tmp_path / "odd.json", {"n": 2, "m": 3, "valuations": [[1, 2, 3], [4, 5, 6]]})
         assert main(["solve", path]) == 2
 
+    def test_empty_instance_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "empty.json", EMPTY_INSTANCE)
+        assert main(["solve", path]) == 2
+        assert "at least one agent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "case,algorithm",
+    [(case, algorithm) for case in GOLDEN for algorithm in case["solve"]],
+    ids=lambda v: v["name"] if isinstance(v, dict) else v,
+)
+def test_solve_golden_bytes(case, algorithm, tmp_path, capsys):
+    """stdout, stderr and exit code of solve, frozen from an earlier release
+    that re-proved every certified result with the simplex."""
+    path = write_json(tmp_path / "inst.json", case["instance"])
+    code = main(["solve", path, "--algorithm", algorithm])
+    captured = capsys.readouterr()
+    expected = case["solve"][algorithm]
+    assert (code, captured.out, captured.err) == (
+        expected["exit"], expected["stdout"], expected["stderr"]
+    )
+
+
+class TestCertificateGate:
+    """solve writes a certified result only when alpha > 0, dual
+    feasibility and complementary slackness all re-verify."""
+
+    def run_with(self, monkeypatch, tmp_path, capsys, path, tamper):
+        real = solve
+
+        def tampered(inst, algorithm="auto"):
+            sol = real(inst, algorithm)
+            return dataclasses.replace(sol, potentials=tamper(sol.potentials))
+
+        monkeypatch.setattr(cli, "solve", tampered)
+        out = tmp_path / "result.json"
+        code = main(["solve", path, "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert not out.exists()
+        assert captured.out == ""
+        assert captured.err == "error: certificate failed re-verification\n"
+
+    def test_infeasible_potentials_exit_4(self, ref_path, monkeypatch, tmp_path, capsys):
+        # agent 1 values good 3 at 21 = q_1 + p_3; a lower price breaks feasibility
+        def lower_price(pot):
+            p = list(pot.p)
+            p[2] -= 1
+            return dataclasses.replace(pot, p=tuple(p))
+
+        self.run_with(monkeypatch, tmp_path, capsys, ref_path, lower_price)
+
+    def test_non_tight_owned_pair_exits_4(self, ref_path, monkeypatch, tmp_path, capsys):
+        # raising q_1 keeps every constraint feasible but leaves agent 1's
+        # goods strictly above their weighted value
+        def raise_q(pot):
+            q = list(pot.q)
+            q[0] += 1
+            return dataclasses.replace(pot, q=tuple(q))
+
+        self.run_with(monkeypatch, tmp_path, capsys, ref_path, raise_q)
+
 
 class TestCheck:
     def test_fpo_failure_prints_dominator(self, ref_path, tmp_path, capsys):
@@ -139,6 +208,29 @@ class TestCheck:
         apath = write_json(tmp_path / "a.json", {"allocation": [[1, 3], [2, 3]]})
         assert main(["check", ref_path, apath, "--ef1"]) == 2
 
+    def test_fpo_on_unbalanced_partition_exits_2(self, ref_path, tmp_path, capsys):
+        apath = write_json(tmp_path / "a.json", {"allocation": [[1, 2, 3], [4]]})
+        assert main(["check", ref_path, apath, "--fpo"]) == 2
+        assert "not balanced" in capsys.readouterr().err
+
+    def test_po_on_unbalanced_partition_exits_2(self, ref_path, tmp_path, capsys):
+        apath = write_json(tmp_path / "a.json", {"allocation": [[1, 2, 3], [4]]})
+        assert main(["check", ref_path, apath, "--po"]) == 2
+        assert "not balanced" in capsys.readouterr().err
+
+    def test_pef1_with_empty_bundle_exits_2(self, ref_path, tmp_path, capsys):
+        apath = write_json(tmp_path / "a.json", {"allocation": [[1, 2, 3, 4], []]})
+        ppath = write_json(tmp_path / "p.json", {"prices": [4, 3, 2, 1]})
+        assert main(["check", ref_path, apath, "--pef1", ppath]) == 2
+        assert "non-empty bundles" in capsys.readouterr().err
+
+    def test_ef1_and_unconstrained_fpo_accept_unbalanced(self, ref_path, tmp_path, capsys):
+        apath = write_json(tmp_path / "a.json", {"allocation": [[1, 2, 3, 4], []]})
+        assert main(["check", ref_path, apath, "--ef1"]) == 1
+        assert capsys.readouterr().out.startswith("ef1: fails  witness: {'envier': 2")
+        assert main(["check", ref_path, apath, "--fpo", "--unconstrained"]) == 0
+        assert capsys.readouterr().out == "fpo: holds\n"
+
 
 class TestEnumerate:
     def test_reference_csv(self, ref_path, tmp_path):
@@ -167,6 +259,11 @@ class TestEnumerate:
 
     def test_guard_exits_3(self, ref_path):
         assert main(["enumerate", ref_path, "--max-states", "2"]) == 3
+
+    def test_empty_instance_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "empty.json", EMPTY_INSTANCE)
+        assert main(["enumerate", path]) == 2
+        assert "at least one agent" in capsys.readouterr().err
 
 
 class TestGen:

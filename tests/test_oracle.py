@@ -95,7 +95,7 @@ class TestFullReport:
             report = full_report(inst)
             good = {a.bundles for a in report.ef1_and_fpo_set()}
             assert good, "bivalued instances always admit an EF1 and fPO allocation"
-            out, _ = solve_bivalued(inst)
+            out = solve_bivalued(inst).allocation
             assert out.bundles in good
         for _ in range(8):
             inst = random_two_type_instance(rng, rng.choice([2, 3]), 4 if rng.random() < 0.5 else 6)
@@ -104,7 +104,7 @@ class TestFullReport:
             report = full_report(inst)
             good = {a.bundles for a in report.ef1_and_fpo_set()}
             assert good, "two-type instances always admit an EF1 and fPO allocation"
-            out, _, _ = solve_two_types(inst)
+            out = solve_two_types(inst).allocation
             assert out.bundles in good
 
 

@@ -116,6 +116,20 @@ class TestOptimalSplit:
             _, best = solve_primal(inst, alpha)
             assert welfare == best
 
+    def test_matches_rational_scores(self):
+        # the exact score order, ties by index, on rational rows with ties
+        rng = random.Random(14)
+        for _ in range(300):
+            m = rng.randint(2, 12)
+            u1 = [Fraction(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(m)]
+            u2 = [Fraction(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(m)]
+            gamma = Fraction(rng.randint(1, 30), rng.randint(1, 7))
+            size = rng.randint(0, m)
+            order = sorted(range(1, m + 1), key=lambda j: (-(u1[j - 1] - gamma * u2[j - 1]), j))
+            split = optimal_split(u1, u2, gamma, 1, size)
+            assert split.s == frozenset(order[:size])
+            assert split.t == frozenset(order[size:])
+
 
 class TestRoundRobinByPrice:
     def test_strict_descending(self):
@@ -154,7 +168,8 @@ class TestRoundRobinByPrice:
 class TestConditions:
     def test_singletons_both_hold(self):
         inst = make_instance(2, 2, [[3, 1], [2, 5]])
-        alloc_out, gamma, pot = solve_two_types(inst)
+        sol = solve_two_types(inst)
+        alloc_out, gamma, pot = sol.allocation, sol.gamma, sol.potentials
         view = _two_type_view(inst)
         grid = critical_values(view.u1, view.u2)
         for ell in range(1, grid.interval_count + 1):
@@ -225,23 +240,27 @@ class TestPriceModel:
 
 class TestSolveTwoTypes:
     def test_reference_instance(self, ref_instance):
-        allocation, gamma, pot = solve_two_types(ref_instance)
+        sol = solve_two_types(ref_instance)
+        allocation, gamma, pot = sol.allocation, sol.gamma, sol.potentials
         assert allocation.bundles == (frozenset({1, 3}), frozenset({2, 4}))
         alpha = (Fraction(1), gamma)
+        assert sol.alpha == alpha
         assert verify_complementary_slackness(
             ref_instance, allocation_matrix(ref_instance, allocation), pot, alpha
         )
 
     def test_single_type_round_robin(self):
         inst = make_instance(2, 4, [[4, 3, 2, 1]] * 2)
-        allocation, gamma, pot = solve_two_types(inst)
+        sol = solve_two_types(inst)
+        allocation, gamma, pot = sol.allocation, sol.gamma, sol.potentials
         assert allocation.bundles == (frozenset({1, 3}), frozenset({2, 4}))
         assert is_ef1(inst, allocation).holds
         assert check_fpo(inst, allocation).is_fpo
 
     def test_constant_rows_trivial(self):
         inst = make_instance(2, 2, [[3, 3], [5, 5]])
-        allocation, gamma, pot = solve_two_types(inst)
+        sol = solve_two_types(inst)
+        allocation, gamma, pot = sol.allocation, sol.gamma, sol.potentials
         assert is_ef1(inst, allocation).holds
         assert check_fpo(inst, allocation).is_fpo
 
@@ -252,7 +271,8 @@ class TestSolveTwoTypes:
 
     def test_interleaved_membership(self):
         inst = make_instance(3, 6, [[9, 1, 5, 0, 2, 2], [4, 4, 4, 0, 1, 7], [9, 1, 5, 0, 2, 2]])
-        allocation, gamma, pot = solve_two_types(inst)
+        sol = solve_two_types(inst)
+        allocation, gamma, pot = sol.allocation, sol.gamma, sol.potentials
         assert is_ef1(inst, allocation).holds
         assert check_fpo(inst, allocation).is_fpo
 
@@ -264,7 +284,8 @@ class TestSolveTwoTypes:
             if m > 8:
                 continue
             inst = random_two_type_instance(rng, n, m)
-            allocation, gamma, pot = solve_two_types(inst)
+            sol = solve_two_types(inst)
+            allocation, gamma, pot = sol.allocation, sol.gamma, sol.potentials
             assert allocation.is_balanced(inst)
             assert is_ef1(inst, allocation).holds
             assert check_fpo(inst, allocation).is_fpo
@@ -329,6 +350,31 @@ class TestIntervalStructure:
                 pot_right = _potentials_at(inst, view, split_right, shared)
                 assert pot_left == pot_right
             checked += 1
+
+    def test_deal_follows_values_at_both_ends(self):
+        # tight owned goods: prices order each type's goods as its values do,
+        # so an interval deals the same allocation at either end
+        rng = random.Random(59)
+        for _ in range(40):
+            n = rng.choice([2, 3, 4])
+            inst = random_two_type_instance(rng, n, n * rng.choice([1, 2, 3]))
+            view = _two_type_view(inst)
+            if view.n2 == 0:
+                continue
+            try:
+                grid = critical_values(view.u1, view.u2)
+            except AllValuesEqual:
+                continue
+            for ell in range(1, grid.interval_count + 1):
+                lo, hi = grid.interval(ell)
+                split = optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
+                by_value = (
+                    round_robin_by_price(split.s, view.u1, view.n1, inst.k),
+                    round_robin_by_price(split.t, view.u2, view.n2, inst.k),
+                )
+                for gamma in (lo, hi):
+                    typed = _deal(inst, view, split, gamma, _potentials_at(inst, view, split, gamma))
+                    assert (typed.x_bundles, typed.y_bundles) == by_value
 
     def test_endpoint_conditions_when_not_ef1(self):
         # at the extreme gammas, a failed EF1 check forces the matching
