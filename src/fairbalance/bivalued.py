@@ -39,9 +39,11 @@ class SlotWeighting:
     epsilon: Fraction
 
     def __post_init__(self):
-        assert self.epsilon > 0
+        if not self.epsilon > 0:
+            raise InternalInvariantError("slot perturbation must be positive")
         total = self.n * Fraction(self.k * (self.k + 1), 2) * self.epsilon
-        assert total == Fraction(1, 2), "slot perturbations must sum to exactly 1/2"
+        if total != Fraction(1, 2):
+            raise InternalInvariantError("slot perturbations must sum to exactly 1/2")
 
 
 def slot_epsilon(n: int, k: int) -> SlotWeighting:

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 from .core import (
     Allocation,
     Instance,
+    InternalInvariantError,
     NegativeCycleError,
     check_allocation,
 )
@@ -182,10 +183,10 @@ def compute_potentials(inst: Instance, alloc: Allocation, alpha: Sequence[Fracti
     q = tuple(dist[agent_node(i)] for i in inst.agents())
     p = tuple(-dist[good_node(j)] for j in inst.goods())
     pot = Potentials(q=q, p=p)
-    assert pot.is_nonnegative(), "shortest-path potentials must be nonnegative"
+    if not pot.is_nonnegative():
+        raise InternalInvariantError("shortest-path potentials must be nonnegative")
     for i in inst.agents():
         for j in alloc.bundle(i):
-            assert q[i - 1] + p[j - 1] == alpha[i - 1] * inst.value(i, j), (
-                "owned pairs must be tight"
-            )
+            if q[i - 1] + p[j - 1] != alpha[i - 1] * inst.value(i, j):
+                raise InternalInvariantError("owned pairs must be tight")
     return pot

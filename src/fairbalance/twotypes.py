@@ -1,20 +1,24 @@
 """EF1 + fPO balanced allocations when agents have at most two valuation types.
 
-The solver walks a grid of weight ratios gamma (type-1 agents weigh 1,
-type-2 agents weigh gamma).  Between consecutive critical ratios the
-optimal type-1/type-2 good split is constant; within each interval the
-goods are re-dealt to same-type agents in descending order of dual
-prices.  Whenever the price-comparison conditions (a) and (b) both hold,
-the dealt allocation is EF1; it is fPO at every step because it always
-maximizes the gamma-weighted welfare.
+Type-1 agents weigh 1 and type-2 agents weigh gamma.  Between consecutive
+critical ratios the welfare-optimal split of goods between the types is
+constant, and each type's goods are dealt round-robin to its agents in
+descending order of that type's values.  Owned goods are tight and agents
+of one type share a potential, so dual prices order each type's goods
+exactly as its values do: the value deal is the price deal at every gamma
+of the interval.  The solver returns the first split whose deal is EF1;
+when there is none, it walks good swaps at a shared interval end where
+price condition (a) holds on the left and (b) on the right.  Every deal
+maximizes the gamma-weighted welfare, so it is fPO.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
-from typing import Sequence
+from typing import Optional, Sequence
 
 from . import verify as verify_mod
 from .core import (
@@ -84,13 +88,13 @@ class Split:
 
 @dataclass(frozen=True)
 class TypedAllocation:
-    """Bundles per type in deal order, with the gamma and potentials that
-    produced them."""
+    """Bundles per type in deal order, with their gamma and, once computed,
+    the potentials at that gamma."""
 
     x_bundles: tuple
     y_bundles: tuple
     gamma: Fraction
-    potentials: Potentials
+    potentials: Optional[Potentials] = None
 
 
 def compute_delta(u1: Sequence, u2: Sequence) -> Fraction:
@@ -98,16 +102,14 @@ def compute_delta(u1: Sequence, u2: Sequence) -> Fraction:
     largest value; every interesting weight ratio lies in (delta, 1/delta)."""
     u1 = [as_rational(v) for v in u1]
     u2 = [as_rational(v) for v in u2]
-    diffs = [
-        abs(a - b)
-        for row in (u1, u2)
-        for a in row
-        for b in row
-        if a != b
-    ]
-    if not diffs:
+    # the smallest difference lies between neighbours in sorted order
+    gaps = []
+    for row in (u1, u2):
+        values = sorted(set(row))
+        gaps += [b - a for a, b in zip(values, values[1:])]
+    if not gaps:
         raise AllValuesEqual("no two goods differ within either type")
-    return min(diffs) / (1 + max(max(u1), max(u2)))
+    return min(gaps) / (1 + max(max(u1), max(u2)))
 
 
 def critical_values(u1: Sequence, u2: Sequence) -> GammaGrid:
@@ -159,15 +161,20 @@ def round_robin_by_price(goods, prices: Sequence, agents: int, k: int) -> tuple:
     return tuple(frozenset(b) for b in bundles)
 
 
+def _condition_gaps(t: TypedAllocation) -> tuple:
+    """How far conditions (a) and (b) hold: each is satisfied exactly when
+    its gap is nonnegative."""
+    p = t.potentials.p
+    price = lambda b: sum((p[j - 1] for j in b), Fraction(0))
+    drop = lambda b: price(b) - max(p[j - 1] for j in b)
+    return price(t.x_bundles[-1]) - drop(t.y_bundles[0]), price(t.y_bundles[-1]) - drop(t.x_bundles[0])
+
+
 def conditions_ab(t: TypedAllocation) -> tuple:
     """Condition (a): the poorest type-1 bundle still prices at least the
     richest type-2 bundle minus its best good; (b) is the mirror image.
     At least one always holds."""
-    p = t.potentials.p
-    price = lambda b: sum((p[j - 1] for j in b), Fraction(0))
-    drop = lambda b: price(b) - max(p[j - 1] for j in b)
-    a_holds = price(t.x_bundles[-1]) >= drop(t.y_bundles[0])
-    b_holds = price(t.y_bundles[-1]) >= drop(t.x_bundles[0])
+    a_holds, b_holds = (gap >= 0 for gap in _condition_gaps(t))
     if not (a_holds or b_holds):
         raise InternalInvariantError("both price conditions failed at once")
     return a_holds, b_holds
@@ -210,24 +217,17 @@ def _alpha_for(view: _View, n: int, gamma: Fraction) -> tuple:
     return tuple(alpha)
 
 
-def _split_allocation(inst: Instance, view: _View, split: Split) -> Allocation:
-    """Any balanced allocation realizing the split (used for potentials,
-    which do not depend on the choice)."""
-    k = inst.k
-    bundles = [None] * inst.n
-    s_sorted = sorted(split.s)
-    for pos, agent in enumerate(view.members1):
-        bundles[agent - 1] = set(s_sorted[pos * k:(pos + 1) * k])
-    t_sorted = sorted(split.t)
-    for pos, agent in enumerate(view.members2):
-        bundles[agent - 1] = set(t_sorted[pos * k:(pos + 1) * k])
-    return make_allocation(bundles)
+def _interval_split(inst: Instance, view: _View, grid: GammaGrid, ell: int) -> Split:
+    """The optimal split on interval ell (taken at its midpoint)."""
+    lo, hi = grid.interval(ell)
+    return optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
 
 
-def _deal(inst: Instance, view: _View, split: Split, gamma: Fraction, pot: Potentials) -> TypedAllocation:
-    k = inst.k
-    x_bundles = round_robin_by_price(split.s, pot.p, view.n1, k)
-    y_bundles = round_robin_by_price(split.t, pot.p, view.n2, k)
+def _deal(inst: Instance, view: _View, split: Split, gamma: Fraction,
+          pot: Optional[Potentials] = None) -> TypedAllocation:
+    """Deal each type's goods round-robin in descending value of that type."""
+    x_bundles = round_robin_by_price(split.s, view.u1, view.n1, inst.k)
+    y_bundles = round_robin_by_price(split.t, view.u2, view.n2, inst.k)
     return TypedAllocation(x_bundles=x_bundles, y_bundles=y_bundles, gamma=gamma, potentials=pot)
 
 
@@ -241,13 +241,19 @@ def _assemble(view: _View, typed: TypedAllocation) -> Allocation:
     return Allocation(tuple(bundles))
 
 
+def _potentials_at(inst: Instance, view: _View, split: Split, gamma: Fraction) -> Potentials:
+    alloc = _assemble(view, _deal(inst, view, split, gamma))
+    return compute_potentials(inst, alloc, _alpha_for(view, inst.n, gamma))
+
+
 class _PriceModel:
-    """Exact per-good dual prices as functions of gamma on one interval.
+    """The agent potentials q1, q2 as functions of gamma on one interval.
 
     With the split fixed, the shortest-path distances collapse to closed
     forms: each type's agent potential is the lower envelope of a direct
-    two-edge term and relay terms through the other type, and each good
-    price is the negated minimum of at most m+3 affine functions of gamma.
+    two-edge term and relay terms through the other type.  Owned goods
+    are tight, so a type-1 good prices u1j - q1 and a type-2 good
+    gamma*u2j - q2.
     """
 
     def __init__(self, view: _View, split: Split):
@@ -263,147 +269,49 @@ class _PriceModel:
         self.q2_lines = [(u2t, Fraction(0))] + [
             (u2[j - 1], c11 - u1[j - 1]) for j in t_goods
         ]
-        self.good_lines = {}
-        for j in range(1, len(u1) + 1):
-            lines = [(Fraction(0), Fraction(0))]
-            lines += [(s, b - u1[j - 1]) for s, b in self.q1_lines]
-            lines += [(s - u2[j - 1], b) for s, b in self.q2_lines]
-            self.good_lines[j] = lines
-
-    @staticmethod
-    def _min_at(lines, gamma: Fraction) -> Fraction:
-        return min(s * gamma + b for s, b in lines)
 
     def q_values(self, gamma: Fraction) -> tuple:
-        return self._min_at(self.q1_lines, gamma), self._min_at(self.q2_lines, gamma)
+        return tuple(min(s * gamma + b for s, b in lines) for lines in (self.q1_lines, self.q2_lines))
 
-    def price(self, j: int, gamma: Fraction) -> Fraction:
-        return -self._min_at(self.good_lines[j], gamma)
-
-    def price_vector(self, gamma: Fraction, m: int) -> tuple:
-        return tuple(self.price(j, gamma) for j in range(1, m + 1))
-
-    def active_price_line(self, j: int, gamma: Fraction) -> tuple:
-        """The negated affine piece that equals the price near gamma."""
-        best = None
-        for s, b in self.good_lines[j]:
-            val = s * gamma + b
-            if best is None or val < best[0]:
-                best = (val, s, b)
-        return -best[1], -best[2]
-
-    def breakpoints(self, lo: Fraction, hi: Fraction, split: Split) -> set:
-        """Gammas in (lo, hi) where a price's affine piece can change or
-        two same-side prices can cross."""
+    def kinks(self, lo: Fraction, hi: Fraction) -> set:
+        """Gammas in (lo, hi) where q1 or q2 changes its affine piece."""
         out = set()
-
-        def cross(l1, l2):
-            for s1, b1 in l1:
-                for s2, b2 in l2:
-                    if s1 != s2:
-                        g = (b2 - b1) / (s1 - s2)
-                        if lo < g < hi:
-                            out.add(g)
-
-        for j, lines in self.good_lines.items():
-            cross(lines, lines)
-        for side in (sorted(split.s), sorted(split.t)):
-            for a_idx in range(len(side)):
-                for b_idx in range(a_idx + 1, len(side)):
-                    cross(self.good_lines[side[a_idx]], self.good_lines[side[b_idx]])
+        for side, lines in enumerate((self.q1_lines, self.q2_lines)):
+            for (s1, b1), (s2, b2) in combinations(lines, 2):
+                if s1 != s2:
+                    g = (b2 - b1) / (s1 - s2)
+                    if lo < g < hi and s1 * g + b1 == self.q_values(g)[side]:
+                        out.add(g)
         return out
 
 
-def _condition_lines(model: _PriceModel, view: _View, split: Split, k: int, gamma: Fraction):
-    """Affine forms of both condition gaps, valid on the crossing-free
-    segment around gamma.  Returns ((slope, intercept) for a, same for b)."""
-    prices = {j: model.price(j, gamma) for j in split.s | split.t}
-    price_seq = [Fraction(0)] * (max(split.s | split.t))
-    for j, v in prices.items():
-        price_seq[j - 1] = v
-    x_bundles = round_robin_by_price(split.s, price_seq, view.n1, k)
-    y_bundles = round_robin_by_price(split.t, price_seq, view.n2, k)
-
-    def bundle_line(bundle, drop_top: bool):
-        slope = Fraction(0)
-        intercept = Fraction(0)
-        top = max(bundle, key=lambda j: (prices[j], -j)) if drop_top else None
-        for j in bundle:
-            if j == top:
-                continue
-            s, b = model.active_price_line(j, gamma)
-            slope += s
-            intercept += b
-        return slope, intercept
-
-    xa = bundle_line(x_bundles[-1], drop_top=False)
-    ya = bundle_line(y_bundles[0], drop_top=True)
-    yb = bundle_line(y_bundles[-1], drop_top=False)
-    xb = bundle_line(x_bundles[0], drop_top=True)
-    line_a = (xa[0] - ya[0], xa[1] - ya[1])
-    line_b = (yb[0] - xb[0], yb[1] - xb[1])
-    return line_a, line_b
-
-
 def case1_sweep(inst: Instance, grid: GammaGrid, ell: int) -> tuple:
-    """Find gamma* inside interval ell where both price conditions hold.
+    """The least gamma in interval ell where both price conditions hold,
+    with its typed allocation.
 
-    Candidate gammas are the interval endpoints, every point where a price
-    changes its affine piece or two same-side prices cross, and the roots
-    of the two condition gaps on each crossing-free segment.  Scanned in
-    ascending order; the first candidate satisfying both conditions is
-    returned together with its freshly computed allocation.
+    The deal is fixed on the interval and every price is a value minus
+    its type's potential, so both condition gaps are affine between the
+    kinks of q1 and q2.  The candidates are the interval ends, those
+    kinks, and each gap's root on each piece; they are scanned in
+    ascending order with Bellman-Ford potentials.
     """
     view = _two_type_view(inst)
     lo, hi = grid.interval(ell)
-    if lo == hi:
-        typed = _typed_at(inst, view, grid, ell, lo)
-        return lo, typed
-    mid = (lo + hi) / 2
-    split = optimal_split(view.u1, view.u2, mid, view.n1, inst.k)
-    model = _PriceModel(view, split)
-
-    points = {lo, hi} | model.breakpoints(lo, hi, split)
-    ordered = sorted(points)
-    candidates = set(ordered)
-    for left, right in zip(ordered, ordered[1:]):
-        seg_mid = (left + right) / 2
-        for slope, intercept in _condition_lines(model, view, split, inst.k, seg_mid):
-            if slope != 0:
-                root = -intercept / slope
-                if left < root < right:
-                    candidates.add(root)
-
+    split = _interval_split(inst, view, grid, ell)
+    dealt = _deal(inst, view, split, lo)
+    at = lambda g: replace(dealt, gamma=g, potentials=_potentials_at(inst, view, split, g))
+    points = sorted({lo, hi} | _PriceModel(view, split).kinks(lo, hi))
+    typed = {g: at(g) for g in points}
+    candidates = set(points)
+    for left, right in zip(points, points[1:]):
+        for g_left, g_right in zip(_condition_gaps(typed[left]), _condition_gaps(typed[right])):
+            if (g_left < 0) != (g_right < 0):
+                candidates.add(left + (right - left) * g_left / (g_left - g_right))
     for gamma in sorted(candidates):
-        typed = _deal(inst, view, split, gamma, _model_potentials(inst, view, model, gamma))
-        a_holds, b_holds = conditions_ab(typed)
-        if a_holds and b_holds:
-            # recompute the certificate canonically before returning
-            pot = _potentials_at(inst, view, split, gamma)
-            assert pot.p == typed.potentials.p and pot.q == typed.potentials.q
-            typed = _deal(inst, view, split, gamma, pot)
-            return gamma, typed
+        t = typed[gamma] if gamma in typed else at(gamma)
+        if all(conditions_ab(t)):
+            return gamma, t
     raise SweepExhausted(f"interval {ell} had no point satisfying both conditions")
-
-
-def _model_potentials(inst: Instance, view: _View, model: _PriceModel, gamma: Fraction) -> Potentials:
-    q1, q2 = model.q_values(gamma)
-    q = [q1] * inst.n
-    for i in view.members2:
-        q[i - 1] = q2
-    return Potentials(q=tuple(q), p=model.price_vector(gamma, inst.m))
-
-
-def _potentials_at(inst: Instance, view: _View, split: Split, gamma: Fraction) -> Potentials:
-    alloc = _split_allocation(inst, view, split)
-    return compute_potentials(inst, alloc, _alpha_for(view, inst.n, gamma))
-
-
-def _typed_at(inst: Instance, view: _View, grid: GammaGrid, ell: int, gamma: Fraction) -> TypedAllocation:
-    mid = sum(grid.interval(ell), Fraction(0)) / 2
-    split = optimal_split(view.u1, view.u2, mid, view.n1, inst.k)
-    pot = _potentials_at(inst, view, split, gamma)
-    return _deal(inst, view, split, gamma, pot)
 
 
 def _assert_tight(inst: Instance, view: _View, typed: TypedAllocation, gamma: Fraction) -> None:
@@ -424,41 +332,28 @@ def _assert_tight(inst: Instance, view: _View, typed: TypedAllocation, gamma: Fr
 
 def case2_exchange(inst: Instance, grid: GammaGrid, ell: int) -> Allocation:
     """Walk from the interval-ell split to the interval-(ell+1) split one
-    good swap at a time at the shared gamma, re-dealing by price after
+    good swap at a time at the shared gamma, re-dealing by value after
     each swap, and return the first EF1 allocation.
 
-    Every intermediate allocation keeps complementary slackness at the
-    shared gamma's potentials, hence stays fPO.
+    Every intermediate allocation is checked tight at the shared gamma's
+    potentials, hence stays fPO.
     """
     view = _two_type_view(inst)
     gamma = grid.endpoint(ell)
-    k = inst.k
-    mid_here = sum(grid.interval(ell), Fraction(0)) / 2
-    mid_next = sum(grid.interval(ell + 1), Fraction(0)) / 2
-    split = optimal_split(view.u1, view.u2, mid_here, view.n1, k)
-    target = optimal_split(view.u1, view.u2, mid_next, view.n1, k)
+    split = _interval_split(inst, view, grid, ell)
+    target = _interval_split(inst, view, grid, ell + 1)
     pot = _potentials_at(inst, view, split, gamma)
-
-    s, t = set(split.s), set(split.t)
     for _ in range(inst.m + 1):
-        typed = TypedAllocation(
-            x_bundles=round_robin_by_price(s, pot.p, view.n1, k),
-            y_bundles=round_robin_by_price(t, pot.p, view.n2, k),
-            gamma=gamma,
-            potentials=pot,
-        )
+        typed = _deal(inst, view, split, gamma, pot)
         _assert_tight(inst, view, typed, gamma)
         alloc = _assemble(view, typed)
         if verify_mod.is_ef1(inst, alloc).holds:
             return alloc
-        if s == set(target.s):
+        if split == target:
             break
-        j_out = min(s - target.s)
-        j_in = min(t - target.t)
-        s.remove(j_out)
-        s.add(j_in)
-        t.remove(j_in)
-        t.add(j_out)
+        j_out = min(split.s - target.s)
+        j_in = min(split.t - target.t)
+        split = Split(s=split.s - {j_out} | {j_in}, t=split.t - {j_in} | {j_out})
     raise ExchangeExhausted(f"no EF1 allocation between intervals {ell} and {ell + 1}")
 
 
@@ -498,43 +393,27 @@ def solve_two_types(inst: Instance) -> Solution:
     # splits are optimal and give the same shortest-path potentials).
     prev = None
     for ell in range(1, grid.interval_count + 1):
-        lo, hi = grid.interval(ell)
-        split = optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
+        split = _interval_split(inst, view, grid, ell)
         if split != prev:
-            x = round_robin_by_price(split.s, view.u1, view.n1, inst.k)
-            y = round_robin_by_price(split.t, view.u2, view.n2, inst.k)
-            alloc = _assemble(view, TypedAllocation(x, y, lo, None))
+            lo = grid.endpoint(ell - 1)
+            typed = _deal(inst, view, split, lo)
+            alloc = _assemble(view, typed)
             if verify_mod.is_ef1(inst, alloc).holds:
-                typed = _deal(inst, view, split, lo, _potentials_at(inst, view, split, lo))
-                if _assemble(view, typed) != alloc:
-                    raise InternalInvariantError("prices must order each type's goods by value")
-                conditions_ab(typed)  # raises if both price conditions fail
-                return _solution(inst, view, alloc, lo, typed.potentials)
+                pot = compute_potentials(inst, alloc, _alpha_for(view, inst.n, lo))
+                conditions_ab(replace(typed, potentials=pot))  # raises if both fail
+                return _solution(inst, view, alloc, lo, pot)
         prev = split
 
-    # no split deals an EF1 allocation: price conditions (a) and (b) at every end
-    evaluated = {}
-    pot_cache = {}  # one Bellman-Ford run per grid point
-    for ell in range(1, grid.interval_count + 1):
-        lo, hi = grid.interval(ell)
-        split = optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
-        for gamma in (lo, hi):
-            if gamma not in pot_cache:
-                pot_cache[gamma] = _potentials_at(inst, view, split, gamma)
-            evaluated[(ell, gamma)] = conditions_ab(_deal(inst, view, split, gamma, pot_cache[gamma]))
-
-    for ell in range(1, grid.interval_count + 1):
-        lo, hi = grid.interval(ell)
-        if evaluated[(ell, lo)][0] and evaluated[(ell, hi)][1]:
-            gamma, typed = case1_sweep(inst, grid, ell)
-            alloc = _assemble(view, typed)
-            if not verify_mod.is_ef1(inst, alloc).holds:
-                raise InternalInvariantError("sweep result must be EF1")
-            return _solution(inst, view, alloc, gamma, typed.potentials)
-
+    # No split deals an EF1 allocation, so case 1 cannot occur: where (a)
+    # holds at an interval's lower end and (b) at its upper end, the paper's
+    # sweep finds a gamma with both, whose deal is EF1 and is the interval's
+    # deal.  Case 2 then holds at some shared end.
     for ell in range(1, grid.interval_count):
         shared = grid.endpoint(ell)
-        if evaluated[(ell, shared)][0] and evaluated[(ell + 1, shared)][1]:
-            alloc = case2_exchange(inst, grid, ell)
-            return _solution(inst, view, alloc, shared, pot_cache[shared])
+        left = _interval_split(inst, view, grid, ell)
+        right = _interval_split(inst, view, grid, ell + 1)
+        pot = _potentials_at(inst, view, left, shared)  # one Bellman-Ford run per shared gamma
+        if (conditions_ab(_deal(inst, view, left, shared, pot))[0]
+                and conditions_ab(_deal(inst, view, right, shared, pot))[1]):
+            return _solution(inst, view, case2_exchange(inst, grid, ell), shared, pot)
     raise InternalInvariantError("neither sweep nor exchange case occurred")

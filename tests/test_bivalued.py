@@ -1,9 +1,15 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import fairbalance
 from fairbalance.bivalued import (
+    SlotWeighting,
     bivalued_pairs,
     check_bivalued_fpo,
     high_counts,
@@ -11,7 +17,7 @@ from fairbalance.bivalued import (
     slot_weight,
     solve_bivalued,
 )
-from fairbalance.core import NotBivalued, make_instance
+from fairbalance.core import InternalInvariantError, NotBivalued, make_instance
 from fairbalance.lp import check_fpo
 from fairbalance.verify import certify_fpo, is_ef1
 
@@ -38,6 +44,28 @@ class TestSlotWeight:
                 w = slot_epsilon(n, k)
                 assert w.epsilon == Fraction(1, n * k * (k + 1))
                 assert n * Fraction(k * (k + 1), 2) * w.epsilon == Fraction(1, 2)
+
+    @pytest.mark.parametrize("epsilon", [Fraction(1), Fraction(0), Fraction(-1, 12)])
+    def test_rejects_wrong_epsilon(self, epsilon):
+        with pytest.raises(InternalInvariantError):
+            SlotWeighting(2, 2, epsilon)
+
+    def test_rejects_wrong_epsilon_under_optimize(self):
+        # python -O strips assert statements; the check must survive it
+        code = (
+            "from fractions import Fraction\n"
+            "from fairbalance.bivalued import SlotWeighting\n"
+            "from fairbalance.core import InternalInvariantError\n"
+            "try:\n"
+            "    SlotWeighting(2, 2, Fraction(1))\n"
+            "except InternalInvariantError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('accepted')\n"
+        )
+        src = str(pathlib.Path(fairbalance.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
 
 class TestBivaluedPairs:

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from fairbalance.core import NegativeCycleError, make_instance
+from fairbalance import graph
+from fairbalance.core import InternalInvariantError, NegativeCycleError, make_instance
 from fairbalance.graph import (
     ROOT,
     agent_node,
@@ -125,6 +126,22 @@ class TestComputePotentials:
     def test_raises_on_suboptimal_allocation(self, ref_instance):
         with pytest.raises(NegativeCycleError):
             compute_potentials(ref_instance, alloc({1, 2}, {3, 4}), ONE)
+
+    @pytest.mark.parametrize("node, shift, message", [
+        (agent_node(1), -1, "tight"),  # q_1 drops below u_13 - p_3
+        (good_node(1), 1, "nonnegative"),  # p_1 = -1
+    ])
+    def test_broken_distances_raise(self, ref_instance, monkeypatch, node, shift, message):
+        # raised, not asserted, so the check also runs under python -O
+        real = graph._bellman_ford
+
+        def broken(g):
+            dist, pred, bad = real(g)
+            return {**dist, node: dist[node] + shift}, pred, bad
+
+        monkeypatch.setattr(graph, "_bellman_ford", broken)
+        with pytest.raises(InternalInvariantError, match=message):
+            compute_potentials(ref_instance, alloc({1, 3}, {2, 4}), (Fraction(1), Fraction(3, 2)))
 
     def test_duality_properties_randomized(self):
         rng = random.Random(23)

@@ -1,8 +1,11 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from fairbalance import twotypes
 from fairbalance.core import (
     MoreThanTwoTypes,
     allocation_matrix,
@@ -28,6 +31,10 @@ from fairbalance.twotypes import (
 from fairbalance.verify import is_ef1, price_drop_top
 
 from conftest import alloc, random_two_type_instance
+
+SWEEP_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "case1_sweep_golden.json").read_text(encoding="utf-8")
+)
 
 REF_U1 = [10, 10, 21, 22]
 REF_U2 = [0, 1, 6, 8]
@@ -233,8 +240,11 @@ class TestPriceModel:
                 q1, q2 = model.q_values(gamma)
                 assert all(pot.q[i - 1] == q1 for i in view.members1)
                 assert all(pot.q[i - 1] == q2 for i in view.members2)
-                for j in inst.goods():
-                    assert pot.p[j - 1] == model.price(j, gamma)
+                # owned goods are tight: a price is a value minus its type's q
+                for j in split.s:
+                    assert pot.p[j - 1] == view.u1[j - 1] - q1
+                for j in split.t:
+                    assert pot.p[j - 1] == gamma * view.u2[j - 1] - q2
             checked += 1
 
 
@@ -352,8 +362,8 @@ class TestIntervalStructure:
             checked += 1
 
     def test_deal_follows_values_at_both_ends(self):
-        # tight owned goods: prices order each type's goods as its values do,
-        # so an interval deals the same allocation at either end
+        # tight owned goods: Bellman-Ford prices order each type's goods as
+        # its values do, so dealing by price gives the value deal at either end
         rng = random.Random(59)
         for _ in range(40):
             n = rng.choice([2, 3, 4])
@@ -372,9 +382,15 @@ class TestIntervalStructure:
                     round_robin_by_price(split.s, view.u1, view.n1, inst.k),
                     round_robin_by_price(split.t, view.u2, view.n2, inst.k),
                 )
+                typed = _deal(inst, view, split, lo)
+                assert (typed.x_bundles, typed.y_bundles) == by_value
                 for gamma in (lo, hi):
-                    typed = _deal(inst, view, split, gamma, _potentials_at(inst, view, split, gamma))
-                    assert (typed.x_bundles, typed.y_bundles) == by_value
+                    pot = _potentials_at(inst, view, split, gamma)
+                    by_price = (
+                        round_robin_by_price(split.s, pot.p, view.n1, inst.k),
+                        round_robin_by_price(split.t, pot.p, view.n2, inst.k),
+                    )
+                    assert by_price == by_value
 
     def test_endpoint_conditions_when_not_ef1(self):
         # at the extreme gammas, a failed EF1 check forces the matching
@@ -474,3 +490,50 @@ class TestCaseDrivers:
                     assert check_fpo(inst, allocation).is_fpo
                     exercised += 1
                     break
+
+    def test_case1_sweep_golden(self):
+        # gamma* and the bundles, frozen from the earlier sweep that followed
+        # every good's price through gamma and dealt by price
+        for case in SWEEP_GOLDEN:
+            spec = case["instance"]
+            inst = make_instance(spec["n"], spec["m"], [[Fraction(v) for v in row] for row in spec["valuations"]])
+            view = _two_type_view(inst)
+            gamma, typed = case1_sweep(inst, critical_values(view.u1, view.u2), case["ell"])
+            assert gamma == Fraction(case["gamma"])
+            assert [sorted(b) for b in typed.x_bundles] == case["x_bundles"]
+            assert [sorted(b) for b in typed.y_bundles] == case["y_bundles"]
+
+    def test_case1_precondition_means_scan_succeeds(self, monkeypatch):
+        # (a) at an interval's lower end and (b) at its upper end make its
+        # value deal EF1, so solve_two_types, which tries every split's deal
+        # first, never needs a sweep
+        def unreachable(*args):
+            raise AssertionError("solve_two_types left the scan")
+
+        monkeypatch.setattr(twotypes, "case1_sweep", unreachable)
+        monkeypatch.setattr(twotypes, "case2_exchange", unreachable)
+        rng = random.Random(79)
+        exercised = 0
+        for _ in range(300):
+            n = rng.choice([2, 3, 4])
+            inst = random_two_type_instance(rng, n, n * rng.choice([1, 2, 3]), top=3)
+            view = _two_type_view(inst)
+            if view.n2 == 0:
+                continue
+            try:
+                grid = critical_values(view.u1, view.u2)
+            except AllValuesEqual:
+                continue
+            conds = _grid_conditions(inst, view, grid)
+            hits = 0
+            for ell in range(1, grid.interval_count + 1):
+                lo, hi = grid.interval(ell)
+                if conds[(ell, lo)][0] and conds[(ell, hi)][1]:
+                    split = optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
+                    assert is_ef1(inst, _assemble(view, _deal(inst, view, split, lo))).holds
+                    hits += 1
+            if hits:
+                sol = solve_two_types(inst)
+                assert is_ef1(inst, sol.allocation).holds
+                exercised += 1
+        assert exercised >= 100
