@@ -1,13 +1,14 @@
 """Personalized bivalued valuations: one matching, fair and efficient.
 
 Each agent rates every good either "high" (a_i) or "low" (b_i).  Expanding
-each agent into k slots and perturbing high-good weights by slot index
-makes a single maximum-weight perfect matching both EF1 and fPO.
+each agent into k slots, weighing a high good K + s in slot s (K =
+n*k*(k+1)) and a low good 0, makes a single maximum-weight perfect matching
+both EF1 and fPO.
 """
 
 
 from fairbalance import check_bivalued_fpo, check_fpo, is_ef1, make_instance, solve_bivalued
-from fairbalance.bivalued import bivalued_pairs, slot_epsilon, slot_weight
+from fairbalance.bivalued import bivalued_pairs, slot_weight
 
 inst = make_instance(
     3,
@@ -20,14 +21,13 @@ inst = make_instance(
 )
 
 pairs = bivalued_pairs(inst)
-eps = slot_epsilon(inst.n, inst.k).epsilon
-print(f"n={inst.n} agents, m={inst.m} goods, k={inst.k} each; perturbation eps = {eps}")
+scale = inst.n * inst.k * (inst.k + 1)
+print(f"n={inst.n} agents, m={inst.m} goods, k={inst.k} each; K = n*k*(k+1) = {scale}")
 print("per-agent (high, low) pairs:", [(int(a), int(b)) for a, b in pairs])
 
-print("\nslot weights for agent 1 (slots are rows, goods are columns):")
+print("\ninteger slot weights for agent 1 (slots are rows, goods are columns):")
 for s in range(1, inst.k + 1):
-    row = [slot_weight(pairs[0], s, inst.value(1, j), eps) for j in inst.goods()]
-    print(f"  slot {s}: {[str(w) for w in row]}")
+    print(f"  slot {s}: {[slot_weight(pairs[0], s, inst.value(1, j), scale) for j in inst.goods()]}")
 
 solution = solve_bivalued(inst)
 allocation, alpha = solution.allocation, solution.alpha

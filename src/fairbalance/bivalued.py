@@ -1,15 +1,16 @@
 """EF1 + fPO balanced allocations for personalized bivalued valuations.
 
 Each agent values every good at either a_i or b_i with a_i > b_i >= 0.
-The solver expands each agent into k slots, weights slot-good edges so
-that a high-value good contributes the same normalized gain no matter who
-receives it, adds a small slot-indexed perturbation that spreads high
-goods evenly, and takes one maximum-weight perfect matching.
+The solver expands each agent into k slots and takes one maximum-weight
+perfect matching on integer slot weights: a high good weighs
+K + s = n*k*(k+1) + s in its owner's s-th slot and a low good weighs 0.
+K makes every high good outweigh all slot bonuses together, so the
+matching first maximizes the certificate welfare and then spreads high
+goods evenly over the agents.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -23,47 +24,26 @@ from .core import (
     Solution,
     _distinct_rows,
     _value_pairs,
-    as_rational,
-    bundle_value,
     make_allocation,
 )
 from .graph import compute_potentials
 
 
-@dataclass(frozen=True)
-class SlotWeighting:
-    """Perturbation size for the slot-expanded matching."""
+def slot_weight(params: tuple, s: int, value, scale: int) -> int:
+    """Weight of the edge between an agent's s-th slot and a good, where
+    scale is K = n*k*(k+1): K + s for a high good, 0 for a low good.
 
-    n: int
-    k: int
-    epsilon: Fraction
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise InternalInvariantError("slot perturbation must be positive")
-        total = self.n * Fraction(self.k * (self.k + 1), 2) * self.epsilon
-        if total != Fraction(1, 2):
-            raise InternalInvariantError("slot perturbations must sum to exactly 1/2")
-
-
-def slot_epsilon(n: int, k: int) -> SlotWeighting:
-    return SlotWeighting(n=n, k=k, epsilon=Fraction(1, n * k * (k + 1)))
-
-
-def slot_weight(params: tuple, s: int, value, eps) -> Fraction:
-    """Weight of the edge between an agent's s-th slot and a good.
-
-    High goods score a_i/(a_i-b_i) plus s*eps, low goods b_i/(a_i-b_i).
+    The paper weighs high goods a/(a-b) + s/K and low goods b/(a-b).  Every
+    slot takes one good, so dropping b/(a-b) from each of an agent's slots
+    and scaling by K changes no perfect matching's rank: 1 + s/K -> K + s.
     """
-    a, b = (as_rational(x) for x in params)
-    value = as_rational(value)
-    eps = as_rational(eps)
+    a, b = params
     if not a > b >= 0:
         raise ValueError("need a > b >= 0")
     if value == a:
-        return a / (a - b) + s * eps
+        return scale + s
     if value == b:
-        return b / (a - b)
+        return 0
     raise ValueError(f"value {value} is neither the high {a} nor the low {b}")
 
 
@@ -101,31 +81,23 @@ def solve_bivalued(inst: Instance) -> Solution:
     alpha-weighted welfare, which certifies fPO.
     """
     pairs = bivalued_pairs(inst)
-    n, k = inst.n, inst.k
-    weighting = slot_epsilon(n, k)
-    eps = weighting.epsilon
-
-    rows = []
-    for i in inst.agents():
-        for s in range(1, k + 1):
-            rows.append(
-                tuple(slot_weight(pairs[i - 1], s, inst.value(i, j), eps) for j in inst.goods())
-            )
+    scale = inst.n * inst.k * (inst.k + 1)
+    rows = [
+        tuple(slot_weight(pairs[i - 1], s, inst.value(i, j), scale) for j in inst.goods())
+        for i in inst.agents()
+        for s in range(1, inst.k + 1)
+    ]
     result = matching_mod.max_weight_perfect_matching(
         matching_mod.BipartiteWeights(size=inst.m, weight=tuple(rows))
     )
     alloc = _matching_to_allocation(inst, result.assignment)
 
+    # the slot bonuses of all n*k slots sum to K/2, below one high good
+    highs = sum(inst.value(i, j) == pairs[i - 1][0] for i in inst.agents() for j in alloc.bundle(i))
+    drift = result.value - scale * highs
+    if not 0 <= drift <= scale // 2:
+        raise InternalInvariantError(f"slot bonus drift {drift} outside [0, {scale // 2}]")
     alpha = certificate_alpha(pairs)
-    base = sum(
-        (alpha[i - 1] * bundle_value(inst, i, alloc.bundle(i)) for i in inst.agents()),
-        Fraction(0),
-    )
-    drift = result.value - base
-    if not (0 <= drift <= Fraction(1, 2)):
-        raise InternalInvariantError(
-            f"perturbation drift {drift} outside [0, 1/2]"
-        )
     return Solution(alloc, alpha, None, compute_potentials(inst, alloc, alpha))
 
 

@@ -437,7 +437,7 @@ def main(argv=None) -> int:
     except (TooLargeError, NotBivalued, MoreThanTwoTypes) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except (InternalInvariantError, lp_mod.LPError, FairDivisionError, AssertionError) as exc:
+    except (InternalInvariantError, lp_mod.LPError, FairDivisionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

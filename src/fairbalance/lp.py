@@ -16,6 +16,7 @@ from .core import (
     Allocation,
     FractionalAllocation,
     Instance,
+    InternalInvariantError,
     bundle_value,
     check_allocation,
     make_allocation,
@@ -239,10 +240,10 @@ def solve_primal(inst: Instance, alpha: Sequence[Fraction]) -> tuple:
     for i in inst.agents():
         rows.append(tuple(res.x[_xvar(inst, i, j)] for j in inst.goods()))
     x = FractionalAllocation(tuple(rows))
-    assert all(v == 0 or v == 1 for row in x.x for v in row), (
-        "transportation vertex must be integral"
-    )
-    assert x.is_feasible(inst, balanced=True)
+    if not all(v == 0 or v == 1 for row in x.x for v in row):
+        raise InternalInvariantError("transportation vertex must be integral")
+    if not x.is_feasible(inst, balanced=True):
+        raise InternalInvariantError("transportation vertex must be a balanced allocation")
     return x, res.objective
 
 
@@ -288,7 +289,8 @@ def solve_dual(inst: Instance, alpha: Sequence[Fraction]) -> Potentials:
             b.append(alpha[i - 1] * inst.value(i, j))
     res = solve_lp(LinearProgram(c=tuple(c), a=tuple(rows), b=tuple(b)))
     pot = Potentials(q=tuple(res.x[:n]), p=tuple(res.x[n:n + m]))
-    assert pot.is_nonnegative() and pot.is_feasible(inst, alpha)
+    if not (pot.is_nonnegative() and pot.is_feasible(inst, alpha)):
+        raise InternalInvariantError("dual optimum must be nonnegative and feasible")
     return pot
 
 
@@ -343,7 +345,8 @@ def check_fpo(inst: Instance, alloc: Allocation, mode: str = "balanced") -> FpoR
             rows.append(tuple(row))
             b.append(Fraction(k))
     res = solve_lp(LinearProgram(c=tuple(c), a=tuple(rows), b=tuple(b)))
-    assert res.objective >= 0
+    if res.objective < 0:
+        raise InternalInvariantError("the current allocation is feasible, so the surplus is >= 0")
     if res.objective == 0:
         return FpoResult(is_fpo=True, dominating=None, improvement=_ZERO)
     xrows = []

@@ -1,27 +1,28 @@
 """Exact maximum-weight perfect matching on complete bipartite graphs.
 
-Hungarian algorithm over rationals, maintaining feasible potentials
-(u per left node, v per right node with u_l + v_r >= w(l, r)).  The final
-potentials are tight on matched edges, which certifies optimality.
+Hungarian algorithm over exact numbers (int or Fraction; the result keeps
+the weights' type), maintaining feasible potentials (u per left node, v per
+right node with u_l + v_r >= w(l, r)).  The final potentials are tight on
+matched edges, which certifies optimality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .core import as_rational
+from .core import InternalInvariantError, RationalLike, as_rational
 
 
 @dataclass(frozen=True)
 class BipartiteWeights:
-    """Square weight matrix; weight[l-1][r-1] is the edge (l, r) weight."""
+    """Square weight matrix of ints or Fractions; weight[l-1][r-1] is the
+    edge (l, r) weight."""
 
     size: int
     weight: tuple
 
-    def w(self, l: int, r: int) -> Fraction:
+    def w(self, l: int, r: int) -> RationalLike:
         return self.weight[l - 1][r - 1]
 
 
@@ -40,7 +41,7 @@ class MatchingResult:
     """assignment[l-1] is the right node matched to left node l (1-based)."""
 
     assignment: tuple
-    value: Fraction
+    value: RationalLike
     u: tuple
     v: tuple
 
@@ -55,7 +56,7 @@ def max_weight_perfect_matching(weights: BipartiteWeights) -> MatchingResult:
     n = weights.size
     w = weights.weight
     u = [max(row) for row in w]
-    v = [Fraction(0)] * n
+    v = [0] * n
     match_l = [None] * n  # left -> right (0-based)
     match_r = [None] * n  # right -> left
 
@@ -105,17 +106,25 @@ def max_weight_perfect_matching(weights: BipartiteWeights) -> MatchingResult:
                     if slack < min_slack[r][0]:
                         min_slack[r] = (slack, other)
 
-    value = sum((w[l][match_l[l]] for l in range(n)), Fraction(0))
+    value = sum(w[l][match_l[l]] for l in range(n))
     result = MatchingResult(
         assignment=tuple(match_l[l] + 1 for l in range(n)),
         value=value,
         u=tuple(u),
         v=tuple(v),
     )
-    assert sum(result.u) + sum(result.v) == value, "duals must sum to the value"
-    for l in range(n):
-        assert u[l] + v[match_l[l]] == w[l][match_l[l]], "matched edges must be tight"
-    assert all(
-        u[l] + v[r] >= w[l][r] for l in range(n) for r in range(n)
-    ), "duals must be feasible"
+    check_certificate(weights, result)
     return result
+
+
+def check_certificate(weights: BipartiteWeights, result: MatchingResult) -> None:
+    """Raise InternalInvariantError unless the duals are feasible, tight on
+    every matched edge and sum to the matching's value."""
+    n, w, u, v = weights.size, weights.weight, result.u, result.v
+    if sum(u) + sum(v) != result.value:
+        raise InternalInvariantError("duals must sum to the value")
+    for l, r in enumerate(result.assignment):
+        if u[l] + v[r - 1] != w[l][r - 1]:
+            raise InternalInvariantError("matched edges must be tight")
+    if any(u[l] + v[r] < w[l][r] for l in range(n) for r in range(n)):
+        raise InternalInvariantError("duals must be feasible")

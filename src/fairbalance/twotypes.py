@@ -165,9 +165,9 @@ def _condition_gaps(t: TypedAllocation) -> tuple:
     """How far conditions (a) and (b) hold: each is satisfied exactly when
     its gap is nonnegative."""
     p = t.potentials.p
-    price = lambda b: sum((p[j - 1] for j in b), Fraction(0))
-    drop = lambda b: price(b) - max(p[j - 1] for j in b)
-    return price(t.x_bundles[-1]) - drop(t.y_bundles[0]), price(t.y_bundles[-1]) - drop(t.x_bundles[0])
+    price, drop = verify_mod.price_sum, verify_mod.price_drop_top
+    return (price(p, t.x_bundles[-1]) - drop(p, t.y_bundles[0]),
+            price(p, t.y_bundles[-1]) - drop(p, t.x_bundles[0]))
 
 
 def conditions_ab(t: TypedAllocation) -> tuple:
@@ -330,19 +330,18 @@ def _assert_tight(inst: Instance, view: _View, typed: TypedAllocation, gamma: Fr
                 raise InternalInvariantError("type-2 assignment lost tightness")
 
 
-def case2_exchange(inst: Instance, grid: GammaGrid, ell: int) -> Allocation:
+def case2_exchange(inst: Instance, grid: GammaGrid, ell: int, pot: Potentials) -> Allocation:
     """Walk from the interval-ell split to the interval-(ell+1) split one
     good swap at a time at the shared gamma, re-dealing by value after
     each swap, and return the first EF1 allocation.
 
-    Every intermediate allocation is checked tight at the shared gamma's
-    potentials, hence stays fPO.
+    ``pot`` are the potentials of the interval-ell deal at the shared gamma.
+    Every intermediate allocation is checked tight at them, hence stays fPO.
     """
     view = _two_type_view(inst)
     gamma = grid.endpoint(ell)
     split = _interval_split(inst, view, grid, ell)
     target = _interval_split(inst, view, grid, ell + 1)
-    pot = _potentials_at(inst, view, split, gamma)
     for _ in range(inst.m + 1):
         typed = _deal(inst, view, split, gamma, pot)
         _assert_tight(inst, view, typed, gamma)
@@ -415,5 +414,5 @@ def solve_two_types(inst: Instance) -> Solution:
         pot = _potentials_at(inst, view, left, shared)  # one Bellman-Ford run per shared gamma
         if (conditions_ab(_deal(inst, view, left, shared, pot))[0]
                 and conditions_ab(_deal(inst, view, right, shared, pot))[1]):
-            return _solution(inst, view, case2_exchange(inst, grid, ell), shared, pot)
+            return _solution(inst, view, case2_exchange(inst, grid, ell, pot), shared, pot)
     raise InternalInvariantError("neither sweep nor exchange case occurred")

@@ -53,7 +53,8 @@ def is_ef1(inst: Instance, alloc: Allocation) -> Verdict:
     return Verdict(holds=True)
 
 
-def _price_sum(prices: Sequence[Fraction], bundle) -> Fraction:
+def price_sum(prices: Sequence[Fraction], bundle) -> Fraction:
+    """p(A): the total price of a bundle."""
     return sum((prices[j - 1] for j in bundle), Fraction(0))
 
 
@@ -61,14 +62,14 @@ def price_drop_top(prices: Sequence[Fraction], bundle) -> Fraction:
     """p-hat: bundle price with its single highest-priced good removed."""
     if not bundle:
         raise ValueError("bundle must be non-empty")
-    return _price_sum(prices, bundle) - max(prices[j - 1] for j in bundle)
+    return price_sum(prices, bundle) - max(prices[j - 1] for j in bundle)
 
 
 def is_p_ef1(prices: Sequence[Fraction], alloc: Allocation) -> Verdict:
     """EF1 stated on prices: p(A_i) >= p-hat(A_i') for every agent pair."""
     if any(not b for b in alloc.bundles):
         raise ValueError("price EF1 needs non-empty bundles")
-    sums = [_price_sum(prices, b) for b in alloc.bundles]
+    sums = [price_sum(prices, b) for b in alloc.bundles]
     hats = [price_drop_top(prices, b) for b in alloc.bundles]
     for i in range(alloc.n):
         for other in range(alloc.n):

@@ -1,71 +1,109 @@
-import os
-import pathlib
+import dataclasses
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
-import fairbalance
+from fairbalance import matching
 from fairbalance.bivalued import (
-    SlotWeighting,
     bivalued_pairs,
     check_bivalued_fpo,
     high_counts,
-    slot_epsilon,
     slot_weight,
     solve_bivalued,
 )
 from fairbalance.core import InternalInvariantError, NotBivalued, make_instance
 from fairbalance.lp import check_fpo
+from fairbalance.matching import BipartiteWeights, make_weights, max_weight_perfect_matching
 from fairbalance.verify import certify_fpo, is_ef1
 
 from conftest import permutation_enumerate, random_bivalued_instance
 
 
 class TestSlotWeight:
+    # K = n*k*(k+1): 12 for n = k = 2, 36 for n = 3, k = 3
     def test_high_good(self):
-        assert slot_weight((2, 1), 1, 2, Fraction(1, 4)) == Fraction(9, 4)
+        assert slot_weight((2, 1), 1, 2, 12) == 13
 
     def test_low_good_worth_nothing(self):
-        assert slot_weight((3, 0), 2, 0, Fraction(1, 36)) == 0
+        assert slot_weight((3, 0), 2, 0, 36) == 0
 
     def test_high_good_with_offset(self):
-        assert slot_weight((5, 2), 3, 5, Fraction(1, 36)) == Fraction(7, 4)
+        # a and b drop out: only the slot index is added to K
+        assert slot_weight((5, 2), 3, 5, 36) == 39
+        assert slot_weight((Fraction(7, 2), Fraction(1, 3)), 3, Fraction(7, 2), 36) == 39
 
     def test_rejects_other_values(self):
         with pytest.raises(ValueError):
-            slot_weight((5, 2), 1, 3, Fraction(1, 36))
+            slot_weight((5, 2), 1, 3, 36)
+        with pytest.raises(ValueError):
+            slot_weight((2, 2), 1, 2, 36)
 
     def test_epsilon_normalization(self):
+        # the paper's epsilon is 1/K; the bonuses of all n*k slots sum to
+        # K/2, so together they never outweigh one high good
         for n in (1, 2, 3, 5):
             for k in (1, 2, 3, 4):
-                w = slot_epsilon(n, k)
-                assert w.epsilon == Fraction(1, n * k * (k + 1))
-                assert n * Fraction(k * (k + 1), 2) * w.epsilon == Fraction(1, 2)
+                scale = n * k * (k + 1)
+                bonuses = n * sum(slot_weight((2, 1), s, 2, scale) - scale for s in range(1, k + 1))
+                assert 2 * bonuses == scale
 
-    @pytest.mark.parametrize("epsilon", [Fraction(1), Fraction(0), Fraction(-1, 12)])
-    def test_rejects_wrong_epsilon(self, epsilon):
-        with pytest.raises(InternalInvariantError):
-            SlotWeighting(2, 2, epsilon)
 
-    def test_rejects_wrong_epsilon_under_optimize(self):
-        # python -O strips assert statements; the check must survive it
-        code = (
-            "from fractions import Fraction\n"
-            "from fairbalance.bivalued import SlotWeighting\n"
-            "from fairbalance.core import InternalInvariantError\n"
-            "try:\n"
-            "    SlotWeighting(2, 2, Fraction(1))\n"
-            "except InternalInvariantError:\n"
-            "    raise SystemExit(0)\n"
-            "raise SystemExit('accepted')\n"
-        )
-        src = str(pathlib.Path(fairbalance.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        result = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
+def _paper_instance(rng: random.Random, n: int, k: int):
+    """A bivalued instance mixing rational values, b = 0 and constant rows,
+    with the set of row kinds it used."""
+    m = n * k
+    rows = []
+    kinds = set()
+    for _ in range(n):
+        kind = rng.choice(["int", "rational", "zero-low", "constant"])
+        kinds.add(kind)
+        if kind == "rational":
+            value = lambda: Fraction(rng.randint(0, 12), rng.randint(1, 5))
+        else:
+            value = lambda: Fraction(rng.randint(0, 9))
+        if kind == "constant":
+            rows.append([value()] * m)
+            continue
+        low = Fraction(0) if kind == "zero-low" else value()
+        high = low + (value() or Fraction(1))
+        rows.append([high if rng.random() < 0.5 else low for _ in range(m)])
+    return make_instance(n, m, rows), kinds
+
+
+class TestIntegerRuleReference:
+    def test_matches_paper_rational_weights(self):
+        # the paper's weights: a/(a-b) + s*eps for a high good in slot s,
+        # b/(a-b) for a low one, eps = 1/(n*k*(k+1)); one matching each
+        rng = random.Random(2026)
+        kinds = set()
+        for t in range(240):
+            n, k = 1 + t % 4, 1 + (t // 4) % 4  # every shape up to 4 x 4
+            inst, used = _paper_instance(rng, n, k)
+            kinds |= used
+            pairs = bivalued_pairs(inst)
+            eps = Fraction(1, n * k * (k + 1))
+            paper = []
+            for i in inst.agents():
+                a, b = pairs[i - 1]
+                for s in range(1, k + 1):
+                    paper.append([a / (a - b) + s * eps if inst.value(i, j) == a else b / (a - b)
+                                  for j in inst.goods()])
+            reference = max_weight_perfect_matching(make_weights(paper))
+            bundles = [set() for _ in range(n)]
+            for row0, good in enumerate(reference.assignment):
+                bundles[row0 // k].add(good)
+            assert [set(b) for b in solve_bivalued(inst).allocation.bundles] == bundles
+
+            scale = n * k * (k + 1)
+            ints = tuple(tuple(slot_weight(pairs[row0 // k], row0 % k + 1, inst.value(row0 // k + 1, j), scale)
+                               for j in inst.goods()) for row0 in range(inst.m))
+            integer = max_weight_perfect_matching(BipartiteWeights(size=inst.m, weight=ints))
+            assert integer.assignment == reference.assignment
+            assert type(integer.value) is int
+            offset = sum(k * b / (a - b) for a, b in pairs)
+            assert reference.value == offset + Fraction(integer.value, scale)
+        assert kinds == {"int", "rational", "zero-low", "constant"}
 
 
 class TestBivaluedPairs:
@@ -88,8 +126,8 @@ class TestSolveBivalued:
         inst = make_instance(2, 2, [[2, 1], [3, 0]])
         sol = solve_bivalued(inst)
         alloc, alpha = sol.allocation, sol.alpha
-        # both matchings tie at 9/4; the deterministic rule takes the
-        # lexicographically smallest, good 1 to agent 1
+        # both matchings tie (9/4 in the paper's weights, 5 in the integer
+        # ones); the deterministic rule takes good 1 to agent 1
         assert alloc.bundles == (frozenset({1}), frozenset({2}))
         assert alpha == (Fraction(1), Fraction(1, 3))
         for a in permutation_enumerate(inst):
@@ -121,10 +159,25 @@ class TestSolveBivalued:
         assert alloc.bundles in good
 
     def test_boundary_perturbation_sum(self):
-        # every slot can host a high good: the drift reaches exactly 1/2
+        # every slot can host a high good: the slot bonuses reach exactly K/2
         inst = make_instance(2, 4, [[9, 9, 0, 0], [0, 0, 9, 9]])
         alloc = solve_bivalued(inst).allocation
         assert alloc.bundles == (frozenset({1, 2}), frozenset({3, 4}))
+
+    @pytest.mark.parametrize("shift", [-1, 7])
+    def test_slot_bonus_drift_raises(self, monkeypatch, shift):
+        # K = 2*2*3 = 12: the bonuses of a matching lie in [0, 6]; a value
+        # 1 below the high goods' K*H or 7 above it cannot come from a matching
+        inst = make_instance(2, 4, [[9, 9, 0, 0], [0, 0, 9, 9]])
+        real = matching.max_weight_perfect_matching
+
+        def off_by(weights):
+            res = real(weights)
+            return dataclasses.replace(res, value=12 * 4 + shift)
+
+        monkeypatch.setattr(matching, "max_weight_perfect_matching", off_by)
+        with pytest.raises(InternalInvariantError, match="drift"):
+            solve_bivalued(inst)
 
     def test_rejects_wider_value_ranges(self):
         inst = make_instance(2, 4, [[1, 2, 3, 1], [0, 0, 0, 0]])

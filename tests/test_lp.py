@@ -1,12 +1,19 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from fairbalance.core import allocation_matrix, bundle_value, make_instance
+import fairbalance
+from fairbalance import lp
+from fairbalance.core import InternalInvariantError, allocation_matrix, bundle_value, make_instance
 from fairbalance.graph import Potentials, compute_potentials
 from fairbalance.lp import (
     LinearProgram,
+    SimplexResult,
     check_fpo,
     solve_dual,
     solve_lp,
@@ -198,3 +205,57 @@ class TestComplementarySlackness:
         x = allocation_matrix(ref_instance, alloc({3, 4}, {1, 2}))
         with pytest.raises(ValueError):
             verify_complementary_slackness(ref_instance, x, bad_pot, ONE)
+
+
+def _fake_solve_lp(x, objective=Fraction(0)):
+    """A solve_lp stand-in returning x (padded with zeros) as the optimum."""
+    def fake(program):
+        padded = tuple(x) + (Fraction(0),) * (len(program.c) - len(x))
+        return SimplexResult(x=padded, objective=objective, duals=(Fraction(0),) * len(program.b))
+    return fake
+
+
+class TestInvariantsRaise:
+    """A wrong simplex answer raises InternalInvariantError, also under -O."""
+
+    def test_fractional_primal_vertex(self, ref_instance, monkeypatch):
+        monkeypatch.setattr(lp, "solve_lp", _fake_solve_lp([Fraction(1, 2)] * 8))
+        with pytest.raises(InternalInvariantError, match="integral"):
+            solve_primal(ref_instance, ONE)
+
+    def test_infeasible_primal_vertex(self, ref_instance, monkeypatch):
+        monkeypatch.setattr(lp, "solve_lp", _fake_solve_lp([Fraction(0)] * 8))
+        with pytest.raises(InternalInvariantError, match="balanced"):
+            solve_primal(ref_instance, ONE)
+
+    @pytest.mark.parametrize("x", [[Fraction(0)] * 6, [Fraction(-1)] + [Fraction(22)] * 5])
+    def test_infeasible_dual(self, ref_instance, monkeypatch, x):
+        # zero prices miss every positive value; a negative q breaks q >= 0
+        monkeypatch.setattr(lp, "solve_lp", _fake_solve_lp(x))
+        with pytest.raises(InternalInvariantError, match="dual optimum"):
+            solve_dual(ref_instance, ONE)
+
+    def test_negative_surplus(self, ref_instance, monkeypatch):
+        monkeypatch.setattr(lp, "solve_lp", _fake_solve_lp([], objective=Fraction(-1)))
+        with pytest.raises(InternalInvariantError, match="surplus"):
+            check_fpo(ref_instance, alloc({1, 3}, {2, 4}))
+
+    def test_negative_surplus_under_optimize(self):
+        # python -O strips assert statements; the check must survive it
+        code = (
+            "from fractions import Fraction\n"
+            "from fairbalance import lp\n"
+            "from fairbalance.core import InternalInvariantError, make_allocation, make_instance\n"
+            "lp.solve_lp = lambda program: lp.SimplexResult(\n"
+            "    x=(Fraction(0),) * len(program.c), objective=Fraction(-1), duals=())\n"
+            "inst = make_instance(2, 4, [[10, 10, 21, 22], [0, 1, 6, 8]])\n"
+            "try:\n"
+            "    lp.check_fpo(inst, make_allocation([{1, 3}, {2, 4}]))\n"
+            "except InternalInvariantError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('accepted')\n"
+        )
+        src = str(pathlib.Path(fairbalance.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr

@@ -2,9 +2,17 @@ import itertools
 import random
 from fractions import Fraction
 
+import dataclasses
+
 import pytest
 
-from fairbalance.matching import BipartiteWeights, make_weights, max_weight_perfect_matching
+from fairbalance.core import InternalInvariantError
+from fairbalance.matching import (
+    BipartiteWeights,
+    check_certificate,
+    make_weights,
+    max_weight_perfect_matching,
+)
 
 
 def brute_force_value(w: BipartiteWeights) -> Fraction:
@@ -82,3 +90,28 @@ def test_permutation_equivariance():
                 # row i of the permuted problem is original row rows[i]
                 assert cols[res.assignment[i] - 1] + 1 == base.assignment[rows[i]]
         done += 1
+
+
+def test_int_weights_stay_int():
+    rng = random.Random(23)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        matrix = [[rng.randint(0, 20) for _ in range(n)] for _ in range(n)]
+        res = max_weight_perfect_matching(BipartiteWeights(size=n, weight=tuple(map(tuple, matrix))))
+        assert all(type(x) is int for x in (res.value, *res.u, *res.v))
+        assert res == max_weight_perfect_matching(make_weights(matrix))
+
+
+@pytest.mark.parametrize("broken, message", [
+    (lambda r: {"u": (r.u[0] + 1,) + r.u[1:], "value": r.value + 1}, "tight"),
+    (lambda r: {"value": r.value + 1}, "sum"),
+    # left node 1 and its partner shift: still tight and summing, not feasible
+    (lambda r: {"u": (r.u[0] - 100,) + r.u[1:],
+                "v": tuple(x + 100 * (c == r.assignment[0]) for c, x in enumerate(r.v, start=1))}, "feasible"),
+])
+def test_broken_certificate_raises(broken, message):
+    w = make_weights([[3, 1, 0], [2, 2, 5], [4, 0, 1]])
+    res = max_weight_perfect_matching(w)
+    check_certificate(w, res)
+    with pytest.raises(InternalInvariantError, match=message):
+        check_certificate(w, dataclasses.replace(res, **broken(res)))

@@ -17,6 +17,7 @@ from fairbalance.twotypes import (
     _PriceModel,
     _assemble,
     _deal,
+    _interval_split,
     _potentials_at,
     _two_type_view,
     case1_sweep,
@@ -485,7 +486,8 @@ class TestCaseDrivers:
             for ell in range(1, grid.interval_count):
                 shared = grid.endpoint(ell)
                 if conds[(ell, shared)][0] and conds[(ell + 1, shared)][1]:
-                    allocation = case2_exchange(inst, grid, ell)
+                    pot = _potentials_at(inst, view, _interval_split(inst, view, grid, ell), shared)
+                    allocation = case2_exchange(inst, grid, ell, pot)
                     assert is_ef1(inst, allocation).holds
                     assert check_fpo(inst, allocation).is_fpo
                     exercised += 1
