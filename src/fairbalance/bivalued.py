@@ -81,19 +81,21 @@ def solve_bivalued(inst: Instance) -> Solution:
     alpha-weighted welfare, which certifies fPO.
     """
     pairs = bivalued_pairs(inst)
-    scale = inst.n * inst.k * (inst.k + 1)
-    rows = [
-        tuple(slot_weight(pairs[i - 1], s, inst.value(i, j), scale) for j in inst.goods())
-        for i in inst.agents()
-        for s in range(1, inst.k + 1)
+    k = inst.k
+    scale = inst.n * k * (k + 1)
+    # high[i][j]: agent i + 1 values good j + 1 high; slot s then weighs K + s
+    high = [
+        [slot_weight(pair, 1, v, scale) > 0 for v in row]
+        for pair, row in zip(pairs, inst.values)
     ]
+    rows = [tuple(scale + s if h else 0 for h in mask) for mask in high for s in range(1, k + 1)]
     result = matching_mod.max_weight_perfect_matching(
         matching_mod.BipartiteWeights(size=inst.m, weight=tuple(rows))
     )
     alloc = _matching_to_allocation(inst, result.assignment)
 
     # the slot bonuses of all n*k slots sum to K/2, below one high good
-    highs = sum(inst.value(i, j) == pairs[i - 1][0] for i in inst.agents() for j in alloc.bundle(i))
+    highs = sum(high[i - 1][j - 1] for i in inst.agents() for j in alloc.bundle(i))
     drift = result.value - scale * highs
     if not 0 <= drift <= scale // 2:
         raise InternalInvariantError(f"slot bonus drift {drift} outside [0, {scale // 2}]")

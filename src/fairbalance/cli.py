@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -75,6 +76,11 @@ def rational_from_json(obj) -> Fraction:
     raise InputError(f"not a rational: {obj!r}")
 
 
+def _is_int(obj) -> bool:
+    """A JSON integer: int but not bool (JSON true/false load as bool)."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -94,7 +100,7 @@ def parse_instance(data: dict, require_balanced_shape: bool = True) -> Instance:
         rows = data["valuations"]
     except KeyError as exc:
         raise InputError(f"instance file misses key {exc}") from exc
-    if not (isinstance(n, int) and isinstance(m, int)):
+    if not (_is_int(n) and _is_int(m)):
         raise InputError("n and m must be integers")
     if not isinstance(rows, list) or len(rows) != n or any(
         not isinstance(r, list) or len(r) != m for r in rows
@@ -124,11 +130,10 @@ def parse_allocation(data: dict, inst: Instance) -> Allocation:
     bundles = data["allocation"]
     if not isinstance(bundles, list) or len(bundles) != inst.n:
         raise InputError(f"allocation must list {inst.n} bundles")
-    try:
-        alloc = make_allocation([[int(j) for j in b] for b in bundles])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad allocation: {exc}") from exc
-    if not alloc.is_partition_of(inst.m):
+    if any(not isinstance(b, list) or not all(_is_int(j) for j in b) for b in bundles):
+        raise InputError("bad allocation: every bundle must be a list of integer good ids")
+    alloc = make_allocation(bundles)
+    if sum(map(len, bundles)) != inst.m or not alloc.is_partition_of(inst.m):
         raise InputError("allocation does not partition the goods")
     return alloc
 
@@ -259,8 +264,8 @@ def cmd_check(args) -> int:
     if args.pef1 is not None:
         requested = True
         data = load_json(args.pef1)
-        if not isinstance(data, dict) or "prices" not in data:
-            raise InputError("prices file must be a JSON object with a 'prices' key")
+        if not isinstance(data, dict) or not isinstance(data.get("prices"), list):
+            raise InputError("prices file must be a JSON object with a 'prices' list")
         prices = [rational_from_json(v) for v in data["prices"]]
         if len(prices) != inst.m:
             raise InputError(f"need {inst.m} prices")
@@ -374,7 +379,9 @@ def cmd_reduce(args) -> int:
 
 # --- entry point ----------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fairbalance",
         description="Exact EF1 + fractionally Pareto-optimal balanced allocations",
@@ -427,8 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

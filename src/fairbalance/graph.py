@@ -5,12 +5,17 @@ encode weighted values; a balanced allocation maximizes the weighted
 utilitarian welfare exactly when this graph has no negative cycle, and in
 that case shortest-path distances from the root yield optimal dual
 potentials (q per agent, p per good).
+
+All weights are kept as ints over one positive common denominator, so the
+single Bellman-Ford loop adds and compares Python ints only; potentials,
+cycle weights and the ``arcs`` view divide by it to give exact Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .core import (
@@ -38,15 +43,36 @@ class ExchangeGraph:
 
     Arcs: agent i -> good j with weight -alpha_i * v_ij for every pair,
     good j -> its owner i with weight +alpha_i * v_ij, and root -> good j
-    with weight 0.
+    with weight 0.  Every weight is stored as an int over the common
+    denominator ``scale``, on node ids 0 (root), i (agent i) and n + j
+    (good j); ``arcs`` gives the labelled, rational view.
     """
 
     n: int
     m: int
-    arcs: tuple  # (tail, head, weight) triples in deterministic order
+    scale: int
+    int_arcs: tuple  # (tail id, head id, weight * scale) in deterministic order
 
     def node_count(self) -> int:
         return self.n + self.m + 1
+
+    def label(self, node: int) -> tuple:
+        if node == 0:
+            return ROOT
+        return agent_node(node) if node <= self.n else good_node(node - self.n)
+
+    def node_id(self, label: tuple) -> int:
+        if label == ROOT:
+            return 0
+        kind, index = label
+        return {"agent": index, "good": self.n + index}[kind]
+
+    @property
+    def arcs(self) -> tuple:
+        """(tail, head, weight) triples with node labels and exact weights."""
+        return tuple(
+            (self.label(u), self.label(v), Fraction(w, self.scale)) for u, v, w in self.int_arcs
+        )
 
 
 @dataclass(frozen=True)
@@ -85,54 +111,60 @@ def _check_alpha(inst: Instance, alpha: Sequence[Fraction]) -> None:
 
 
 def build_exchange_graph(inst: Instance, alloc: Allocation, alpha: Sequence[Fraction]) -> ExchangeGraph:
-    """Exchange graph of a balanced allocation under weights alpha."""
+    """Exchange graph of a balanced allocation under weights alpha.
+
+    The scale is lcm(alpha denominators) * lcm(value denominators), so
+    every alpha_i * v_ij times it is an int.
+    """
     check_allocation(inst, alloc, balanced=True)
     _check_alpha(inst, alpha)
-    arcs = []
-    for j in inst.goods():
-        arcs.append((ROOT, good_node(j), Fraction(0)))
-    for i in inst.agents():
-        ai = alpha[i - 1]
-        for j in inst.goods():
-            arcs.append((agent_node(i), good_node(j), -ai * inst.value(i, j)))
+    n, m = inst.n, inst.m
+    alpha_scale = lcm(*(a.denominator for a in alpha))
+    value_scale = lcm(*(v.denominator for row in inst.values for v in row))
+    weights = [
+        [a.numerator * (alpha_scale // a.denominator) * v.numerator * (value_scale // v.denominator)
+         for v in row]
+        for a, row in zip(alpha, inst.values)
+    ]
+    arcs = [(0, n + j, 0) for j in inst.goods()]
+    for i, row in enumerate(weights, start=1):
+        arcs += [(i, n + j, -w) for j, w in enumerate(row, start=1)]
     owner = alloc.owner_map()
-    for j in inst.goods():
-        i = owner[j]
-        arcs.append((good_node(j), agent_node(i), alpha[i - 1] * inst.value(i, j)))
-    return ExchangeGraph(n=inst.n, m=inst.m, arcs=tuple(arcs))
+    arcs += [(n + j, owner[j], weights[owner[j] - 1][j - 1]) for j in inst.goods()]
+    return ExchangeGraph(n=n, m=m, scale=alpha_scale * value_scale, int_arcs=tuple(arcs))
 
 
 def _bellman_ford(g: ExchangeGraph):
-    """Distances from the root, plus one arc that still relaxes (if any).
+    """Distances (times g.scale) from the root by node id, predecessor ids,
+    and one arc that still relaxes (if any).
 
-    Returns (dist, pred, relaxable_arc).  Every node is reachable from the
-    root, so distances are always finite.
+    Every node is reachable from the root, so distances are always finite.
     """
-    dist = {ROOT: Fraction(0)}
-    pred = {}
-    rounds = g.node_count() - 1
-    for _ in range(rounds):
+    dist = [None] * g.node_count()
+    dist[0] = 0
+    pred = [None] * g.node_count()
+    for _ in range(g.node_count() - 1):
         changed = False
-        for u, v, w in g.arcs:
-            du = dist.get(u)
+        for u, v, w in g.int_arcs:
+            du = dist[u]
             if du is None:
                 continue
             nd = du + w
-            dv = dist.get(v)
+            dv = dist[v]
             if dv is None or nd < dv:
                 dist[v] = nd
                 pred[v] = u
                 changed = True
         if not changed:
             break
-    for u, v, w in g.arcs:
-        du = dist.get(u)
-        if du is not None and du + w < dist.get(v):
-            return dist, pred, (u, v, w)
+    for arc in g.int_arcs:
+        u, v, w = arc
+        if dist[u] is not None and dist[u] + w < dist[v]:
+            return dist, pred, arc
     return dist, pred, None
 
 
-def _extract_cycle(g: ExchangeGraph, pred: dict, relaxed_head) -> list:
+def _extract_cycle(g: ExchangeGraph, pred: list, relaxed_head: int) -> list:
     # walk predecessors far enough to be inside the cycle, then cut it out
     node = relaxed_head
     for _ in range(g.node_count()):
@@ -143,7 +175,7 @@ def _extract_cycle(g: ExchangeGraph, pred: dict, relaxed_head) -> list:
         cycle.append(cur)
         cur = pred[cur]
     cycle.reverse()
-    return cycle
+    return [g.label(v) for v in cycle]
 
 
 def detect_negative_cycle(g: ExchangeGraph) -> Optional[list]:
@@ -160,15 +192,14 @@ def detect_negative_cycle(g: ExchangeGraph) -> Optional[list]:
 
 def cycle_weight(g: ExchangeGraph, cycle: list) -> Fraction:
     """Total weight of a node cycle; raises if some hop is not an arc."""
-    weight_of = {(u, v): w for u, v, w in g.arcs}
-    total = Fraction(0)
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        total += weight_of[(a, b)]
-    return total
+    weight_of = {(u, v): w for u, v, w in g.int_arcs}
+    ids = [g.node_id(label) for label in cycle]
+    total = sum(weight_of[(a, b)] for a, b in zip(ids, ids[1:] + ids[:1]))
+    return Fraction(total, g.scale)
 
 
 def compute_potentials(inst: Instance, alloc: Allocation, alpha: Sequence[Fraction]) -> Potentials:
-    """Potentials from shortest root-to-node distances.
+    """Potentials from shortest root-to-node distances, as exact Fractions.
 
     Requires ``alloc`` to maximize the alpha-weighted welfare over balanced
     allocations; otherwise the graph has a negative cycle and
@@ -180,13 +211,13 @@ def compute_potentials(inst: Instance, alloc: Allocation, alpha: Sequence[Fracti
     dist, pred, bad = _bellman_ford(g)
     if bad is not None:
         raise NegativeCycleError(_extract_cycle(g, pred, bad[1]))
-    q = tuple(dist[agent_node(i)] for i in inst.agents())
-    p = tuple(-dist[good_node(j)] for j in inst.goods())
-    pot = Potentials(q=q, p=p)
-    if not pot.is_nonnegative():
+    n = inst.n
+    if any(d < 0 for d in dist[1:n + 1]) or any(d > 0 for d in dist[n + 1:]):
         raise InternalInvariantError("shortest-path potentials must be nonnegative")
-    for i in inst.agents():
-        for j in alloc.bundle(i):
-            if q[i - 1] + p[j - 1] != alpha[i - 1] * inst.value(i, j):
-                raise InternalInvariantError("owned pairs must be tight")
-    return pot
+    # the good -> owner arcs carry alpha_i * v_ij of exactly the owned pairs
+    if any(dist[i] - dist[j] != w for j, i, w in g.int_arcs[-inst.m:]):
+        raise InternalInvariantError("owned pairs must be tight")
+    return Potentials(
+        q=tuple(Fraction(d, g.scale) for d in dist[1:n + 1]),
+        p=tuple(Fraction(-d, g.scale) for d in dist[n + 1:]),
+    )

@@ -116,6 +116,13 @@ class TestSolve:
         assert main(["solve", path]) == 2
         assert "at least one agent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, m", [(True, 4), (1, True), (1.0, 4), ("1", 4)])
+    def test_non_integer_shape_exits_2(self, tmp_path, capsys, n, m):
+        # JSON true loads as a Python bool, which is an int subclass
+        path = write_json(tmp_path / "inst.json", {"n": n, "m": m, "valuations": [[1, 2, 3, 4]]})
+        assert main(["solve", path]) == 2
+        assert "n and m must be integers" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "case,algorithm",
@@ -200,6 +207,13 @@ class TestCheck:
         ppath = write_json(tmp_path / "p.json", {"prices": [4, 3, 2, 1]})
         assert main(["check", ref_path, apath, "--pef1", ppath]) == 0
 
+    def test_pef1_prices_must_be_a_list(self, ref_path, tmp_path, capsys):
+        # a string was once iterated digit by digit as four prices
+        apath = write_json(tmp_path / "a.json", {"allocation": [[1, 3], [2, 4]]})
+        ppath = write_json(tmp_path / "p.json", {"prices": "4321"})
+        assert main(["check", ref_path, apath, "--pef1", ppath]) == 2
+        assert "'prices' list" in capsys.readouterr().err
+
     def test_no_checks_requested_is_input_error(self, ref_path, tmp_path):
         apath = write_json(tmp_path / "a.json", {"allocation": [[1, 3], [2, 4]]})
         assert main(["check", ref_path, apath]) == 2
@@ -207,6 +221,19 @@ class TestCheck:
     def test_bad_allocation_exits_2(self, ref_path, tmp_path):
         apath = write_json(tmp_path / "a.json", {"allocation": [[1, 3], [2, 3]]})
         assert main(["check", ref_path, apath, "--ef1"]) == 2
+
+    @pytest.mark.parametrize("bundles", [
+        [[1, 3], [2, 4.0]],  # a float id, even an integral one
+        [[1, 3], [2.9, 4]],  # once read as good 2
+        [[True, 3], [2, 4]],  # once read as good 1
+        [[1, 3], ["2", 4]],  # once read as good 2
+        [[1, 3], "24"],  # a string is not a bundle
+        [[1, 1, 3], [2, 4]],  # a good listed twice
+    ])
+    def test_malformed_good_ids_exit_2(self, ref_path, tmp_path, capsys, bundles):
+        apath = write_json(tmp_path / "a.json", {"allocation": bundles})
+        assert main(["check", ref_path, apath, "--ef1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_fpo_on_unbalanced_partition_exits_2(self, ref_path, tmp_path, capsys):
         apath = write_json(tmp_path / "a.json", {"allocation": [[1, 2, 3], [4]]})
@@ -347,3 +374,22 @@ class TestJsonRoundTrip:
         # re-serialize and compare canonical forms
         assert [rational_to_json(v) for v in q] == cert["q"]
         assert [rational_to_json(v) for v in p] == cert["p"]
+
+
+def test_parser_is_built_once_and_reused(ref_path, tmp_path, capsys):
+    """main reuses one parser; neither a failed command nor an argparse error
+    changes what the next call prints."""
+    cli.build_parser.cache_clear()
+    bad = write_json(tmp_path / "a.json", {"allocation": [[1, 3], [2, True]]})
+    assert main(["solve", ref_path]) == 0
+    first = capsys.readouterr()
+    assert main(["check", ref_path, bad, "--ef1"]) == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(["solve", ref_path, "--algorithm", "no-such-algorithm"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert main(["solve", ref_path]) == 0
+    assert capsys.readouterr() == first
+    stats = cli.build_parser.cache_info()
+    assert (stats.misses, stats.hits) == (1, 3)

@@ -1,10 +1,12 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from fairbalance import graph
-from fairbalance.core import InternalInvariantError, NegativeCycleError, make_instance
+from fairbalance.core import InternalInvariantError, NegativeCycleError, make_allocation, make_instance
 from fairbalance.graph import (
     ROOT,
     agent_node,
@@ -14,10 +16,18 @@ from fairbalance.graph import (
     detect_negative_cycle,
     good_node,
 )
+from fairbalance.verify import certify_fpo
 
 from conftest import alloc, brute_max_welfare, permutation_enumerate, random_alpha, random_instance
 
 ONE = (Fraction(1), Fraction(1))
+
+# 240 seeded cases (n <= 4, m <= 12; integer, rational, b = 0 and two-type
+# values; non-integer alpha; welfare-maximizing and random balanced
+# allocations), frozen from the Fraction Bellman-Ford over labelled nodes
+GRAPH_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "exchange_graph_golden.json").read_text(encoding="utf-8")
+)
 
 
 def arc_weights(g):
@@ -129,15 +139,18 @@ class TestComputePotentials:
 
     @pytest.mark.parametrize("node, shift, message", [
         (agent_node(1), -1, "tight"),  # q_1 drops below u_13 - p_3
-        (good_node(1), 1, "nonnegative"),  # p_1 = -1
+        (good_node(1), 1, "nonnegative"),  # p_1 = -1/scale
     ])
     def test_broken_distances_raise(self, ref_instance, monkeypatch, node, shift, message):
         # raised, not asserted, so the check also runs under python -O
         real = graph._bellman_ford
 
         def broken(g):
+            # distances are ints over g.scale, indexed by node id
             dist, pred, bad = real(g)
-            return {**dist, node: dist[node] + shift}, pred, bad
+            dist = list(dist)
+            dist[g.node_id(node)] += shift
+            return dist, pred, bad
 
         monkeypatch.setattr(graph, "_bellman_ford", broken)
         with pytest.raises(InternalInvariantError, match=message):
@@ -184,3 +197,39 @@ class TestComputePotentials:
                 if value == best:
                     pot = compute_potentials(inst, a, alpha)
                     assert pot.q[0] == pot.q[1]
+
+
+class TestGolden:
+    @staticmethod
+    def load(case):
+        spec = case["instance"]
+        inst = make_instance(spec["n"], spec["m"], [[Fraction(v) for v in row] for row in spec["valuations"]])
+        return inst, make_allocation(case["allocation"]), tuple(Fraction(a) for a in case["alpha"])
+
+    def test_fixture_mixes_optimal_and_suboptimal(self):
+        holds = [case["certify_fpo"]["holds"] for case in GRAPH_GOLDEN]
+        assert len(holds) >= 200 and 50 <= sum(holds) <= len(holds) - 50
+
+    def test_potentials_and_cycles(self):
+        for case in GRAPH_GOLDEN:
+            inst, a, alpha = self.load(case)
+            if "potentials" in case:
+                pot = compute_potentials(inst, a, alpha)
+                assert [str(v) for v in pot.q] == [str(v) for v in case["potentials"]["q"]]
+                assert [str(v) for v in pot.p] == [str(v) for v in case["potentials"]["p"]]
+                assert all(type(v) is Fraction for v in pot.q + pot.p)
+            else:
+                with pytest.raises(NegativeCycleError) as info:
+                    compute_potentials(inst, a, alpha)
+                assert info.value.cycle == [tuple(node) for node in case["negative_cycle_error"]]
+
+    def test_certify_fpo_witness(self):
+        for case in GRAPH_GOLDEN:
+            inst, a, alpha = self.load(case)
+            verdict = certify_fpo(inst, a, alpha)
+            expected = case["certify_fpo"]
+            assert verdict.holds == expected["holds"]
+            if not verdict.holds:
+                assert verdict.witness["negative_cycle"] == [tuple(node) for node in expected["negative_cycle"]]
+                weight = verdict.witness["cycle_weight"]
+                assert type(weight) is Fraction and weight == Fraction(expected["cycle_weight"])
