@@ -1,8 +1,10 @@
 """Command-line front end: instance I/O, solvers, checkers, reports.
 
 Exit codes: 0 success, 1 a requested check failed, 2 unreadable or invalid
-input, 3 no applicable algorithm or an enumeration guard tripped,
-4 an internal invariant was violated.
+input (a number longer than MAX_DIGITS digits included) or an unwritable
+output file, 3 no applicable algorithm or a size guard tripped (too many
+enumeration states, or a result number longer than MAX_DIGITS digits, which
+cannot be printed), 4 an internal invariant was violated.
 
 All rationals travel as canonical "p/q" strings (integers may be plain
 JSON numbers), so files round-trip exactly.
@@ -16,6 +18,7 @@ import functools
 import io
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -53,7 +56,20 @@ class InputError(Exception):
 
 # --- rational + file codecs ---------------------------------------------------
 
+# Python's int-to-str limit (4300 unless PYTHONINTMAXSTRDIGITS lowers it):
+# a longer integer cannot be printed.  Without a limit, 4300 still bounds work.
+MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+_DIGIT_BOUND = 10 ** MAX_DIGITS
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _fits(x: Fraction) -> bool:
+    return -_DIGIT_BOUND < x.numerator < _DIGIT_BOUND and x.denominator < _DIGIT_BOUND
+
+
 def rational_to_json(x: Fraction):
+    if not _fits(x):
+        raise TooLargeError(f"a result number has more than {MAX_DIGITS} digits and cannot be printed")
     if x.denominator == 1:
         return int(x)
     return f"{x.numerator}/{x.denominator}"
@@ -63,17 +79,25 @@ def rational_from_json(obj) -> Fraction:
     if isinstance(obj, bool):
         raise InputError(f"not a rational: {obj!r}")
     if isinstance(obj, int):
-        return Fraction(obj)
-    if isinstance(obj, str):
+        x = Fraction(obj)
+    elif isinstance(obj, str):
         try:
-            return Fraction(obj)
+            # "1e5000" would build a 5001-digit integer: bound the exponent first
+            exponent = _EXPONENT.search(obj)
+            if exponent and abs(int(exponent.group(1))) > MAX_DIGITS:
+                raise InputError(f"rational {obj!r} has more than {MAX_DIGITS} digits")
+            x = Fraction(obj)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational {obj!r}") from exc
-    if isinstance(obj, float):
-        if obj.is_integer():
-            return Fraction(int(obj))
-        raise InputError(f"refusing inexact float {obj!r}; use a 'p/q' string")
-    raise InputError(f"not a rational: {obj!r}")
+    elif isinstance(obj, float):
+        if not obj.is_integer():
+            raise InputError(f"refusing inexact float {obj!r}; use a 'p/q' string")
+        x = Fraction(int(obj))
+    else:
+        raise InputError(f"not a rational: {obj!r}")
+    if not _fits(x):
+        raise InputError(f"rational {obj!r} has more than {MAX_DIGITS} digits")
+    return x
 
 
 def _is_int(obj) -> bool:
@@ -89,6 +113,8 @@ def load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # bad UTF-8, or an integer past Python's int-to-str limit
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def parse_instance(data: dict, require_balanced_shape: bool = True) -> Instance:
@@ -142,13 +168,21 @@ def allocation_to_json(alloc: Allocation) -> list:
     return [sorted(b) for b in alloc.bundles]
 
 
-def dump_json(obj, path: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+def _write_text(text: str, path: str | None) -> None:
+    """Write to ``path``, or to stdout when it is None, without newline
+    translation.  A file that cannot be written is an input error."""
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def dump_json(obj, path: str | None) -> None:
+    _write_text(json.dumps(obj, indent=2) + "\n", path)
 
 
 # --- solve --------------------------------------------------------------------
@@ -220,8 +254,12 @@ def _print_verdict(name: str, verdict, quiet: bool) -> None:
         return
     if verdict.holds:
         print(f"{name}: holds")
-    else:
-        print(f"{name}: fails  witness: {verdict.witness}")
+        return
+    try:
+        line = f"{name}: fails  witness: {verdict.witness}"
+    except ValueError as exc:  # a witness number past the int-to-str limit
+        raise TooLargeError(f"the {name} witness has a number too long to print") from exc
+    print(line)
 
 
 def cmd_check(args) -> int:
@@ -317,12 +355,7 @@ def cmd_enumerate(args) -> int:
                 + [int(r.ef1), int(r.po), int(r.fpo)]
                 + [rational_to_json(r.nash), rational_to_json(r.utilitarian)]
             )
-        text = buf.getvalue()
-        if args.output is None:
-            sys.stdout.write(text)
-        else:
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+        _write_text(buf.getvalue(), args.output)
     return EXIT_OK
 
 

@@ -40,7 +40,8 @@ class NegativeCycleError(FairDivisionError):
 
 
 class TooLargeError(FairDivisionError):
-    """Enumeration would exceed the state-count guard."""
+    """A size guard tripped: enumeration would exceed its state count, or a
+    number is too long to print."""
 
 
 class InternalInvariantError(FairDivisionError):
@@ -239,12 +240,21 @@ class Bivalued:
 
 @dataclass(frozen=True)
 class TwoType:
-    """Two distinct valuation rows; type 1 is the type of agent 1."""
+    """Two distinct valuation rows; type 1 is the type of agent 1.  The
+    two-type solver reads a single-row instance as u2 = members2 = ()."""
 
     u1: tuple
     u2: tuple
     members1: tuple
     members2: tuple
+
+    @property
+    def n1(self) -> int:
+        return len(self.members1)
+
+    @property
+    def n2(self) -> int:
+        return len(self.members2)
 
 
 @dataclass(frozen=True)

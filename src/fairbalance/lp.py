@@ -203,27 +203,40 @@ def _xvar(inst: Instance, i: int, j: int) -> int:
     return (i - 1) * inst.m + (j - 1)
 
 
-def _primal_program(inst: Instance, alpha: Sequence[Fraction]) -> LinearProgram:
-    n, m, k = inst.n, inst.m, inst.k
-    nv = n * m
-    c = [_ZERO] * nv
-    for i in inst.agents():
-        for j in inst.goods():
-            c[_xvar(inst, i, j)] = alpha[i - 1] * inst.value(i, j)
+def _assignment_rows(inst: Instance, width: int, balanced: bool) -> tuple:
+    """Rows over the n*m x variables (padded to ``width``): each good is
+    assigned once, then, when ``balanced``, each agent gets k goods.
+    Returns ``(rows, rhs)``."""
     rows = []
     b = []
-    for j in inst.goods():  # each good fully assigned
-        row = [_ZERO] * nv
+    for j in inst.goods():
+        row = [_ZERO] * width
         for i in inst.agents():
             row[_xvar(inst, i, j)] = Fraction(1)
         rows.append(tuple(row))
         b.append(Fraction(1))
-    for i in inst.agents():  # each agent gets k goods
-        row = [_ZERO] * nv
+    if balanced:
+        for i in inst.agents():
+            row = [_ZERO] * width
+            for j in inst.goods():
+                row[_xvar(inst, i, j)] = Fraction(1)
+            rows.append(tuple(row))
+            b.append(Fraction(inst.k))
+    return rows, b
+
+
+def _x_matrix(inst: Instance, x: Sequence[Fraction]) -> FractionalAllocation:
+    """The n x m matrix of the x variables of an LP solution."""
+    return FractionalAllocation(tuple(x[i * inst.m:(i + 1) * inst.m] for i in range(inst.n)))
+
+
+def _primal_program(inst: Instance, alpha: Sequence[Fraction]) -> LinearProgram:
+    nv = inst.n * inst.m
+    c = [_ZERO] * nv
+    for i in inst.agents():
         for j in inst.goods():
-            row[_xvar(inst, i, j)] = Fraction(1)
-        rows.append(tuple(row))
-        b.append(Fraction(k))
+            c[_xvar(inst, i, j)] = alpha[i - 1] * inst.value(i, j)
+    rows, b = _assignment_rows(inst, nv, balanced=True)
     return LinearProgram(c=tuple(c), a=tuple(rows), b=tuple(b))
 
 
@@ -236,10 +249,7 @@ def solve_primal(inst: Instance, alpha: Sequence[Fraction]) -> tuple:
     """
     _check_alpha(inst, alpha)
     res = solve_lp(_primal_program(inst, alpha))
-    rows = []
-    for i in inst.agents():
-        rows.append(tuple(res.x[_xvar(inst, i, j)] for j in inst.goods()))
-    x = FractionalAllocation(tuple(rows))
+    x = _x_matrix(inst, res.x)
     if not all(v == 0 or v == 1 for row in x.x for v in row):
         raise InternalInvariantError("transportation vertex must be integral")
     if not x.is_feasible(inst, balanced=True):
@@ -317,7 +327,6 @@ def check_fpo(inst: Instance, alloc: Allocation, mode: str = "balanced") -> FpoR
     balanced = mode == "balanced"
     check_allocation(inst, alloc, balanced=balanced)
     n, m = inst.n, inst.m
-    k = inst.k if balanced else None
     nv = n * m + n  # x variables then z variables
     c = [_ZERO] * nv
     for i in range(n):
@@ -331,32 +340,13 @@ def check_fpo(inst: Instance, alloc: Allocation, mode: str = "balanced") -> FpoR
         row[n * m + i - 1] = Fraction(-1)
         rows.append(tuple(row))
         b.append(bundle_value(inst, i, alloc.bundle(i)))
-    for j in inst.goods():
-        row = [_ZERO] * nv
-        for i in inst.agents():
-            row[_xvar(inst, i, j)] = Fraction(1)
-        rows.append(tuple(row))
-        b.append(Fraction(1))
-    if balanced:
-        for i in inst.agents():
-            row = [_ZERO] * nv
-            for j in inst.goods():
-                row[_xvar(inst, i, j)] = Fraction(1)
-            rows.append(tuple(row))
-            b.append(Fraction(k))
-    res = solve_lp(LinearProgram(c=tuple(c), a=tuple(rows), b=tuple(b)))
+    assign_rows, assign_b = _assignment_rows(inst, nv, balanced)
+    res = solve_lp(LinearProgram(c=tuple(c), a=tuple(rows + assign_rows), b=tuple(b + assign_b)))
     if res.objective < 0:
         raise InternalInvariantError("the current allocation is feasible, so the surplus is >= 0")
     if res.objective == 0:
         return FpoResult(is_fpo=True, dominating=None, improvement=_ZERO)
-    xrows = []
-    for i in inst.agents():
-        xrows.append(tuple(res.x[_xvar(inst, i, j)] for j in inst.goods()))
-    return FpoResult(
-        is_fpo=False,
-        dominating=FractionalAllocation(tuple(xrows)),
-        improvement=res.objective,
-    )
+    return FpoResult(is_fpo=False, dominating=_x_matrix(inst, res.x), improvement=res.objective)
 
 
 def verify_complementary_slackness(

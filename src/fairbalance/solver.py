@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .bivalued import solve_bivalued
 from .core import (
     Bivalued,
@@ -15,7 +13,6 @@ from .core import (
     classify,
     round_robin_by_preference,
 )
-from .graph import compute_potentials
 from .twotypes import solve_two_types
 
 
@@ -27,8 +24,9 @@ def solve(inst: Instance, algorithm: str = "auto") -> Solution:
     robin on single-type instances, the bivalued solver on bivalued ones
     and the two-type solver on two-type ones, and raises MoreThanTwoTypes
     otherwise.  A named solver raises NotBivalued or MoreThanTwoTypes when
-    the instance is outside its class.  Round robin is certified (alpha =
-    1, gamma = 1) only on single-type instances.
+    the instance is outside its class.  Round robin is certified only on
+    single-type instances, where it is the two-type solver's value deal
+    (alpha = 1, gamma = 1); elsewhere it returns an uncertified Solution.
     """
     cls = classify(inst)
     if algorithm == "auto":
@@ -49,9 +47,7 @@ def solve(inst: Instance, algorithm: str = "auto") -> Solution:
     if algorithm == "two-types":
         return solve_two_types(inst)
     if algorithm == "round-robin":
-        alloc = round_robin_by_preference(inst)
         if isinstance(cls, SingleType):
-            alpha = (Fraction(1),) * inst.n
-            return Solution(alloc, alpha, Fraction(1), compute_potentials(inst, alloc, alpha))
-        return Solution(alloc, None, None, None)
+            return solve_two_types(inst)
+        return Solution(round_robin_by_preference(inst), None, None, None)
     raise ValueError(f"unknown algorithm {algorithm!r}")

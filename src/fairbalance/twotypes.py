@@ -28,11 +28,14 @@ from .core import (
     InternalInvariantError,
     MoreThanTwoTypes,
     Solution,
+    TwoType,
     _distinct_rows,
+    allocation_matrix,
     as_rational,
     make_allocation,
 )
 from .graph import Potentials, compute_potentials
+from .lp import verify_complementary_slackness
 
 
 class AllValuesEqual(FairDivisionError):
@@ -182,48 +185,30 @@ def conditions_ab(t: TypedAllocation) -> tuple:
 
 # --- solver internals ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class _View:
-    """A two-type reading of an instance."""
-
-    u1: tuple
-    u2: tuple
-    members1: tuple
-    members2: tuple
-
-    @property
-    def n1(self) -> int:
-        return len(self.members1)
-
-    @property
-    def n2(self) -> int:
-        return len(self.members2)
-
-
-def _two_type_view(inst: Instance) -> _View:
+def _two_type_view(inst: Instance) -> TwoType:
     rows = _distinct_rows(inst)
     if len(rows) > 2:
         raise MoreThanTwoTypes(f"{len(rows)} distinct valuation rows")
     if len(rows) == 1:
-        return _View(rows[0][0], (), rows[0][1], ())
+        return TwoType(rows[0][0], (), rows[0][1], ())
     (u1, members1), (u2, members2) = rows
-    return _View(u1, u2, members1, members2)
+    return TwoType(u1, u2, members1, members2)
 
 
-def _alpha_for(view: _View, n: int, gamma: Fraction) -> tuple:
+def _alpha_for(view: TwoType, n: int, gamma: Fraction) -> tuple:
     alpha = [Fraction(1)] * n
     for i in view.members2:
         alpha[i - 1] = gamma
     return tuple(alpha)
 
 
-def _interval_split(inst: Instance, view: _View, grid: GammaGrid, ell: int) -> Split:
+def _interval_split(inst: Instance, view: TwoType, grid: GammaGrid, ell: int) -> Split:
     """The optimal split on interval ell (taken at its midpoint)."""
     lo, hi = grid.interval(ell)
     return optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
 
 
-def _deal(inst: Instance, view: _View, split: Split, gamma: Fraction,
+def _deal(inst: Instance, view: TwoType, split: Split, gamma: Fraction,
           pot: Optional[Potentials] = None) -> TypedAllocation:
     """Deal each type's goods round-robin in descending value of that type."""
     x_bundles = round_robin_by_price(split.s, view.u1, view.n1, inst.k)
@@ -231,7 +216,7 @@ def _deal(inst: Instance, view: _View, split: Split, gamma: Fraction,
     return TypedAllocation(x_bundles=x_bundles, y_bundles=y_bundles, gamma=gamma, potentials=pot)
 
 
-def _assemble(view: _View, typed: TypedAllocation) -> Allocation:
+def _assemble(view: TwoType, typed: TypedAllocation) -> Allocation:
     n = view.n1 + view.n2
     bundles = [None] * n
     for pos, agent in enumerate(view.members1):
@@ -241,7 +226,7 @@ def _assemble(view: _View, typed: TypedAllocation) -> Allocation:
     return Allocation(tuple(bundles))
 
 
-def _potentials_at(inst: Instance, view: _View, split: Split, gamma: Fraction) -> Potentials:
+def _potentials_at(inst: Instance, view: TwoType, split: Split, gamma: Fraction) -> Potentials:
     alloc = _assemble(view, _deal(inst, view, split, gamma))
     return compute_potentials(inst, alloc, _alpha_for(view, inst.n, gamma))
 
@@ -256,7 +241,7 @@ class _PriceModel:
     gamma*u2j - q2.
     """
 
-    def __init__(self, view: _View, split: Split):
+    def __init__(self, view: TwoType, split: Split):
         u1, u2 = view.u1, view.u2
         s_goods = sorted(split.s)
         t_goods = sorted(split.t)
@@ -314,38 +299,28 @@ def case1_sweep(inst: Instance, grid: GammaGrid, ell: int) -> tuple:
     raise SweepExhausted(f"interval {ell} had no point satisfying both conditions")
 
 
-def _assert_tight(inst: Instance, view: _View, typed: TypedAllocation, gamma: Fraction) -> None:
-    """Complementary slackness of a dealt allocation at fixed potentials:
-    every assigned pair must price exactly at its weighted value."""
-    pot = typed.potentials
-    for pos, agent in enumerate(view.members1):
-        q = pot.q[agent - 1]
-        for j in typed.x_bundles[pos]:
-            if q + pot.p[j - 1] != inst.value(agent, j):
-                raise InternalInvariantError("type-1 assignment lost tightness")
-    for pos, agent in enumerate(view.members2):
-        q = pot.q[agent - 1]
-        for j in typed.y_bundles[pos]:
-            if q + pot.p[j - 1] != gamma * inst.value(agent, j):
-                raise InternalInvariantError("type-2 assignment lost tightness")
-
-
 def case2_exchange(inst: Instance, grid: GammaGrid, ell: int, pot: Potentials) -> Allocation:
     """Walk from the interval-ell split to the interval-(ell+1) split one
     good swap at a time at the shared gamma, re-dealing by value after
     each swap, and return the first EF1 allocation.
 
     ``pot`` are the potentials of the interval-ell deal at the shared gamma.
-    Every intermediate allocation is checked tight at them, hence stays fPO.
+    Every intermediate allocation is checked tight at them, hence stays fPO;
+    potentials that are infeasible or not tight raise InternalInvariantError.
     """
     view = _two_type_view(inst)
     gamma = grid.endpoint(ell)
+    alpha = _alpha_for(view, inst.n, gamma)
     split = _interval_split(inst, view, grid, ell)
     target = _interval_split(inst, view, grid, ell + 1)
     for _ in range(inst.m + 1):
-        typed = _deal(inst, view, split, gamma, pot)
-        _assert_tight(inst, view, typed, gamma)
-        alloc = _assemble(view, typed)
+        alloc = _assemble(view, _deal(inst, view, split, gamma))
+        try:
+            tight = verify_complementary_slackness(inst, allocation_matrix(inst, alloc), pot, alpha)
+        except ValueError as exc:
+            raise InternalInvariantError(f"exchange potentials are unusable: {exc}") from exc
+        if not tight:
+            raise InternalInvariantError("an exchange step lost tightness")
         if verify_mod.is_ef1(inst, alloc).holds:
             return alloc
         if split == target:
@@ -356,11 +331,11 @@ def case2_exchange(inst: Instance, grid: GammaGrid, ell: int, pot: Potentials) -
     raise ExchangeExhausted(f"no EF1 allocation between intervals {ell} and {ell + 1}")
 
 
-def _solution(inst: Instance, view: _View, alloc: Allocation, gamma: Fraction, pot: Potentials) -> Solution:
+def _solution(inst: Instance, view: TwoType, alloc: Allocation, gamma: Fraction, pot: Potentials) -> Solution:
     return Solution(alloc, _alpha_for(view, inst.n, gamma), gamma, pot)
 
 
-def _trivial_solution(inst: Instance, view: _View) -> Solution:
+def _trivial_solution(inst: Instance, view: TwoType) -> Solution:
     """Single-type or constant-row case: deal by descending value."""
     bundles = round_robin_by_price(inst.goods(), list(view.u1), inst.n, inst.k)
     alloc = make_allocation(bundles)

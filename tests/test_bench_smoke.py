@@ -1,4 +1,4 @@
-"""The benchmark still runs, with its trace self-check, on both solve
+"""The benchmark still runs, with its trace self-check, on all four
 workloads.  A change that hides a traced function from the tracer (a
 dispatch table, a default argument, a closure) fails here."""
 
@@ -12,7 +12,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("workload", ["solve-bivalued", "solve-two-types"])
+@pytest.mark.parametrize(
+    "workload", ["solve-bivalued", "solve-two-types", "check-fpo", "enumerate-small"]
+)
 def test_traced_bench_run_passes(workload):
     argv = [sys.executable, "bench/run.py", "--workload", workload,
             "--seed", "1", "--seconds", "1", "--trace", "1"]

@@ -107,6 +107,12 @@ class TestSolve:
         bad.write_text("{", encoding="utf-8")
         assert main(["solve", str(bad)]) == 2
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read")
+
     def test_unbalanced_shape_exits_2(self, tmp_path):
         path = write_json(tmp_path / "odd.json", {"n": 2, "m": 3, "valuations": [[1, 2, 3], [4, 5, 6]]})
         assert main(["solve", path]) == 2
@@ -393,3 +399,78 @@ def test_parser_is_built_once_and_reused(ref_path, tmp_path, capsys):
     assert capsys.readouterr() == first
     stats = cli.build_parser.cache_info()
     assert (stats.misses, stats.hits) == (1, 3)
+
+
+LONG = "9" * (cli.MAX_DIGITS + 1)  # one digit past the printable limit
+WIDE = "9" * cli.MAX_DIGITS  # the longest printable integer
+
+
+class TestOversizedNumbers:
+    """Numbers too long to print are refused on input (exit 2) and, when a
+    result grows past the limit, on output (exit 3); never a traceback."""
+
+    def run(self, tmp_path, capsys, text, *argv):
+        path = tmp_path / "inst.json"
+        path.write_text(text, encoding="utf-8")
+        code = main([argv[0], str(path), *argv[1:]])
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        return code, err
+
+    def test_long_json_integer_value_exits_2(self, tmp_path, capsys):
+        text = '{"n": 2, "m": 2, "valuations": [[%s, 1], [1, 2]]}' % LONG
+        assert self.run(tmp_path, capsys, text, "solve")[0] == 2
+
+    def test_long_json_integer_n_exits_2(self, tmp_path, capsys):
+        text = '{"n": %s, "m": 2, "valuations": [[1, 1], [1, 2]]}' % LONG
+        assert self.run(tmp_path, capsys, text, "solve")[0] == 2
+
+    @pytest.mark.parametrize("value", ["1e5000", "1E-5000", "2.5e+4301", "1e" + LONG, LONG + "/7"])
+    def test_long_rational_string_exits_2(self, tmp_path, capsys, value):
+        text = json.dumps({"n": 2, "m": 2, "valuations": [[value, 1], [1, 2]]})
+        assert self.run(tmp_path, capsys, text, "solve")[0] == 2
+
+    def test_exponent_within_the_limit_parses(self):
+        assert rational_from_json(f"3e{cli.MAX_DIGITS - 1}") == 3 * 10 ** (cli.MAX_DIGITS - 1)
+        assert rational_from_json(WIDE) == 10 ** cli.MAX_DIGITS - 1
+
+    def test_unprintable_enumerate_result_exits_3(self, tmp_path, capsys):
+        # each value prints, but the Nash product has twice the digits
+        text = '{"n": 2, "m": 2, "valuations": [[%s, 1], [1, %s]]}' % (WIDE, WIDE)
+        code, err = self.run(tmp_path, capsys, text, "enumerate", "--format", "json")
+        assert code == 3 and "cannot be printed" in err
+
+    def test_unprintable_witness_exits_3(self, tmp_path, capsys):
+        text = '{"n": 2, "m": 6, "valuations": [[%s, %s, %s, 0, 0, 0], [1, 1, 1, 1, 1, 1]]}' % (
+            WIDE, WIDE, WIDE)
+        alloc = write_json(tmp_path / "alloc.json", {"allocation": [[4, 5, 6], [1, 2, 3]]})
+        code, err = self.run(tmp_path, capsys, text, "check", alloc, "--ef1")
+        assert code == 3 and "too long to print" in err
+
+
+class TestUnwritableOutput:
+    """Every --output file goes through one writer; an unwritable path is
+    an input error (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{inst}"],
+        ["enumerate", "{inst}", "--format", "json"],
+        ["enumerate", "{inst}", "--format", "csv"],
+        ["gen", "--n", "2", "--m", "4"],
+        ["reduce", "{inst}"],
+    ], ids=["solve", "enumerate-json", "enumerate-csv", "gen", "reduce"])
+    def test_exits_2(self, argv, ref_path, tmp_path, capsys):
+        out = str(tmp_path / "missing-dir" / "x.json")
+        code = main([a.format(inst=ref_path) for a in argv] + ["--output", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot write {out}")
+
+    def test_file_bytes_match_stdout(self, ref_path, tmp_path, capsys):
+        # the writer translates no newlines: a file holds what stdout shows
+        for argv in (["solve", ref_path], ["enumerate", ref_path, "--format", "csv"]):
+            out = tmp_path / "out.txt"
+            assert main(argv) == 0
+            shown = capsys.readouterr().out
+            assert main(argv + ["--output", str(out)]) == 0
+            assert out.read_bytes() == shown.encode("utf-8")

@@ -1,9 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from fairbalance import Solution, check_fpo, is_ef1, solve
-from fairbalance.core import MoreThanTwoTypes, NotBivalued, allocation_matrix, make_instance
+from fairbalance import Solution, check_fpo, is_ef1, solve, solve_two_types
+from fairbalance.core import (
+    MoreThanTwoTypes,
+    NotBivalued,
+    allocation_matrix,
+    make_instance,
+    round_robin_by_preference,
+)
 from fairbalance.lp import verify_complementary_slackness
 
 BIVALUED = [[5, 2, 5, 2], [1, 0, 0, 1]]
@@ -55,3 +62,18 @@ def test_inapplicable_and_unknown_algorithms_raise():
         solve(inst, "two-types")
     with pytest.raises(ValueError, match="unknown algorithm"):
         solve(inst, "simplex")
+
+
+def test_round_robin_on_one_row_is_the_two_type_value_deal():
+    # rational values with ties: every path must return the same certificate
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        m = n * rng.randint(1, 4)
+        row = [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(m)]
+        inst = make_instance(n, m, [row] * n)
+        sol = solve(inst, "round-robin")
+        assert sol == solve(inst) == solve_two_types(inst)
+        assert sol.allocation == round_robin_by_preference(inst)
+        assert (sol.alpha, sol.gamma) == ((Fraction(1),) * n, Fraction(1))
+        assert certified(inst, sol)

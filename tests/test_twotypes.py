@@ -7,10 +7,12 @@ import pytest
 
 from fairbalance import twotypes
 from fairbalance.core import (
+    InternalInvariantError,
     MoreThanTwoTypes,
     allocation_matrix,
     make_instance,
 )
+from fairbalance.graph import Potentials
 from fairbalance.lp import check_fpo, solve_primal, verify_complementary_slackness
 from fairbalance.twotypes import (
     AllValuesEqual,
@@ -539,3 +541,38 @@ class TestCaseDrivers:
                 assert is_ef1(inst, sol.allocation).holds
                 exercised += 1
         assert exercised >= 100
+
+
+class TestExchangeTightness:
+    """case2_exchange re-checks every step with the slackness check of
+    `lp`; unusable potentials are an internal invariant failure."""
+
+    EXCHANGE = json.loads(
+        (pathlib.Path(__file__).parent / "fixtures" / "exchange_path.json").read_text(encoding="utf-8")
+    )[0]["instance"]
+
+    def exchange_args(self, monkeypatch):
+        inst = make_instance(self.EXCHANGE["n"], self.EXCHANGE["m"], self.EXCHANGE["valuations"])
+        seen = []
+        real = twotypes.case2_exchange
+        monkeypatch.setattr(twotypes, "case2_exchange", lambda *args: seen.append(args) or real(*args))
+        solve_two_types(inst)
+        (args,) = seen
+        return args
+
+    def test_untouched_potentials_pass(self, monkeypatch):
+        inst, grid, ell, pot = self.exchange_args(monkeypatch)
+        assert is_ef1(inst, case2_exchange(inst, grid, ell, pot)).holds
+
+    def test_potentials_not_tight_raise(self, monkeypatch):
+        # raising every q keeps the duals feasible but no owned pair tight
+        inst, grid, ell, pot = self.exchange_args(monkeypatch)
+        loose = Potentials(q=tuple(q + 1 for q in pot.q), p=pot.p)
+        with pytest.raises(InternalInvariantError, match="lost tightness"):
+            case2_exchange(inst, grid, ell, loose)
+
+    def test_infeasible_potentials_raise(self, monkeypatch):
+        inst, grid, ell, pot = self.exchange_args(monkeypatch)
+        cheap = Potentials(q=pot.q, p=tuple(p - 1 for p in pot.p))
+        with pytest.raises(InternalInvariantError, match="not dual feasible"):
+            case2_exchange(inst, grid, ell, cheap)
