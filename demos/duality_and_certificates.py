@@ -19,20 +19,18 @@ from fairbalance import (
     verify_complementary_slackness,
 )
 from fairbalance.graph import cycle_weight
-from fairbalance.lp import vertex_allocation
 
 inst = make_instance(2, 4, [[10, 10, 21, 22], [0, 1, 6, 8]])
 alpha = (Fraction(1), Fraction(1))
 
 print("maximizing total value over balanced allocations:")
-x, value = solve_primal(inst, alpha)
-best = vertex_allocation(x)
+best, value = solve_primal(inst, alpha)
 print(f"  optimum {value} at {[sorted(b) for b in best.bundles]}"
       " (the LP vertex is automatically integral)")
 
 pot = solve_dual(inst, alpha)
 print(f"  dual optimum k*sum(q) + sum(p) = {pot.objective(inst.k)} (equal by strong duality)")
-print(f"  complementary slackness: {verify_complementary_slackness(inst, x, pot, alpha)}")
+print(f"  complementary slackness: {verify_complementary_slackness(inst, best, pot, alpha)}")
 
 print("\nnegative cycles witness suboptimality:")
 bad = make_allocation([{1, 2}, {3, 4}])

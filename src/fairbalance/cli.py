@@ -29,12 +29,10 @@ from .core import (
     Allocation,
     FairDivisionError,
     Instance,
-    InternalInvariantError,
     MoreThanTwoTypes,
     NotBivalued,
     Solution,
     TooLargeError,
-    allocation_matrix,
     make_allocation,
     make_instance,
     reduce_unconstrained,
@@ -108,13 +106,17 @@ def _is_int(obj) -> bool:
 def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8
         raise InputError(f"cannot read {path}: {exc}") from exc
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    except ValueError as exc:  # bad UTF-8, or an integer past Python's int-to-str limit
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # an integer past Python's int-to-str limit
+        raise InputError(f"cannot read {path}: a number has more than {MAX_DIGITS} digits") from exc
+    except RecursionError as exc:
+        raise InputError(f"cannot read {path}: arrays or objects nest too deeply") from exc
 
 
 def parse_instance(data: dict, require_balanced_shape: bool = True) -> Instance:
@@ -202,21 +204,15 @@ def _certificate_holds(inst: Instance, sol: Solution) -> bool:
     """alpha > 0, dual feasibility and complementary slackness: an exact
     proof that the allocation maximizes the alpha-weighted welfare over
     balanced fractional allocations, hence is fPO."""
-    x = allocation_matrix(inst, sol.allocation)
     try:
-        return lp_mod.verify_complementary_slackness(inst, x, sol.potentials, sol.alpha)
+        return lp_mod.verify_complementary_slackness(inst, sol.allocation, sol.potentials, sol.alpha)
     except ValueError:  # infeasible duals or a non-positive alpha
         return False
 
 
 def cmd_solve(args) -> int:
     inst = parse_instance(load_json(args.input))
-    try:
-        sol = solve(inst, args.algorithm)
-    except (NotBivalued, MoreThanTwoTypes) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INAPPLICABLE
-
+    sol = solve(inst, args.algorithm)
     alloc = sol.allocation
     if sol.alpha is None:
         fpo = lp_mod.check_fpo(inst, alloc).is_fpo
@@ -262,7 +258,13 @@ def _print_verdict(name: str, verdict, quiet: bool) -> None:
     print(line)
 
 
+def _check_max_states(args) -> None:
+    if args.max_states < 1:
+        raise InputError("--max-states must be at least 1")
+
+
 def cmd_check(args) -> int:
+    _check_max_states(args)
     inst = parse_instance(load_json(args.instance))
     alloc = parse_allocation(load_json(args.allocation), inst)
     if (args.po or (args.fpo and not args.unconstrained)) and not alloc.is_balanced(inst):
@@ -319,13 +321,9 @@ def cmd_check(args) -> int:
 # --- enumerate ----------------------------------------------------------------
 
 def cmd_enumerate(args) -> int:
+    _check_max_states(args)
     inst = parse_instance(load_json(args.input))
-    try:
-        report = oracle_mod.full_report(inst, max_states=args.max_states)
-    except TooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INAPPLICABLE
-
+    report = oracle_mod.full_report(inst, max_states=args.max_states)
     if args.format == "json":
         payload = [
             {
@@ -476,7 +474,7 @@ def main(argv=None) -> int:
     except (TooLargeError, NotBivalued, MoreThanTwoTypes) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except (InternalInvariantError, lp_mod.LPError, FairDivisionError) as exc:
+    except (lp_mod.LPError, FairDivisionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -167,36 +167,14 @@ def check_allocation(inst: Instance, alloc: Allocation, balanced: bool = False) 
 
 @dataclass(frozen=True)
 class FractionalAllocation:
-    """An n x m matrix of Fractions in [0, 1]; column sums are 1.
-
-    Balanced variants additionally have every row summing to ``k``;
-    ``check_fpo`` in unconstrained mode produces unbalanced ones, so row
-    sums are validated only on request.
-    """
+    """An n x m matrix of Fractions in [0, 1] whose column sums are 1, read
+    off an allocation LP: ``check_fpo``'s dominating allocation (rows sum to
+    ``k`` in balanced mode only) or the welfare primal's vertex."""
 
     x: tuple
 
     def entry(self, agent: int, good: int) -> Fraction:
         return self.x[agent - 1][good - 1]
-
-    def column_sums_ok(self) -> bool:
-        n = len(self.x)
-        m = len(self.x[0])
-        return all(sum(self.x[i][j] for i in range(n)) == 1 for j in range(m))
-
-    def row_sums_ok(self, k: int) -> bool:
-        return all(sum(row) == k for row in self.x)
-
-    def is_feasible(self, inst: Instance, balanced: bool = True) -> bool:
-        if len(self.x) != inst.n or any(len(r) != inst.m for r in self.x):
-            return False
-        if any(v < 0 or v > 1 for row in self.x for v in row):
-            return False
-        if not self.column_sums_ok():
-            return False
-        if balanced and not self.row_sums_ok(inst.k):
-            return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -213,15 +191,6 @@ class Solution:
     alpha: Optional[tuple]
     gamma: Optional[Fraction]
     potentials: Optional[Potentials]
-
-
-def allocation_matrix(inst: Instance, alloc: Allocation) -> FractionalAllocation:
-    """0/1 matrix form of an integral allocation."""
-    rows = []
-    for i in inst.agents():
-        b = alloc.bundle(i)
-        rows.append(tuple(Fraction(1) if j in b else Fraction(0) for j in inst.goods()))
-    return FractionalAllocation(tuple(rows))
 
 
 # --- instance classification -------------------------------------------------

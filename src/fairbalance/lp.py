@@ -245,16 +245,17 @@ def solve_primal(inst: Instance, alpha: Sequence[Fraction]) -> tuple:
     allocations.  The returned vertex is always integral (the constraint
     matrix is totally unimodular), so it doubles as a balanced allocation.
 
-    Returns ``(FractionalAllocation, value)``.
+    Returns ``(Allocation, value)``.
     """
     _check_alpha(inst, alpha)
     res = solve_lp(_primal_program(inst, alpha))
-    x = _x_matrix(inst, res.x)
-    if not all(v == 0 or v == 1 for row in x.x for v in row):
-        raise InternalInvariantError("transportation vertex must be integral")
-    if not x.is_feasible(inst, balanced=True):
+    try:
+        alloc = vertex_allocation(_x_matrix(inst, res.x))
+    except ValueError as exc:
+        raise InternalInvariantError("transportation vertex must be integral") from exc
+    if not alloc.is_balanced(inst):
         raise InternalInvariantError("transportation vertex must be a balanced allocation")
-    return x, res.objective
+    return alloc, res.objective
 
 
 def vertex_allocation(x: FractionalAllocation) -> Allocation:
@@ -351,23 +352,23 @@ def check_fpo(inst: Instance, alloc: Allocation, mode: str = "balanced") -> FpoR
 
 def verify_complementary_slackness(
     inst: Instance,
-    x: FractionalAllocation,
+    alloc: Allocation,
     pot: Potentials,
     alpha: Sequence[Fraction],
 ) -> bool:
-    """True iff every pair has x_ij = 0 or q_i + p_j = alpha_i v_ij.
+    """True iff q_i + p_j = alpha_i v_ij on every pair with good j in
+    agent i's bundle.
 
-    Feasibility of both arguments is a precondition and violations raise
-    (they are a different failure than broken slackness).
+    The allocation must be balanced and the potentials dual feasible;
+    violations raise ValueError (they are a different failure than broken
+    slackness).
     """
     _check_alpha(inst, alpha)
-    if not x.is_feasible(inst, balanced=True):
-        raise ValueError("x is not a balanced fractional allocation")
+    check_allocation(inst, alloc, balanced=True)
     if not pot.is_feasible(inst, alpha):
         raise ValueError("potentials are not dual feasible")
-    for i in inst.agents():
-        for j in inst.goods():
-            if x.entry(i, j) != 0:
-                if pot.q[i - 1] + pot.p[j - 1] != alpha[i - 1] * inst.value(i, j):
-                    return False
+    for i, bundle in enumerate(alloc.bundles):
+        for j in bundle:
+            if pot.q[i] + pot.p[j - 1] != alpha[i] * inst.values[i][j - 1]:
+                return False
     return True

@@ -30,7 +30,6 @@ from .core import (
     Solution,
     TwoType,
     _distinct_rows,
-    allocation_matrix,
     as_rational,
     make_allocation,
 )
@@ -316,7 +315,7 @@ def case2_exchange(inst: Instance, grid: GammaGrid, ell: int, pot: Potentials) -
     for _ in range(inst.m + 1):
         alloc = _assemble(view, _deal(inst, view, split, gamma))
         try:
-            tight = verify_complementary_slackness(inst, allocation_matrix(inst, alloc), pot, alpha)
+            tight = verify_complementary_slackness(inst, alloc, pot, alpha)
         except ValueError as exc:
             raise InternalInvariantError(f"exchange potentials are unusable: {exc}") from exc
         if not tight:

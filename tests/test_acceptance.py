@@ -165,10 +165,10 @@ def test_criterion_4_duality_suite():
         m = n * k
         inst = make_instance(n, m, [[rng.randint(0, 9) for _ in range(m)] for _ in range(n)])
         alpha = random_alpha(rng, n)
-        x, primal_value = solve_primal(inst, alpha)
+        best, primal_value = solve_primal(inst, alpha)
         dual_pot = solve_dual(inst, alpha)
         assert dual_pot.objective(k) == primal_value
-        assert verify_complementary_slackness(inst, x, dual_pot, alpha)
+        assert verify_complementary_slackness(inst, best, dual_pot, alpha)
 
         optimal = [
             a for a in enumerate_balanced(inst)

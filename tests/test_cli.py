@@ -111,7 +111,14 @@ class TestSolve:
         path = tmp_path / "inst.json"
         path.write_bytes(b"\xff\xfe{}")
         assert main(["solve", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: cannot read")
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
+    def test_deeply_nested_file_exits_2(self, tmp_path, capsys):
+        # the JSON decoder recurses once per level; this once escaped as a traceback
+        path = tmp_path / "inst.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: cannot read {path}: arrays or objects nest too deeply\n"
 
     def test_unbalanced_shape_exits_2(self, tmp_path):
         path = write_json(tmp_path / "odd.json", {"n": 2, "m": 3, "valuations": [[1, 2, 3], [4, 5, 6]]})
@@ -208,6 +215,12 @@ class TestCheck:
         apath = write_json(tmp_path / "a.json", {"allocation": [[1, 3], [2, 4]]})
         assert main(["check", ref_path, apath, "--po", "--max-states", "2"]) == 3
 
+    @pytest.mark.parametrize("guard", ["0", "-1"])
+    def test_guard_below_1_exits_2(self, ref_path, tmp_path, capsys, guard):
+        apath = write_json(tmp_path / "a.json", {"allocation": [[1, 3], [2, 4]]})
+        assert main(["check", ref_path, apath, "--po", "--max-states", guard]) == 2
+        assert capsys.readouterr().err == "error: --max-states must be at least 1\n"
+
     def test_pef1(self, ref_path, tmp_path, capsys):
         apath = write_json(tmp_path / "a.json", {"allocation": [[1, 3], [2, 4]]})
         ppath = write_json(tmp_path / "p.json", {"prices": [4, 3, 2, 1]})
@@ -292,6 +305,12 @@ class TestEnumerate:
 
     def test_guard_exits_3(self, ref_path):
         assert main(["enumerate", ref_path, "--max-states", "2"]) == 3
+
+    @pytest.mark.parametrize("guard", ["0", "-5"])
+    def test_guard_below_1_exits_2(self, ref_path, capsys, guard):
+        assert main(["enumerate", ref_path, "--max-states", guard]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --max-states must be at least 1\n")
 
     def test_empty_instance_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path / "empty.json", EMPTY_INSTANCE)
@@ -419,11 +438,15 @@ class TestOversizedNumbers:
 
     def test_long_json_integer_value_exits_2(self, tmp_path, capsys):
         text = '{"n": 2, "m": 2, "valuations": [[%s, 1], [1, 2]]}' % LONG
-        assert self.run(tmp_path, capsys, text, "solve")[0] == 2
+        code, err = self.run(tmp_path, capsys, text, "solve")
+        assert code == 2 and f"a number has more than {cli.MAX_DIGITS} digits" in err
+        assert "set_int_max_str_digits" not in err
 
     def test_long_json_integer_n_exits_2(self, tmp_path, capsys):
         text = '{"n": %s, "m": 2, "valuations": [[1, 1], [1, 2]]}' % LONG
-        assert self.run(tmp_path, capsys, text, "solve")[0] == 2
+        code, err = self.run(tmp_path, capsys, text, "solve")
+        assert code == 2 and f"a number has more than {cli.MAX_DIGITS} digits" in err
+        assert "set_int_max_str_digits" not in err
 
     @pytest.mark.parametrize("value", ["1e5000", "1E-5000", "2.5e+4301", "1e" + LONG, LONG + "/7"])
     def test_long_rational_string_exits_2(self, tmp_path, capsys, value):

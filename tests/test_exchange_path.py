@@ -16,7 +16,7 @@ import pytest
 
 from fairbalance import check_fpo, is_ef1, solve, twotypes
 from fairbalance.cli import main, rational_to_json
-from fairbalance.core import allocation_matrix, balanced_allocation_count, make_instance
+from fairbalance.core import balanced_allocation_count, make_instance
 from fairbalance.lp import verify_complementary_slackness
 from fairbalance.oracle import full_report
 from fairbalance.verify import is_po_bruteforce
@@ -61,8 +61,7 @@ def test_solve_takes_the_exchange_path(case, exchange_calls):
     assert sol.allocation.is_balanced(inst)
     assert is_ef1(inst, sol.allocation).holds
     assert check_fpo(inst, sol.allocation).is_fpo
-    x = allocation_matrix(inst, sol.allocation)
-    assert verify_complementary_slackness(inst, x, sol.potentials, sol.alpha)
+    assert verify_complementary_slackness(inst, sol.allocation, sol.potentials, sol.alpha)
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if c["instance"]["m"] <= 8],

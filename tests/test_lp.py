@@ -9,7 +9,13 @@ import pytest
 
 import fairbalance
 from fairbalance import lp
-from fairbalance.core import InternalInvariantError, allocation_matrix, bundle_value, make_instance
+from fairbalance.core import (
+    Allocation,
+    InternalInvariantError,
+    bundle_value,
+    make_instance,
+    utilitarian_value,
+)
 from fairbalance.graph import Potentials, compute_potentials
 from fairbalance.lp import (
     LinearProgram,
@@ -19,7 +25,6 @@ from fairbalance.lp import (
     solve_lp,
     solve_primal,
     verify_complementary_slackness,
-    vertex_allocation,
 )
 
 from conftest import alloc, brute_max_welfare, permutation_enumerate, random_alpha, random_instance
@@ -54,7 +59,7 @@ class TestSimplexCore:
 
 class TestSolvePrimal:
     def test_reference_unit_weights(self, ref_instance):
-        x, value = solve_primal(ref_instance, ONE)
+        _, value = solve_primal(ref_instance, ONE)
         assert value == 44 == brute_max_welfare(ref_instance, ONE)
 
     def test_all_zero(self):
@@ -64,9 +69,9 @@ class TestSolvePrimal:
 
     def test_reference_weighted(self, ref_instance):
         alpha = (Fraction(1), Fraction(2))
-        x, value = solve_primal(ref_instance, alpha)
+        best, value = solve_primal(ref_instance, alpha)
         assert value == 49 == brute_max_welfare(ref_instance, alpha)
-        assert vertex_allocation(x).bundles == (frozenset({1, 3}), frozenset({2, 4}))
+        assert best.bundles == (frozenset({1, 3}), frozenset({2, 4}))
 
     def test_vertex_is_integral_randomized(self):
         rng = random.Random(41)
@@ -75,10 +80,9 @@ class TestSolvePrimal:
             m = n * rng.choice([1, 2, 3])
             inst = random_instance(rng, n, m)
             alpha = random_alpha(rng, n)
-            x, value = solve_primal(inst, alpha)  # integrality asserted inside
-            assert value == brute_max_welfare(inst, alpha)
-            a = vertex_allocation(x)
-            assert a.is_balanced(inst)
+            a, value = solve_primal(inst, alpha)  # integrality asserted inside
+            assert isinstance(a, Allocation) and a.is_balanced(inst)
+            assert utilitarian_value(inst, a, alpha) == value == brute_max_welfare(inst, alpha)
 
 
 class TestSolveDual:
@@ -116,7 +120,9 @@ class TestCheckFpo:
         res = check_fpo(ref_instance, alloc({1, 4}, {2, 3}))
         assert not res.is_fpo
         x = res.dominating
-        assert x.is_feasible(ref_instance, balanced=True)
+        assert all(0 <= v <= 1 for row in x.x for v in row)
+        assert all(sum(x.entry(i, j) for i in (1, 2)) == 1 for j in ref_instance.goods())
+        assert all(sum(row) == ref_instance.k for row in x.x)
         mine = [bundle_value(ref_instance, i, {1, 4} if i == 1 else {2, 3}) for i in (1, 2)]
         theirs = [
             sum(x.entry(i, j) * ref_instance.value(i, j) for j in ref_instance.goods())
@@ -179,32 +185,51 @@ class TestCheckFpo:
 
 class TestComplementarySlackness:
     def test_optimal_pair_passes(self, ref_instance):
-        x, _ = solve_primal(ref_instance, ONE)
+        best, _ = solve_primal(ref_instance, ONE)
         pot = solve_dual(ref_instance, ONE)
-        assert verify_complementary_slackness(ref_instance, x, pot, ONE)
+        assert verify_complementary_slackness(ref_instance, best, pot, ONE)
 
     def test_suboptimal_integral_fails(self, ref_instance):
         pot = compute_potentials(ref_instance, alloc({3, 4}, {1, 2}), ONE)
-        x = allocation_matrix(ref_instance, alloc({1, 2}, {3, 4}))
-        assert not verify_complementary_slackness(ref_instance, x, pot, ONE)
+        assert not verify_complementary_slackness(ref_instance, alloc({1, 2}, {3, 4}), pot, ONE)
 
     def test_all_zero_trivially_passes(self):
         inst = make_instance(2, 2, [[0, 0], [0, 0]])
-        x = allocation_matrix(inst, alloc({1}, {2}))
         pot = Potentials(q=(Fraction(0), Fraction(0)), p=(Fraction(0), Fraction(0)))
-        assert verify_complementary_slackness(inst, x, pot, ONE)
+        assert verify_complementary_slackness(inst, alloc({1}, {2}), pot, ONE)
+
+    @pytest.mark.parametrize("good", [1, 2, 3, 4])
+    def test_one_slack_owned_pair_fails(self, ref_instance, good):
+        # raising one price keeps the duals feasible; of the pairs it loosens,
+        # only the owner's is checked, so exactly one owned pair turns slack
+        a = alloc({3, 4}, {1, 2})
+        pot = compute_potentials(ref_instance, a, ONE)
+        assert verify_complementary_slackness(ref_instance, a, pot, ONE)
+        p = list(pot.p)
+        p[good - 1] += 1
+        raised = Potentials(q=pot.q, p=tuple(p))
+        assert raised.is_feasible(ref_instance, ONE)
+        assert not verify_complementary_slackness(ref_instance, a, raised, ONE)
 
     def test_infeasible_inputs_raise(self, ref_instance):
         pot = compute_potentials(ref_instance, alloc({3, 4}, {1, 2}), ONE)
-        from fairbalance.core import FractionalAllocation
-
-        bad_x = FractionalAllocation(tuple((Fraction(1),) * 4 for _ in range(2)))
-        with pytest.raises(ValueError):
-            verify_complementary_slackness(ref_instance, bad_x, pot, ONE)
+        with pytest.raises(ValueError, match="partition"):
+            verify_complementary_slackness(ref_instance, alloc({1, 2}, {2, 3}), pot, ONE)
         bad_pot = Potentials(q=(Fraction(0), Fraction(0)), p=(Fraction(0),) * 4)
-        x = allocation_matrix(ref_instance, alloc({3, 4}, {1, 2}))
-        with pytest.raises(ValueError):
-            verify_complementary_slackness(ref_instance, x, bad_pot, ONE)
+        with pytest.raises(ValueError, match="dual feasible"):
+            verify_complementary_slackness(ref_instance, alloc({3, 4}, {1, 2}), bad_pot, ONE)
+        with pytest.raises(ValueError, match="positive"):
+            verify_complementary_slackness(ref_instance, alloc({3, 4}, {1, 2}), pot, (Fraction(1), Fraction(0)))
+
+    @pytest.mark.parametrize("bundles,message", [
+        (({1, 2, 3, 4},), "1 bundles"),
+        (({1, 2}, {3, 4}, set()), "3 bundles"),
+        (({1, 2, 3}, {4}), "not balanced"),
+    ], ids=["too-few-bundles", "too-many-bundles", "unequal-sizes"])
+    def test_unbalanced_allocations_raise(self, ref_instance, bundles, message):
+        pot = compute_potentials(ref_instance, alloc({3, 4}, {1, 2}), ONE)
+        with pytest.raises(ValueError, match=message):
+            verify_complementary_slackness(ref_instance, alloc(*bundles), pot, ONE)
 
 
 def _fake_solve_lp(x, objective=Fraction(0)):

@@ -7,7 +7,6 @@ from fairbalance import Solution, check_fpo, is_ef1, solve, solve_two_types
 from fairbalance.core import (
     MoreThanTwoTypes,
     NotBivalued,
-    allocation_matrix,
     make_instance,
     round_robin_by_preference,
 )
@@ -20,9 +19,7 @@ GENERAL = [[1, 2, 3], [3, 1, 2], [2, 3, 1]]
 
 
 def certified(inst, sol: Solution) -> bool:
-    return verify_complementary_slackness(
-        inst, allocation_matrix(inst, sol.allocation), sol.potentials, sol.alpha
-    )
+    return verify_complementary_slackness(inst, sol.allocation, sol.potentials, sol.alpha)
 
 
 @pytest.mark.parametrize("rows,gamma", [

@@ -9,7 +9,6 @@ from fairbalance import twotypes
 from fairbalance.core import (
     InternalInvariantError,
     MoreThanTwoTypes,
-    allocation_matrix,
     make_instance,
 )
 from fairbalance.graph import Potentials
@@ -258,9 +257,7 @@ class TestSolveTwoTypes:
         assert allocation.bundles == (frozenset({1, 3}), frozenset({2, 4}))
         alpha = (Fraction(1), gamma)
         assert sol.alpha == alpha
-        assert verify_complementary_slackness(
-            ref_instance, allocation_matrix(ref_instance, allocation), pot, alpha
-        )
+        assert verify_complementary_slackness(ref_instance, allocation, pot, alpha)
 
     def test_single_type_round_robin(self):
         inst = make_instance(2, 4, [[4, 3, 2, 1]] * 2)
@@ -304,9 +301,7 @@ class TestSolveTwoTypes:
             assert check_fpo(inst, allocation).is_fpo
             view = _two_type_view(inst)
             alpha = tuple(Fraction(1) if i in view.members1 else gamma for i in inst.agents())
-            assert verify_complementary_slackness(
-                inst, allocation_matrix(inst, allocation), pot, alpha
-            )
+            assert verify_complementary_slackness(inst, allocation, pot, alpha)
 
 
 class TestIntervalStructure:

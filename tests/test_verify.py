@@ -5,7 +5,7 @@ import pytest
 
 from fairbalance.core import TooLargeError, make_instance
 from fairbalance.graph import compute_potentials
-from fairbalance.lp import check_fpo, solve_primal, vertex_allocation
+from fairbalance.lp import check_fpo, solve_primal
 from fairbalance.verify import certify_fpo, is_ef1, is_p_ef1, is_po_bruteforce
 
 from conftest import (
@@ -118,8 +118,7 @@ class TestCertifyFpo:
             m = n * rng.choice([1, 2])
             inst = random_instance(rng, n, m)
             alpha = random_alpha(rng, n)
-            x, _ = solve_primal(inst, alpha)
-            a = vertex_allocation(x)
+            a, _ = solve_primal(inst, alpha)
             assert certify_fpo(inst, a, alpha).holds
             assert check_fpo(inst, a).is_fpo
 
@@ -132,8 +131,7 @@ class TestPriceEf1ImpliesEf1:
             m = n * rng.choice([1, 2, 3])
             inst = random_two_type_instance(rng, n, m) if rng.random() < 0.5 else random_instance(rng, n, m)
             alpha = random_alpha(rng, n)
-            x, _ = solve_primal(inst, alpha)
-            a = vertex_allocation(x)
+            a, _ = solve_primal(inst, alpha)
             pot = compute_potentials(inst, a, alpha)
             if is_p_ef1(pot.p, a).holds:
                 assert is_ef1(inst, a).holds
