@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 if TYPE_CHECKING:
@@ -96,11 +97,26 @@ class Instance:
             raise IndexError(f"good {good} out of range 1..{self.m}")
         return self.values[agent - 1][good - 1]
 
+    @cached_property
+    def scaled_values(self) -> tuple:
+        """:func:`integer_rows` of the values: ``rows[i-1][j-1]`` is
+        ``scale`` times agent ``i``'s value for good ``j``.  Computed once
+        per instance and not a field, so equality, hashing and repr ignore
+        it."""
+        return integer_rows(self.values)
+
     def agents(self) -> range:
         return range(1, self.n + 1)
 
     def goods(self) -> range:
         return range(1, self.m + 1)
+
+
+def integer_rows(rows: Sequence[Sequence[RationalLike]]) -> tuple:
+    """``(scale, int_rows)``: every entry times ``scale``, the least common
+    denominator of all entries, so exact comparisons run on ints."""
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    return scale, tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows)
 
 
 def make_instance(n: int, m: int, values: Sequence[Sequence[RationalLike]]) -> Instance:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from .core import (
@@ -24,6 +23,7 @@ from .core import (
     InternalInvariantError,
     NegativeCycleError,
     check_allocation,
+    integer_rows,
 )
 
 ROOT = ("root",)
@@ -92,10 +92,29 @@ class Potentials:
     def objective(self, k: int) -> Fraction:
         return k * sum(self.q, Fraction(0)) + sum(self.p, Fraction(0))
 
+    def scaled(self, inst: Instance, alpha: Sequence[Fraction]) -> tuple:
+        """``(qs, ps, rs, rows)``, all ints over one positive common
+        denominator: q_i + p_j compares with alpha_i * v_ij exactly as
+        ``qs[i-1] + ps[j-1]`` with ``rs[i-1] * rows[i-1][j-1]``.
+
+        Raises ValueError unless there are n q's, m p's and n alphas.
+        """
+        if len(self.q) != inst.n or len(self.p) != inst.m or len(alpha) != inst.n:
+            raise ValueError(f"potentials and alpha must have {inst.n} agent "
+                             f"and {inst.m} good entries")
+        value_scale, rows = inst.scaled_values
+        dual_scale, (qs, ps) = integer_rows((self.q, self.p))
+        alpha_scale, (alpha_ints,) = integer_rows((alpha,))
+        # everything times dual_scale * alpha_scale * value_scale
+        left = alpha_scale * value_scale
+        return ([q * left for q in qs], [p * left for p in ps],
+                [a * dual_scale for a in alpha_ints], rows)
+
     def is_feasible(self, inst: Instance, alpha: Sequence[Fraction]) -> bool:
-        for i in inst.agents():
-            for j in inst.goods():
-                if self.q[i - 1] + self.p[j - 1] < alpha[i - 1] * inst.value(i, j):
+        qs, ps, rs, rows = self.scaled(inst, alpha)
+        for q, r, row in zip(qs, rs, rows):
+            for p, w in zip(ps, row):
+                if q + p < r * w:
                     return False
         return True
 
@@ -113,19 +132,15 @@ def _check_alpha(inst: Instance, alpha: Sequence[Fraction]) -> None:
 def build_exchange_graph(inst: Instance, alloc: Allocation, alpha: Sequence[Fraction]) -> ExchangeGraph:
     """Exchange graph of a balanced allocation under weights alpha.
 
-    The scale is lcm(alpha denominators) * lcm(value denominators), so
-    every alpha_i * v_ij times it is an int.
+    The scale is lcm(alpha denominators) times the instance's value scale,
+    so every alpha_i * v_ij times it is an int.
     """
     check_allocation(inst, alloc, balanced=True)
     _check_alpha(inst, alpha)
     n, m = inst.n, inst.m
-    alpha_scale = lcm(*(a.denominator for a in alpha))
-    value_scale = lcm(*(v.denominator for row in inst.values for v in row))
-    weights = [
-        [a.numerator * (alpha_scale // a.denominator) * v.numerator * (value_scale // v.denominator)
-         for v in row]
-        for a, row in zip(alpha, inst.values)
-    ]
+    alpha_scale, (alpha_ints,) = integer_rows((alpha,))
+    value_scale, rows = inst.scaled_values
+    weights = [[a * v for v in row] for a, row in zip(alpha_ints, rows)]
     arcs = [(0, n + j, 0) for j in inst.goods()]
     for i, row in enumerate(weights, start=1):
         arcs += [(i, n + j, -w) for j, w in enumerate(row, start=1)]

@@ -367,8 +367,9 @@ def verify_complementary_slackness(
     check_allocation(inst, alloc, balanced=True)
     if not pot.is_feasible(inst, alpha):
         raise ValueError("potentials are not dual feasible")
-    for i, bundle in enumerate(alloc.bundles):
+    qs, ps, rs, rows = pot.scaled(inst, alpha)
+    for q, r, row, bundle in zip(qs, rs, rows, alloc.bundles):
         for j in bundle:
-            if pot.q[i] + pot.p[j - 1] != alpha[i] * inst.values[i][j - 1]:
+            if q + ps[j - 1] != r * row[j - 1]:
                 return False
     return True

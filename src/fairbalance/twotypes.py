@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd
 from typing import Optional, Sequence
 
 from . import verify as verify_mod
@@ -31,6 +31,7 @@ from .core import (
     TwoType,
     _distinct_rows,
     as_rational,
+    integer_rows,
     make_allocation,
 )
 from .graph import Potentials, compute_potentials
@@ -120,16 +121,18 @@ def critical_values(u1: Sequence, u2: Sequence) -> GammaGrid:
     u1 = [as_rational(v) for v in u1]
     u2 = [as_rational(v) for v in u2]
     delta = compute_delta(u1, u2)
-    upper = 1 / delta
+    # over a common denominator the ratio of differences is num/den of ints,
+    # and delta < num/den < 1/delta cross-multiplies (den, num > 0)
+    _, (a, b) = integer_rows((u1, u2))
+    lo, hi = delta.numerator, delta.denominator
     found = set()
-    m = len(u1)
-    for j in range(m):
-        for jp in range(m):
-            if u1[j] > u1[jp] and u2[j] > u2[jp]:
-                ratio = (u1[j] - u1[jp]) / (u2[j] - u2[jp])
-                if delta < ratio < upper:
-                    found.add(ratio)
-    return GammaGrid(delta=delta, criticals=tuple(sorted(found)))
+    for aj, bj in zip(a, b):
+        for ajp, bjp in zip(a, b):
+            num, den = aj - ajp, bj - bjp
+            if num > 0 and den > 0 and lo * den < hi * num and lo * num < hi * den:
+                g = gcd(num, den)
+                found.add((num // g, den // g))
+    return GammaGrid(delta=delta, criticals=tuple(sorted(Fraction(*r) for r in found)))
 
 
 def optimal_split(u1: Sequence, u2: Sequence, gamma: Fraction, n1: int, k: int) -> Split:
@@ -143,9 +146,8 @@ def optimal_split(u1: Sequence, u2: Sequence, gamma: Fraction, n1: int, k: int) 
         raise ValueError("gamma must be positive")
     # minus each score times a positive integer (gamma's denominator and a
     # common denominator of the values): exact integers, same order and ties
-    scale = lcm(*(v.denominator for v in u1 + u2))
-    key = [gamma.numerator * b.numerator * (scale // b.denominator)
-           - gamma.denominator * a.numerator * (scale // a.denominator) for a, b in zip(u1, u2)]
+    _, (a1, a2) = integer_rows((u1, u2))
+    key = [gamma.numerator * b - gamma.denominator * a for a, b in zip(a1, a2)]
     order = sorted(range(1, len(u1) + 1), key=lambda j: key[j - 1])  # stable: ties by index
     return Split(s=frozenset(order[: k * n1]), t=frozenset(order[k * n1:]))
 

@@ -31,23 +31,24 @@ def is_ef1(inst: Instance, alloc: Allocation) -> Verdict:
     i's view of the other bundle: v_i(A_i) >= v_i(A_i') - max_j v_ij.
     """
     check_allocation(inst, alloc)
-    for i in inst.agents():
-        own = bundle_value(inst, i, alloc.bundle(i))
+    scale, rows = inst.scaled_values  # compare ints; Fractions only in a witness
+    for i, row in enumerate(rows, start=1):
+        own = sum(row[j - 1] for j in alloc.bundle(i))
         for other in inst.agents():
             if other == i:
                 continue
-            their = alloc.bundle(other)
+            their = [row[j - 1] for j in alloc.bundle(other)]
             if not their:
                 continue
-            best = max(inst.value(i, j) for j in their)
-            if own < bundle_value(inst, i, their) - best:
+            rest = sum(their) - max(their)
+            if own < rest:
                 return Verdict(
                     holds=False,
                     witness={
                         "envier": i,
                         "envied": other,
-                        "own_value": own,
-                        "their_value_minus_best": bundle_value(inst, i, their) - best,
+                        "own_value": Fraction(own, scale),
+                        "their_value_minus_best": Fraction(rest, scale),
                     },
                 )
     return Verdict(holds=True)

@@ -1,11 +1,15 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from fairbalance import core
 from fairbalance.core import (
     Bivalued,
     General,
+    Instance,
     SingleType,
     TwoType,
     bundle_value,
@@ -57,6 +61,49 @@ class TestInstance:
             ref_instance.value(0, 1)
         with pytest.raises(IndexError):
             ref_instance.value(1, 5)
+
+
+class TestScaledValues:
+    def test_rows_are_values_times_least_common_denominator(self):
+        inst = make_instance(2, 3, [[0, Fraction(1, 2), Fraction(2, 3)], [0, 0, 0]])
+        assert inst.scaled_values == (6, ((0, 3, 4), (0, 0, 0)))
+
+    def test_integer_and_all_zero_values_keep_scale_one(self, ref_instance):
+        assert ref_instance.scaled_values == (1, ((10, 10, 21, 22), (0, 1, 6, 8)))
+        assert make_instance(1, 2, [[0, 0]]).scaled_values == (1, ((0, 0),))
+
+    def test_randomized_rationals(self):
+        rng = random.Random(17)
+        for _ in range(50):
+            n, m = rng.randint(1, 4), rng.randint(1, 6)
+            values = [[Fraction(rng.randint(0, 12), rng.randint(1, 9)) for _ in range(m)]
+                      for _ in range(n)]
+            scale, rows = make_instance(n, m, values).scaled_values
+            assert scale == math.lcm(*(v.denominator for row in values for v in row))
+            for row, scaled in zip(values, rows):
+                assert all(type(w) is int for w in scaled)
+                assert [Fraction(w, scale) for w in scaled] == row
+
+    def test_computed_once_per_instance(self, ref_instance, monkeypatch):
+        calls = []
+        lcm = math.lcm
+        monkeypatch.setattr(core.math, "lcm", lambda *args: calls.append(args) or lcm(*args))
+        view = ref_instance.scaled_values
+        assert ref_instance.scaled_values is view
+        assert len(calls) == 1
+        # an equal instance has its own view
+        twin = make_instance(2, 4, [list(row) for row in ref_instance.values])
+        assert twin.scaled_values == view
+        assert len(calls) == 2
+
+    def test_not_a_field(self, ref_instance):
+        assert [f.name for f in dataclasses.fields(Instance)] == ["n", "m", "values"]
+        fresh = make_instance(2, 4, [list(row) for row in ref_instance.values])
+        before = (repr(fresh), hash(fresh))
+        ref_instance.scaled_values
+        assert ref_instance == fresh
+        assert (repr(ref_instance), hash(ref_instance)) == before
+        assert "scaled" not in repr(ref_instance)
 
 
 class TestBundleValue:

@@ -9,6 +9,7 @@ from fairbalance import graph
 from fairbalance.core import InternalInvariantError, NegativeCycleError, make_allocation, make_instance
 from fairbalance.graph import (
     ROOT,
+    Potentials,
     agent_node,
     build_exchange_graph,
     compute_potentials,
@@ -16,6 +17,7 @@ from fairbalance.graph import (
     detect_negative_cycle,
     good_node,
 )
+from fairbalance.lp import verify_complementary_slackness
 from fairbalance.verify import certify_fpo
 
 from conftest import alloc, brute_max_welfare, permutation_enumerate, random_alpha, random_instance
@@ -197,6 +199,44 @@ class TestComputePotentials:
                 if value == best:
                     pot = compute_potentials(inst, a, alpha)
                     assert pot.q[0] == pot.q[1]
+
+
+class TestPotentialsFeasibility:
+    @pytest.mark.parametrize("q,p", [
+        ((0,), (0, 0, 0, 0)),
+        ((0, 0, 0), (0, 0, 0, 0)),
+        ((0, 0), (0, 0, 0)),
+        ((0, 0), (0, 0, 0, 0, 0)),
+    ], ids=["short-q", "long-q", "short-p", "long-p"])
+    def test_wrong_shape_raises(self, ref_instance, q, p):
+        big = Potentials(q=tuple(Fraction(x + 50) for x in q), p=tuple(Fraction(x) for x in p))
+        with pytest.raises(ValueError, match="2 agent and 4 good entries"):
+            big.is_feasible(ref_instance, ONE)
+        with pytest.raises(ValueError, match="2 agent and 4 good entries"):
+            verify_complementary_slackness(ref_instance, alloc({3, 4}, {1, 2}), big, ONE)
+
+    def test_wrong_alpha_length_raises(self, ref_instance):
+        pot = compute_potentials(ref_instance, alloc({3, 4}, {1, 2}), ONE)
+        with pytest.raises(ValueError, match="entries"):
+            pot.is_feasible(ref_instance, (Fraction(1),))
+
+    def test_tight_boundary_over_large_mixed_denominator(self):
+        v1, v2 = Fraction(10 ** 12 + 39, 999983), Fraction(7, 1000003)
+        inst = make_instance(1, 2, [[v1, v2]])
+        alpha = (Fraction(13, 17),)
+        q = Fraction(5, 19)
+        tight = Potentials(q=(q,), p=(alpha[0] * v1 - q, alpha[0] * v2 - q + Fraction(1, 23)))
+        assert tight.is_feasible(inst, alpha)
+        # good 1 is tight and good 2 slack: feasible but not complementary-slack
+        assert not verify_complementary_slackness(inst, alloc({1, 2}), tight, alpha)
+        unit = Fraction(1, 17 * 999983 * 19)  # one unit over p_1's denominator
+        assert tight.p[0].denominator == unit.denominator
+        for shift, feasible in ((-unit, False), (unit, True)):
+            moved = Potentials(q=tight.q, p=(tight.p[0] + shift, tight.p[1]))
+            assert moved.is_feasible(inst, alpha) is feasible
+        below = Potentials(q=tight.q, p=(tight.p[0] - unit, tight.p[1]))
+        with pytest.raises(ValueError, match="dual feasible"):
+            verify_complementary_slackness(inst, alloc({1, 2}), below, alpha)
 
 
 class TestGolden:

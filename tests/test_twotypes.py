@@ -94,6 +94,60 @@ class TestCriticalValues:
                 assert grid.delta < g < grid.upper
 
 
+def reference_criticals(u1, u2, delta):
+    """The grid's ratios by the pair formula, in Fractions."""
+    ratios = {(a - ap) / (b - bp) for a, b in zip(u1, u2) for ap, bp in zip(u1, u2)
+              if a > ap and b > bp}
+    return tuple(sorted(r for r in ratios if delta < r < 1 / delta))
+
+
+class TestCriticalValuesAgainstFractions:
+    VALUES = [0, 0, 1, 2, 3, 7, Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), Fraction(9, 4)]
+
+    def rows(self, rng):
+        m = rng.randint(2, 10)
+        return ([rng.choice(self.VALUES) for _ in range(m)],
+                [rng.choice(self.VALUES) for _ in range(m)])
+
+    def test_pair_formula_on_seeded_rows(self):
+        rng = random.Random(6271)
+        nonempty = 0
+        for _ in range(300):
+            u1, u2 = self.rows(rng)
+            try:
+                grid = critical_values(u1, u2)
+            except AllValuesEqual:
+                continue
+            assert grid.delta == compute_delta(u1, u2)
+            assert grid.criticals == reference_criticals(
+                [Fraction(v) for v in u1], [Fraction(v) for v in u2], grid.delta)
+            assert all(type(g) is Fraction for g in grid.criticals)
+            nonempty += bool(grid.criticals)
+        assert nonempty >= 100
+
+    def test_ratios_equal_to_delta_or_its_inverse_are_excluded(self, monkeypatch):
+        # compute_delta keeps every ratio strictly inside, so pin delta to a ratio
+        rng = random.Random(6277)
+        hits = 0
+        for _ in range(200):
+            u1, u2 = self.rows(rng)
+            try:
+                full = critical_values(u1, u2).criticals
+            except AllValuesEqual:
+                continue
+            if len(full) < 3:
+                continue
+            for delta in (full[0], 1 / full[-1], full[1], 1 / full[-2]):
+                monkeypatch.setattr(twotypes, "compute_delta", lambda *rows, d=delta: d)
+                got = critical_values(u1, u2).criticals
+                assert got == reference_criticals(
+                    [Fraction(v) for v in u1], [Fraction(v) for v in u2], delta)
+                assert delta not in got and 1 / delta not in got
+                hits += 1
+            monkeypatch.undo()
+        assert hits >= 100
+
+
 class TestOptimalSplit:
     def test_reference_at_one(self):
         assert optimal_split(REF_U1, REF_U2, Fraction(1), 1, 2).s == frozenset({3, 4})

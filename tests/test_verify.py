@@ -51,6 +51,48 @@ class TestIsEf1:
             assert is_ef1(ref_instance, a).holds is verdict
 
 
+def reference_ef1(inst, a):
+    """EF1 verdict and witness summed in Fractions, straight from the definition."""
+    for i in inst.agents():
+        own = sum((inst.value(i, j) for j in a.bundle(i)), Fraction(0))
+        for other in inst.agents():
+            their = [inst.value(i, j) for j in a.bundle(other)]
+            if other == i or not their:
+                continue
+            rest = sum(their, Fraction(0)) - max(their)
+            if own < rest:
+                return False, {"envier": i, "envied": other, "own_value": own,
+                               "their_value_minus_best": rest}
+    return True, None
+
+
+class TestIsEf1AgainstFractions:
+    VALUES = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(5, 4),
+              Fraction(7, 3), Fraction(3), Fraction(22, 7)]
+
+    def test_same_verdict_and_witness(self):
+        rng = random.Random(4409)
+        verdicts = {True: 0, False: 0}
+        for trial in range(600):
+            n = rng.randint(1, 4)
+            balanced = trial % 2 == 0
+            m = n * rng.randint(1, 3) if balanced else rng.randint(1, 8)
+            palette = rng.sample(self.VALUES, rng.randint(2, 4))  # few values: many ties
+            inst = make_instance(n, m, [[rng.choice(palette) for _ in range(m)] for _ in range(n)])
+            owners = [i for i in range(n) for _ in range(m // n)] if balanced else \
+                [rng.randrange(n) for _ in range(m)]  # unbalanced owners leave bundles empty
+            rng.shuffle(owners)
+            a = alloc(*[{j + 1 for j, o in enumerate(owners) if o == i} for i in range(n)])
+            holds, witness = reference_ef1(inst, a)
+            v = is_ef1(inst, a)
+            assert (v.holds, v.witness) == (holds, witness)
+            if witness is not None:
+                assert type(v.witness["own_value"]) is Fraction
+                assert type(v.witness["their_value_minus_best"]) is Fraction
+            verdicts[holds] += 1
+        assert min(verdicts.values()) >= 100
+
+
 class TestIsPEf1:
     def test_uniform_prices_balanced(self):
         prices = [Fraction(2)] * 4
