@@ -11,7 +11,6 @@ from .bivalued import check_bivalued_fpo, slot_weight, solve_bivalued
 from .core import (
     Allocation,
     Bivalued,
-    FractionalAllocation,
     General,
     Instance,
     Rational,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Allocation",
     "Bivalued",
-    "FractionalAllocation",
     "General",
     "Instance",
     "Potentials",

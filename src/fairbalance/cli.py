@@ -265,10 +265,16 @@ def _check_max_states(args) -> None:
 
 def cmd_check(args) -> int:
     _check_max_states(args)
-    inst = parse_instance(load_json(args.instance))
+    # --ef1, --pef1 and --fpo --unconstrained take any shape, e.g. the input
+    # of the reduce command
+    inst = parse_instance(load_json(args.instance), require_balanced_shape=False)
     alloc = parse_allocation(load_json(args.allocation), inst)
-    if (args.po or (args.fpo and not args.unconstrained)) and not alloc.is_balanced(inst):
-        raise InputError(f"allocation is not balanced (every bundle needs {inst.k} goods)")
+    if args.po or (args.fpo and not args.unconstrained):
+        if inst.m % inst.n != 0:
+            raise InputError(f"m={inst.m} is not a multiple of n={inst.n}, so no allocation is "
+                             "balanced (--po and --fpo need one; use --fpo --unconstrained)")
+        if not alloc.is_balanced(inst):
+            raise InputError(f"allocation is not balanced (every bundle needs {inst.k} goods)")
     if args.pef1 is not None and not all(alloc.bundles):
         raise InputError("price EF1 needs non-empty bundles")
     requested = False
@@ -287,7 +293,7 @@ def cmd_check(args) -> int:
                 print("fpo: holds")
         else:
             if not args.quiet:
-                dominating = [[rational_to_json(v) for v in row] for row in res.dominating.x]
+                dominating = [[rational_to_json(v) for v in row] for row in res.dominating]
                 print(f"fpo: fails  dominated by fractional allocation {dominating} "
                       f"(total surplus {rational_to_json(res.improvement)})")
             all_hold = False

@@ -182,18 +182,6 @@ def check_allocation(inst: Instance, alloc: Allocation, balanced: bool = False) 
 
 
 @dataclass(frozen=True)
-class FractionalAllocation:
-    """An n x m matrix of Fractions in [0, 1] whose column sums are 1, read
-    off an allocation LP: ``check_fpo``'s dominating allocation (rows sum to
-    ``k`` in balanced mode only) or the welfare primal's vertex."""
-
-    x: tuple
-
-    def entry(self, agent: int, good: int) -> Fraction:
-        return self.x[agent - 1][good - 1]
-
-
-@dataclass(frozen=True)
 class Solution:
     """A solver's allocation with its fPO certificate.
 

@@ -86,9 +86,6 @@ class Potentials:
     q: tuple
     p: tuple
 
-    def price(self, good: int) -> Fraction:
-        return self.p[good - 1]
-
     def objective(self, k: int) -> Fraction:
         return k * sum(self.q, Fraction(0)) + sum(self.p, Fraction(0))
 

@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 
 from .core import (
     Allocation,
-    FractionalAllocation,
     Instance,
     InternalInvariantError,
     bundle_value,
@@ -30,7 +29,7 @@ class LPError(Exception):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max c.x subject to A x = b, x >= 0, all entries Rational."""
+    """max c.x subject to A x = b, x >= 0, all entries Rational, b >= 0."""
 
     c: tuple
     a: tuple
@@ -41,56 +40,49 @@ class LinearProgram:
             raise ValueError("constraint width does not match objective length")
         if len(self.a) != len(self.b):
             raise ValueError("constraint count does not match rhs length")
+        if any(v < 0 for v in self.b):
+            raise ValueError("right-hand side must be nonnegative")
 
 
 @dataclass(frozen=True)
 class SimplexResult:
     x: tuple
     objective: Fraction
-    duals: tuple  # one multiplier per constraint row
 
 
 _ZERO = Fraction(0)
 
 
 def solve_lp(lp: LinearProgram) -> SimplexResult:
-    """Two-phase simplex; returns an optimal vertex and row duals.
+    """Two-phase simplex; returns an optimal vertex and its objective.
 
-    Raises LPError on infeasibility or unboundedness (the LPs in this
-    package are feasible and bounded by construction, so either signals a
-    caller bug).
+    Phase I starts from one artificial column per row; phase II drops
+    those columns and pivots on the structural ones alone.  Raises LPError
+    on infeasibility or unboundedness (the LPs in this package are
+    feasible and bounded by construction, so either signals a caller bug).
     """
     nstruct = len(lp.c)
     nrows = len(lp.a)
-
-    # normalize rhs >= 0, remembering flipped rows for the dual signs
-    rows = []
-    rhs = []
-    flipped = []
-    for i in range(nrows):
-        if lp.b[i] < 0:
-            rows.append([-x for x in lp.a[i]])
-            rhs.append(-lp.b[i])
-            flipped.append(True)
-        else:
-            rows.append(list(lp.a[i]))
-            rhs.append(lp.b[i])
-            flipped.append(False)
-
-    ncols = nstruct + nrows  # artificial column per row
     tableau = []
     for i in range(nrows):
-        row = rows[i] + [_ZERO] * nrows + [rhs[i]]
+        row = list(lp.a[i]) + [_ZERO] * nrows + [lp.b[i]]
         row[nstruct + i] = Fraction(1)
         tableau.append(row)
+    # basis entries >= nstruct are artificial columns, also in phase II
     basis = [nstruct + i for i in range(nrows)]
-    art_start = nstruct
+    # a fixed limit for both phases, so the switch to Bland's rule does not
+    # depend on the width of the tableau
+    stall_limit = 4 * (nstruct + 2 * nrows) + 32
 
-    def run_phase(costs, allow_artificial_entering, expel_artificials):
-        # reduced-cost row for the given costs under the current basis
-        z = [costs[j] for j in range(ncols)]
+    def run_phase(costs, expel_artificials):
+        # reduced-cost row for the given costs (one per tableau column) under
+        # the current basis; a basic artificial outside the columns costs 0
+        ncols = len(costs)
+        z = list(costs)
         zval = _ZERO
         for r in range(nrows):
+            if basis[r] >= ncols:
+                continue
             cb = costs[basis[r]]
             if cb != 0:
                 trow = tableau[r]
@@ -101,38 +93,36 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
 
         bland = False
         stall = 0
-        stall_limit = 4 * (nrows + ncols) + 32
         while True:
             enter = None
             if bland:
                 for j in range(ncols):
-                    if z[j] > 0 and (allow_artificial_entering or j < art_start):
+                    if z[j] > 0:
                         enter = j
                         break
             else:
                 best = _ZERO
                 for j in range(ncols):
-                    if z[j] > best and (allow_artificial_entering or j < art_start):
+                    if z[j] > best:
                         best = z[j]
                         enter = j
             if enter is None:
-                return z, zval
+                return zval
 
             # leaving row: minimum ratio; in phase II a zero-level basic
-            # artificial with a negative entering coefficient would drift
-            # positive, so expel it first (degenerate, feasible pivot)
+            # artificial with a nonzero entering coefficient would drift
+            # off zero, so expel it first (degenerate, feasible pivot)
             leave = None
             best_ratio = None
             for r in range(nrows):
                 coef = tableau[r][enter]
                 if (
                     expel_artificials
-                    and basis[r] >= art_start
+                    and basis[r] >= nstruct
                     and tableau[r][ncols] == 0
                     and coef != 0
                 ):
                     leave = r
-                    best_ratio = _ZERO
                     break
                 if coef > 0:
                     ratio = tableau[r][ncols] / coef
@@ -176,25 +166,20 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
                     if stall > stall_limit:
                         bland = True
 
-    # Phase I: drive artificials to zero
-    phase1_costs = [_ZERO] * nstruct + [Fraction(-1)] * nrows
-    _, zval1 = run_phase(phase1_costs, allow_artificial_entering=True, expel_artificials=False)
-    if zval1 != 0:
+    # Phase I: drive artificials to zero; they may re-enter here
+    if run_phase([_ZERO] * nstruct + [Fraction(-1)] * nrows, expel_artificials=False) != 0:
         raise LPError("infeasible constraint system")
 
-    # Phase II: optimize the real objective; artificials stay barred
-    phase2_costs = list(lp.c) + [_ZERO] * nrows
-    z, zval = run_phase(phase2_costs, allow_artificial_entering=False, expel_artificials=True)
+    # Phase II: optimize the real objective on the structural columns
+    for r in range(nrows):
+        tableau[r] = tableau[r][:nstruct] + tableau[r][-1:]
+    zval = run_phase(list(lp.c), expel_artificials=True)
 
     x = [_ZERO] * nstruct
     for r in range(nrows):
         if basis[r] < nstruct:
-            x[basis[r]] = tableau[r][ncols]
-    duals = []
-    for i in range(nrows):
-        y = -z[art_start + i]
-        duals.append(-y if flipped[i] else y)
-    return SimplexResult(x=tuple(x), objective=zval, duals=tuple(duals))
+            x[basis[r]] = tableau[r][nstruct]
+    return SimplexResult(x=tuple(x), objective=zval)
 
 
 # --- allocation LPs ----------------------------------------------------------
@@ -225,9 +210,9 @@ def _assignment_rows(inst: Instance, width: int, balanced: bool) -> tuple:
     return rows, b
 
 
-def _x_matrix(inst: Instance, x: Sequence[Fraction]) -> FractionalAllocation:
-    """The n x m matrix of the x variables of an LP solution."""
-    return FractionalAllocation(tuple(x[i * inst.m:(i + 1) * inst.m] for i in range(inst.n)))
+def _x_matrix(inst: Instance, x: Sequence[Fraction]) -> tuple:
+    """The n x m matrix of the x variables of an LP solution, as row tuples."""
+    return tuple(tuple(x[i * inst.m:(i + 1) * inst.m]) for i in range(inst.n))
 
 
 def _primal_program(inst: Instance, alpha: Sequence[Fraction]) -> LinearProgram:
@@ -249,27 +234,13 @@ def solve_primal(inst: Instance, alpha: Sequence[Fraction]) -> tuple:
     """
     _check_alpha(inst, alpha)
     res = solve_lp(_primal_program(inst, alpha))
-    try:
-        alloc = vertex_allocation(_x_matrix(inst, res.x))
-    except ValueError as exc:
-        raise InternalInvariantError("transportation vertex must be integral") from exc
+    if any(v != 0 and v != 1 for v in res.x):
+        raise InternalInvariantError("transportation vertex must be integral")
+    alloc = make_allocation({j for j, v in enumerate(row, start=1) if v == 1}
+                            for row in _x_matrix(inst, res.x))
     if not alloc.is_balanced(inst):
         raise InternalInvariantError("transportation vertex must be a balanced allocation")
     return alloc, res.objective
-
-
-def vertex_allocation(x: FractionalAllocation) -> Allocation:
-    """Integral matrix -> Allocation (raises if any entry is fractional)."""
-    bundles = []
-    for row in x.x:
-        bundle = set()
-        for j, v in enumerate(row, start=1):
-            if v == 1:
-                bundle.add(j)
-            elif v != 0:
-                raise ValueError("matrix is fractional")
-        bundles.append(bundle)
-    return make_allocation(bundles)
 
 
 def solve_dual(inst: Instance, alpha: Sequence[Fraction]) -> Potentials:
@@ -307,10 +278,11 @@ def solve_dual(inst: Instance, alpha: Sequence[Fraction]) -> Potentials:
 
 @dataclass(frozen=True)
 class FpoResult:
-    """Outcome of the fPO check: either optimal, or a dominating matrix."""
+    """Outcome of the fPO check: either optimal, or a dominating n x m
+    matrix of Fractions (a tuple of agent rows, column sums 1)."""
 
     is_fpo: bool
-    dominating: Optional[FractionalAllocation]
+    dominating: Optional[tuple]
     improvement: Fraction
 
 

@@ -103,16 +103,16 @@ class TypedAllocation:
 def compute_delta(u1: Sequence, u2: Sequence) -> Fraction:
     """Smallest positive same-type value difference scaled by one plus the
     largest value; every interesting weight ratio lies in (delta, 1/delta)."""
-    u1 = [as_rational(v) for v in u1]
-    u2 = [as_rational(v) for v in u2]
+    # in ints over a common denominator: g/(1+M) is (scale*g)/(scale + scale*M)
+    scale, rows = integer_rows((u1, u2))
     # the smallest difference lies between neighbours in sorted order
     gaps = []
-    for row in (u1, u2):
+    for row in rows:
         values = sorted(set(row))
         gaps += [b - a for a, b in zip(values, values[1:])]
     if not gaps:
         raise AllValuesEqual("no two goods differ within either type")
-    return min(gaps) / (1 + max(max(u1), max(u2)))
+    return Fraction(min(gaps), scale + max(max(row) for row in rows))
 
 
 def critical_values(u1: Sequence, u2: Sequence) -> GammaGrid:

@@ -18,9 +18,9 @@ from fairbalance.core import classify, Bivalued, TwoType
 from conftest import REF_VALUES
 
 REF_FILE = {"n": 2, "m": 4, "valuations": REF_VALUES}
-GOLDEN = json.loads(
-    (pathlib.Path(__file__).parent / "fixtures" / "solve_golden.json").read_text(encoding="utf-8")
-)
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+GOLDEN = json.loads((FIXTURES / "solve_golden.json").read_text(encoding="utf-8"))
+CHECK_FPO_GOLDEN = json.loads((FIXTURES / "check_fpo_golden.json").read_text(encoding="utf-8"))
 EMPTY_INSTANCE = {"n": 0, "m": 0, "valuations": []}
 
 
@@ -154,6 +154,21 @@ def test_solve_golden_bytes(case, algorithm, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("case", CHECK_FPO_GOLDEN, ids=lambda case: case["name"])
+def test_check_fpo_golden_bytes(case, tmp_path, capsys):
+    """stdout, stderr and exit code of a failing ``check --fpo``, frozen
+    before the simplex lost its row duals.  The printed dominating matrix
+    is the vertex the pivot sequence lands on, so any change to a pivot
+    decision shows here.  The 70 cases are seeded rational instances from
+    2x4 to 4x12 with random balanced allocations (56 cases) or random
+    partitions checked with ``--unconstrained`` (14 cases)."""
+    ipath = write_json(tmp_path / "inst.json", case["instance"])
+    apath = write_json(tmp_path / "alloc.json", case["allocation"])
+    code = main(["check", ipath, apath, *case["flags"]])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
+
+
 class TestCertificateGate:
     """solve writes a certified result only when alpha > 0, dual
     feasibility and complementary slackness all re-verify."""
@@ -276,6 +291,42 @@ class TestCheck:
         assert capsys.readouterr().out.startswith("ef1: fails  witness: {'envier': 2")
         assert main(["check", ref_path, apath, "--fpo", "--unconstrained"]) == 0
         assert capsys.readouterr().out == "fpo: holds\n"
+
+
+class TestCheckUnbalancedShape:
+    """m not a multiple of n: the instance the reduce command starts from."""
+
+    INSTANCE = {"n": 2, "m": 3, "valuations": [[3, 1, 2], [1, 2, 2]]}
+
+    @pytest.fixture
+    def inst_path(self, tmp_path):
+        return write_json(tmp_path / "odd.json", self.INSTANCE)
+
+    def test_ef1_and_unconstrained_fpo_hold(self, inst_path, tmp_path, capsys):
+        apath = write_json(tmp_path / "a.json", {"allocation": [[1], [2, 3]]})
+        assert main(["check", inst_path, apath, "--ef1", "--fpo", "--unconstrained"]) == 0
+        assert capsys.readouterr().out == "ef1: holds\nfpo: holds\n"
+
+    def test_unconstrained_fpo_fails_with_surplus_1(self, inst_path, tmp_path, capsys):
+        apath = write_json(tmp_path / "a.json", {"allocation": [[1, 2], [3]]})
+        assert main(["check", inst_path, apath, "--ef1", "--fpo", "--unconstrained"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("ef1: holds\nfpo: fails  dominated by")
+        assert out.endswith("(total surplus 1)\n")
+
+    @pytest.mark.parametrize("flag", ["--po", "--fpo"])
+    def test_balanced_checks_exit_2(self, inst_path, tmp_path, capsys, flag):
+        apath = write_json(tmp_path / "a.json", {"allocation": [[1], [2, 3]]})
+        assert main(["check", inst_path, apath, flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: m=3 is not a multiple of n=2")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["solve", "enumerate"])
+    def test_solve_and_enumerate_refuse_the_shape(self, inst_path, capsys, command):
+        assert main([command, inst_path]) == 2
+        assert capsys.readouterr().err == "error: m=3 is not a multiple of n=2 (use the reduce command)\n"
 
 
 class TestEnumerate:

@@ -42,7 +42,11 @@ class TestSimplexCore:
         )
         res = solve_lp(lp)
         assert res.objective == 1
-        assert res.duals == (1,)
+
+    def test_negative_rhs_raises(self):
+        one = Fraction(1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            LinearProgram(c=(one, one), a=((one, -one),), b=(Fraction(-1),))
 
     def test_redundant_rows(self):
         # x + y = 1 stated twice plus x - y = 0
@@ -120,12 +124,12 @@ class TestCheckFpo:
         res = check_fpo(ref_instance, alloc({1, 4}, {2, 3}))
         assert not res.is_fpo
         x = res.dominating
-        assert all(0 <= v <= 1 for row in x.x for v in row)
-        assert all(sum(x.entry(i, j) for i in (1, 2)) == 1 for j in ref_instance.goods())
-        assert all(sum(row) == ref_instance.k for row in x.x)
+        assert all(0 <= v <= 1 for row in x for v in row)
+        assert all(sum(x[i - 1][j - 1] for i in (1, 2)) == 1 for j in ref_instance.goods())
+        assert all(sum(row) == ref_instance.k for row in x)
         mine = [bundle_value(ref_instance, i, {1, 4} if i == 1 else {2, 3}) for i in (1, 2)]
         theirs = [
-            sum(x.entry(i, j) * ref_instance.value(i, j) for j in ref_instance.goods())
+            sum(x[i - 1][j - 1] * ref_instance.value(i, j) for j in ref_instance.goods())
             for i in (1, 2)
         ]
         assert all(t >= m for t, m in zip(theirs, mine))
@@ -161,7 +165,7 @@ class TestCheckFpo:
                 else:
                     x = res.dominating
                     theirs = [
-                        sum(x.entry(i, j) * inst.value(i, j) for j in inst.goods())
+                        sum(x[i - 1][j - 1] * inst.value(i, j) for j in inst.goods())
                         for i in inst.agents()
                     ]
                     assert all(t >= m_ for t, m_ in zip(theirs, mine))
@@ -176,7 +180,7 @@ class TestCheckFpo:
         res = check_fpo(inst, a, mode="unconstrained")
         assert not res.is_fpo
         x = res.dominating
-        assert sum(x.entry(1, j) * 5 for j in (1, 2)) > 5
+        assert sum(x[0][j - 1] * 5 for j in (1, 2)) > 5
 
     def test_rejects_unknown_mode(self, ref_instance):
         with pytest.raises(ValueError):
@@ -236,7 +240,7 @@ def _fake_solve_lp(x, objective=Fraction(0)):
     """A solve_lp stand-in returning x (padded with zeros) as the optimum."""
     def fake(program):
         padded = tuple(x) + (Fraction(0),) * (len(program.c) - len(x))
-        return SimplexResult(x=padded, objective=objective, duals=(Fraction(0),) * len(program.b))
+        return SimplexResult(x=padded, objective=objective)
     return fake
 
 
@@ -272,7 +276,7 @@ class TestInvariantsRaise:
             "from fairbalance import lp\n"
             "from fairbalance.core import InternalInvariantError, make_allocation, make_instance\n"
             "lp.solve_lp = lambda program: lp.SimplexResult(\n"
-            "    x=(Fraction(0),) * len(program.c), objective=Fraction(-1), duals=())\n"
+            "    x=(Fraction(0),) * len(program.c), objective=Fraction(-1))\n"
             "inst = make_instance(2, 4, [[10, 10, 21, 22], [0, 1, 6, 8]])\n"
             "try:\n"
             "    lp.check_fpo(inst, make_allocation([{1, 3}, {2, 4}]))\n"

@@ -40,6 +40,14 @@ SWEEP_GOLDEN = json.loads(
 
 REF_U1 = [10, 10, 21, 22]
 REF_U2 = [0, 1, 6, 8]
+SEEDED_VALUES = [0, 0, 1, 2, 3, 7, Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), Fraction(9, 4)]
+
+
+def seeded_rows(rng):
+    """Two value rows of one random length, with ties, zeros and fractions."""
+    m = rng.randint(2, 10)
+    return ([rng.choice(SEEDED_VALUES) for _ in range(m)],
+            [rng.choice(SEEDED_VALUES) for _ in range(m)])
 
 
 class TestComputeDelta:
@@ -55,6 +63,25 @@ class TestComputeDelta:
     def test_all_equal_raises(self):
         with pytest.raises(AllValuesEqual):
             compute_delta([3, 3], [5, 5])
+
+    def test_fraction_formula_on_seeded_rows(self):
+        # the smallest same-type gap over one plus the largest value, in Fractions
+        def reference_delta(u1, u2):
+            gaps = [a - b for row in (u1, u2) for a in row for b in row if a > b]
+            return min(gaps) / (1 + max(u1 + u2))
+
+        rng = random.Random(6263)
+        checked = 0
+        for _ in range(300):
+            u1, u2 = ([Fraction(v) for v in row] for row in seeded_rows(rng))
+            if len(set(u1)) == len(set(u2)) == 1:
+                with pytest.raises(AllValuesEqual):
+                    compute_delta(u1, u2)
+                continue
+            delta = compute_delta(u1, u2)
+            assert type(delta) is Fraction and delta == reference_delta(u1, u2)
+            checked += 1
+        assert checked >= 250
 
 
 class TestCriticalValues:
@@ -102,18 +129,11 @@ def reference_criticals(u1, u2, delta):
 
 
 class TestCriticalValuesAgainstFractions:
-    VALUES = [0, 0, 1, 2, 3, 7, Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), Fraction(9, 4)]
-
-    def rows(self, rng):
-        m = rng.randint(2, 10)
-        return ([rng.choice(self.VALUES) for _ in range(m)],
-                [rng.choice(self.VALUES) for _ in range(m)])
-
     def test_pair_formula_on_seeded_rows(self):
         rng = random.Random(6271)
         nonempty = 0
         for _ in range(300):
-            u1, u2 = self.rows(rng)
+            u1, u2 = seeded_rows(rng)
             try:
                 grid = critical_values(u1, u2)
             except AllValuesEqual:
@@ -130,7 +150,7 @@ class TestCriticalValuesAgainstFractions:
         rng = random.Random(6277)
         hits = 0
         for _ in range(200):
-            u1, u2 = self.rows(rng)
+            u1, u2 = seeded_rows(rng)
             try:
                 full = critical_values(u1, u2).criticals
             except AllValuesEqual:
