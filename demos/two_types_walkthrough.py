@@ -13,7 +13,7 @@ from fractions import Fraction
 from fairbalance import check_fpo, is_ef1, make_instance, solve_two_types
 from fairbalance.twotypes import (
     _deal,
-    _potentials_at,
+    _potentials_of,
     _two_type_view,
     compute_delta,
     critical_values,
@@ -42,10 +42,10 @@ for gamma in (delta, Fraction(1), Fraction(3, 2), grid.upper):
     )
     lo, hi = grid.interval(ell)
     split = optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
-    pot = _potentials_at(inst, view, split, gamma)
-    typed = _deal(inst, view, split, gamma, pot)
-    print(f"  gamma={str(gamma):7s} type-1 bundles {[sorted(b) for b in typed.x_bundles]} "
-          f"type-2 bundles {[sorted(b) for b in typed.y_bundles]} "
+    dealt = _deal(inst, view, split)
+    pot = _potentials_of(inst, view, dealt, gamma)
+    print(f"  gamma={str(gamma):7s} type-1 bundles {[sorted(dealt.bundle(i)) for i in view.members1]} "
+          f"type-2 bundles {[sorted(dealt.bundle(i)) for i in view.members2]} "
           f"prices {[str(p) for p in pot.p]}")
 
 solution = solve_two_types(inst)

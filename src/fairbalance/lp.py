@@ -16,6 +16,7 @@ from .core import (
     Allocation,
     Instance,
     InternalInvariantError,
+    as_rational,
     bundle_value,
     check_allocation,
     make_allocation,
@@ -29,13 +30,20 @@ class LPError(Exception):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max c.x subject to A x = b, x >= 0, all entries Rational, b >= 0."""
+    """max c.x subject to A x = b, x >= 0, all entries Rational, b >= 0.
+
+    Entries are stored as Fractions, so the simplex divides exactly; an
+    int is converted and a float raises TypeError."""
 
     c: tuple
     a: tuple
     b: tuple
 
     def __post_init__(self):
+        rational = lambda row: tuple(as_rational(v) for v in row)
+        object.__setattr__(self, "c", rational(self.c))
+        object.__setattr__(self, "a", tuple(rational(row) for row in self.a))
+        object.__setattr__(self, "b", rational(self.b))
         if any(len(row) != len(self.c) for row in self.a):
             raise ValueError("constraint width does not match objective length")
         if len(self.a) != len(self.b):

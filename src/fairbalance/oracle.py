@@ -116,10 +116,3 @@ def full_report(inst: Instance, max_states: int = 10 ** 4) -> EnumerationReport:
             )
         )
     return EnumerationReport(records=tuple(records))
-
-
-def max_weighted_welfare(inst: Instance, alpha, max_states: int = 10 ** 6) -> Fraction:
-    """Enumerated maximum of the alpha-weighted welfare (solver oracle)."""
-    return max(
-        utilitarian_value(inst, a, alpha) for a in enumerate_balanced(inst, max_states)
-    )

@@ -14,11 +14,11 @@ maximizes the gamma-weighted welfare, so it is fPO.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import verify as verify_mod
 from .core import (
@@ -89,17 +89,6 @@ class Split:
     t: frozenset
 
 
-@dataclass(frozen=True)
-class TypedAllocation:
-    """Bundles per type in deal order, with their gamma and, once computed,
-    the potentials at that gamma."""
-
-    x_bundles: tuple
-    y_bundles: tuple
-    gamma: Fraction
-    potentials: Optional[Potentials] = None
-
-
 def compute_delta(u1: Sequence, u2: Sequence) -> Fraction:
     """Smallest positive same-type value difference scaled by one plus the
     largest value; every interesting weight ratio lies in (delta, 1/delta)."""
@@ -165,20 +154,21 @@ def round_robin_by_price(goods, prices: Sequence, agents: int, k: int) -> tuple:
     return tuple(frozenset(b) for b in bundles)
 
 
-def _condition_gaps(t: TypedAllocation) -> tuple:
-    """How far conditions (a) and (b) hold: each is satisfied exactly when
-    its gap is nonnegative."""
-    p = t.potentials.p
+def _condition_gaps(view: TwoType, alloc: Allocation, p: Sequence) -> tuple:
+    """How far conditions (a) and (b) hold for a dealt allocation at prices
+    p: each is satisfied exactly when its gap is nonnegative.  A type's
+    first member holds its richest bundle and its last member its poorest."""
     price, drop = verify_mod.price_sum, verify_mod.price_drop_top
-    return (price(p, t.x_bundles[-1]) - drop(p, t.y_bundles[0]),
-            price(p, t.y_bundles[-1]) - drop(p, t.x_bundles[0]))
+    x, y = view.members1, view.members2
+    return (price(p, alloc.bundle(x[-1])) - drop(p, alloc.bundle(y[0])),
+            price(p, alloc.bundle(y[-1])) - drop(p, alloc.bundle(x[0])))
 
 
-def conditions_ab(t: TypedAllocation) -> tuple:
+def conditions_ab(view: TwoType, alloc: Allocation, p: Sequence) -> tuple:
     """Condition (a): the poorest type-1 bundle still prices at least the
     richest type-2 bundle minus its best good; (b) is the mirror image.
     At least one always holds."""
-    a_holds, b_holds = (gap >= 0 for gap in _condition_gaps(t))
+    a_holds, b_holds = (gap >= 0 for gap in _condition_gaps(view, alloc, p))
     if not (a_holds or b_holds):
         raise InternalInvariantError("both price conditions failed at once")
     return a_holds, b_holds
@@ -209,26 +199,19 @@ def _interval_split(inst: Instance, view: TwoType, grid: GammaGrid, ell: int) ->
     return optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
 
 
-def _deal(inst: Instance, view: TwoType, split: Split, gamma: Fraction,
-          pot: Optional[Potentials] = None) -> TypedAllocation:
-    """Deal each type's goods round-robin in descending value of that type."""
-    x_bundles = round_robin_by_price(split.s, view.u1, view.n1, inst.k)
-    y_bundles = round_robin_by_price(split.t, view.u2, view.n2, inst.k)
-    return TypedAllocation(x_bundles=x_bundles, y_bundles=y_bundles, gamma=gamma, potentials=pot)
-
-
-def _assemble(view: TwoType, typed: TypedAllocation) -> Allocation:
-    n = view.n1 + view.n2
-    bundles = [None] * n
-    for pos, agent in enumerate(view.members1):
-        bundles[agent - 1] = typed.x_bundles[pos]
-    for pos, agent in enumerate(view.members2):
-        bundles[agent - 1] = typed.y_bundles[pos]
+def _deal(inst: Instance, view: TwoType, split: Split) -> Allocation:
+    """Deal each type's goods round-robin in descending value of that type,
+    the richest bundle to the type's first member."""
+    bundles = [None] * inst.n
+    for goods, values, members in ((split.s, view.u1, view.members1),
+                                   (split.t, view.u2, view.members2)):
+        for agent, bundle in zip(members, round_robin_by_price(goods, values, len(members), inst.k)):
+            bundles[agent - 1] = bundle
     return Allocation(tuple(bundles))
 
 
-def _potentials_at(inst: Instance, view: TwoType, split: Split, gamma: Fraction) -> Potentials:
-    alloc = _assemble(view, _deal(inst, view, split, gamma))
+def _potentials_of(inst: Instance, view: TwoType, alloc: Allocation, gamma: Fraction) -> Potentials:
+    """Bellman-Ford potentials of a dealt allocation at weight ratio gamma."""
     return compute_potentials(inst, alloc, _alpha_for(view, inst.n, gamma))
 
 
@@ -273,7 +256,7 @@ class _PriceModel:
 
 def case1_sweep(inst: Instance, grid: GammaGrid, ell: int) -> tuple:
     """The least gamma in interval ell where both price conditions hold,
-    with its typed allocation.
+    with the interval's deal and its potentials there.
 
     The deal is fixed on the interval and every price is a value minus
     its type's potential, so both condition gaps are affine between the
@@ -284,38 +267,35 @@ def case1_sweep(inst: Instance, grid: GammaGrid, ell: int) -> tuple:
     view = _two_type_view(inst)
     lo, hi = grid.interval(ell)
     split = _interval_split(inst, view, grid, ell)
-    dealt = _deal(inst, view, split, lo)
-    at = lambda g: replace(dealt, gamma=g, potentials=_potentials_at(inst, view, split, g))
+    alloc = _deal(inst, view, split)
     points = sorted({lo, hi} | _PriceModel(view, split).kinks(lo, hi))
-    typed = {g: at(g) for g in points}
+    pots = {g: _potentials_of(inst, view, alloc, g) for g in points}
+    gaps = {g: _condition_gaps(view, alloc, pot.p) for g, pot in pots.items()}
     candidates = set(points)
     for left, right in zip(points, points[1:]):
-        for g_left, g_right in zip(_condition_gaps(typed[left]), _condition_gaps(typed[right])):
+        for g_left, g_right in zip(gaps[left], gaps[right]):
             if (g_left < 0) != (g_right < 0):
                 candidates.add(left + (right - left) * g_left / (g_left - g_right))
     for gamma in sorted(candidates):
-        t = typed[gamma] if gamma in typed else at(gamma)
-        if all(conditions_ab(t)):
-            return gamma, t
+        pot = pots[gamma] if gamma in pots else _potentials_of(inst, view, alloc, gamma)
+        if all(conditions_ab(view, alloc, pot.p)):
+            return gamma, alloc, pot
     raise SweepExhausted(f"interval {ell} had no point satisfying both conditions")
 
 
-def case2_exchange(inst: Instance, grid: GammaGrid, ell: int, pot: Potentials) -> Allocation:
-    """Walk from the interval-ell split to the interval-(ell+1) split one
-    good swap at a time at the shared gamma, re-dealing by value after
-    each swap, and return the first EF1 allocation.
+def case2_exchange(inst: Instance, view: TwoType, split: Split, target: Split,
+                   gamma: Fraction, pot: Potentials) -> Allocation:
+    """Walk from ``split`` to ``target``, the splits of two intervals that
+    share the end ``gamma``, one good swap at a time, re-dealing by value
+    after each swap, and return the first EF1 allocation.
 
-    ``pot`` are the potentials of the interval-ell deal at the shared gamma.
-    Every intermediate allocation is checked tight at them, hence stays fPO;
+    ``pot`` are the potentials of the ``split`` deal at ``gamma``.  Every
+    intermediate allocation is checked tight at them, hence stays fPO;
     potentials that are infeasible or not tight raise InternalInvariantError.
     """
-    view = _two_type_view(inst)
-    gamma = grid.endpoint(ell)
     alpha = _alpha_for(view, inst.n, gamma)
-    split = _interval_split(inst, view, grid, ell)
-    target = _interval_split(inst, view, grid, ell + 1)
     for _ in range(inst.m + 1):
-        alloc = _assemble(view, _deal(inst, view, split, gamma))
+        alloc = _deal(inst, view, split)
         try:
             tight = verify_complementary_slackness(inst, alloc, pot, alpha)
         except ValueError as exc:
@@ -329,7 +309,7 @@ def case2_exchange(inst: Instance, grid: GammaGrid, ell: int, pot: Potentials) -
         j_out = min(split.s - target.s)
         j_in = min(split.t - target.t)
         split = Split(s=split.s - {j_out} | {j_in}, t=split.t - {j_in} | {j_out})
-    raise ExchangeExhausted(f"no EF1 allocation between intervals {ell} and {ell + 1}")
+    raise ExchangeExhausted(f"no EF1 allocation on the exchange walk at gamma {gamma}")
 
 
 def _solution(inst: Instance, view: TwoType, alloc: Allocation, gamma: Fraction, pot: Potentials) -> Solution:
@@ -340,7 +320,7 @@ def _trivial_solution(inst: Instance, view: TwoType) -> Solution:
     """Single-type or constant-row case: deal by descending value."""
     bundles = round_robin_by_price(inst.goods(), list(view.u1), inst.n, inst.k)
     alloc = make_allocation(bundles)
-    pot = compute_potentials(inst, alloc, _alpha_for(view, inst.n, Fraction(1)))
+    pot = _potentials_of(inst, view, alloc, Fraction(1))
     return _solution(inst, view, alloc, Fraction(1), pot)
 
 
@@ -366,18 +346,17 @@ def solve_two_types(inst: Instance) -> Solution:
     # dealt allocation depends on the split, not on gamma, and only the first
     # EF1 one needs duals (at its interval's lower end, where both adjacent
     # splits are optimal and give the same shortest-path potentials).
-    prev = None
+    splits = []  # splits[ell - 1] is interval ell's
     for ell in range(1, grid.interval_count + 1):
         split = _interval_split(inst, view, grid, ell)
-        if split != prev:
+        if split not in splits[-1:]:
             lo = grid.endpoint(ell - 1)
-            typed = _deal(inst, view, split, lo)
-            alloc = _assemble(view, typed)
+            alloc = _deal(inst, view, split)
             if verify_mod.is_ef1(inst, alloc).holds:
-                pot = compute_potentials(inst, alloc, _alpha_for(view, inst.n, lo))
-                conditions_ab(replace(typed, potentials=pot))  # raises if both fail
+                pot = _potentials_of(inst, view, alloc, lo)
+                conditions_ab(view, alloc, pot.p)  # raises if both fail
                 return _solution(inst, view, alloc, lo, pot)
-        prev = split
+        splits.append(split)
 
     # No split deals an EF1 allocation, so case 1 cannot occur: where (a)
     # holds at an interval's lower end and (b) at its upper end, the paper's
@@ -385,10 +364,10 @@ def solve_two_types(inst: Instance) -> Solution:
     # deal.  Case 2 then holds at some shared end.
     for ell in range(1, grid.interval_count):
         shared = grid.endpoint(ell)
-        left = _interval_split(inst, view, grid, ell)
-        right = _interval_split(inst, view, grid, ell + 1)
-        pot = _potentials_at(inst, view, left, shared)  # one Bellman-Ford run per shared gamma
-        if (conditions_ab(_deal(inst, view, left, shared, pot))[0]
-                and conditions_ab(_deal(inst, view, right, shared, pot))[1]):
-            return _solution(inst, view, case2_exchange(inst, grid, ell, pot), shared, pot)
+        left, right = splits[ell - 1], splits[ell]
+        left_alloc = _deal(inst, view, left)
+        pot = _potentials_of(inst, view, left_alloc, shared)  # one Bellman-Ford run per shared gamma
+        if (conditions_ab(view, left_alloc, pot.p)[0]
+                and conditions_ab(view, _deal(inst, view, right), pot.p)[1]):
+            return _solution(inst, view, case2_exchange(inst, view, left, right, shared, pot), shared, pot)
     raise InternalInvariantError("neither sweep nor exchange case occurred")

@@ -127,9 +127,9 @@ def test_criterion_3_two_types_solver_suite(monkeypatch):
     calls = {"n": 0}
     original = twotypes_mod.conditions_ab
 
-    def counting(t):
+    def counting(*args):
         calls["n"] += 1
-        return original(t)  # raises if both conditions fail
+        return original(*args)  # raises if both conditions fail
 
     monkeypatch.setattr(twotypes_mod, "conditions_ab", counting)
     _two_type_suite.cache_clear()

@@ -48,6 +48,17 @@ class TestSimplexCore:
         with pytest.raises(ValueError, match="nonnegative"):
             LinearProgram(c=(one, one), a=((one, -one),), b=(Fraction(-1),))
 
+    def test_int_entries_solve_in_fractions(self):
+        res = solve_lp(LinearProgram(c=(1, 1), a=((2, 3),), b=(1,)))
+        assert res.x == (Fraction(1, 2), 0)
+        assert res.objective == Fraction(1, 2)
+        assert all(isinstance(v, Fraction) for v in res.x + (res.objective,))
+
+    def test_float_entry_raises(self):
+        one = Fraction(1)
+        with pytest.raises(TypeError, match="float"):
+            LinearProgram(c=(one, 0.5), a=((one, one),), b=(one,))
+
     def test_redundant_rows(self):
         # x + y = 1 stated twice plus x - y = 0
         one = Fraction(1)

@@ -4,7 +4,7 @@ import pytest
 
 from fairbalance.bivalued import solve_bivalued
 from fairbalance.core import TooLargeError, balanced_allocation_count, make_instance
-from fairbalance.oracle import enumerate_balanced, full_report, max_weighted_welfare
+from fairbalance.oracle import enumerate_balanced, full_report
 from fairbalance.twotypes import solve_two_types
 
 from conftest import (
@@ -106,10 +106,3 @@ class TestFullReport:
             assert good, "two-type instances always admit an EF1 and fPO allocation"
             out = solve_two_types(inst).allocation
             assert out.bundles in good
-
-
-def test_max_weighted_welfare_matches_brute(ref_instance):
-    from fractions import Fraction
-
-    assert max_weighted_welfare(ref_instance, (Fraction(1), Fraction(1))) == 44
-    assert max_weighted_welfare(ref_instance, (Fraction(1), Fraction(2))) == 49

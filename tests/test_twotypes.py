@@ -16,10 +16,9 @@ from fairbalance.lp import check_fpo, solve_primal, verify_complementary_slackne
 from fairbalance.twotypes import (
     AllValuesEqual,
     _PriceModel,
-    _assemble,
     _deal,
     _interval_split,
-    _potentials_at,
+    _potentials_of,
     _two_type_view,
     case1_sweep,
     case2_exchange,
@@ -259,9 +258,9 @@ class TestConditions:
             lo, hi = grid.interval(ell)
             mid = (lo + hi) / 2
             split = optimal_split(view.u1, view.u2, mid, view.n1, inst.k)
+            dealt = _deal(inst, view, split)
             for g in (lo, hi):
-                typed = _deal(inst, view, split, g, _potentials_at(inst, view, split, g))
-                a_holds, b_holds = conditions_ab(typed)
+                a_holds, b_holds = conditions_ab(view, dealt, _potentials_of(inst, view, dealt, g).p)
                 # with k = 1 the dropped-top price is always zero
                 assert a_holds and b_holds
 
@@ -283,10 +282,46 @@ class TestConditions:
             for ell in range(1, grid.interval_count + 1):
                 lo, hi = grid.interval(ell)
                 split = optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
+                dealt = _deal(inst, view, split)
                 for g in (lo, hi):
-                    typed = _deal(inst, view, split, g, _potentials_at(inst, view, split, g))
-                    a_holds, b_holds = conditions_ab(typed)  # raises if both fail
+                    pot = _potentials_of(inst, view, dealt, g)
+                    a_holds, b_holds = conditions_ab(view, dealt, pot.p)  # raises if both fail
                     assert a_holds or b_holds
+
+
+class TestDealPlacement:
+    """Literal bundles and verdicts on interleaved types: each type's
+    bundles go to that type's members in ascending order, richest first."""
+
+    A = [9, 1, 5, 0, 2, 2, 7, 3]
+    B = [4, 4, 4, 0, 1, 7, 6, 2]
+
+    def setup_method(self):
+        self.inst = make_instance(4, 8, [self.B, self.A, self.B, self.A])  # types 1, 2, 1, 2
+        self.view = _two_type_view(self.inst)
+        self.grid = critical_values(self.view.u1, self.view.u2)
+
+    def dealt(self, ell):
+        return _deal(self.inst, self.view, _interval_split(self.inst, self.view, self.grid, ell))
+
+    def test_bundles_per_agent(self):
+        assert (self.view.members1, self.view.members2) == ((1, 3), (2, 4))
+        assert self.grid.interval_count == 12
+        for ell, bundles in (
+            (1, [[2, 6], [1, 5], [3, 7], [4, 8]]),
+            (7, [[2, 6], [1, 8], [4, 7], [3, 5]]),
+            (12, [[5, 6], [1, 3], [2, 4], [7, 8]]),
+        ):
+            assert [sorted(b) for b in self.dealt(ell).bundles] == bundles
+
+    def test_conditions_at_the_grid_ends(self):
+        for ell, gamma, verdict in (
+            (1, self.grid.delta, (True, False)),
+            (12, self.grid.upper, (False, True)),
+        ):
+            dealt = self.dealt(ell)
+            pot = _potentials_of(self.inst, self.view, dealt, gamma)
+            assert conditions_ab(self.view, dealt, pot.p) == verdict
 
 
 class TestPriceModel:
@@ -312,7 +347,7 @@ class TestPriceModel:
             model = _PriceModel(view, split)
             for frac in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(1)):
                 gamma = lo + (hi - lo) * frac
-                pot = _potentials_at(inst, view, split, gamma)
+                pot = _potentials_of(inst, view, _deal(inst, view, split), gamma)
                 q1, q2 = model.q_values(gamma)
                 assert all(pot.q[i - 1] == q1 for i in view.members1)
                 assert all(pot.q[i - 1] == q2 for i in view.members2)
@@ -428,8 +463,8 @@ class TestIntervalStructure:
                 lo2, hi2 = grid.interval(ell + 1)
                 split_left = optimal_split(view.u1, view.u2, (lo1 + hi1) / 2, view.n1, inst.k)
                 split_right = optimal_split(view.u1, view.u2, (lo2 + hi2) / 2, view.n1, inst.k)
-                pot_left = _potentials_at(inst, view, split_left, shared)
-                pot_right = _potentials_at(inst, view, split_right, shared)
+                pot_left = _potentials_of(inst, view, _deal(inst, view, split_left), shared)
+                pot_right = _potentials_of(inst, view, _deal(inst, view, split_right), shared)
                 assert pot_left == pot_right
             checked += 1
 
@@ -454,10 +489,11 @@ class TestIntervalStructure:
                     round_robin_by_price(split.s, view.u1, view.n1, inst.k),
                     round_robin_by_price(split.t, view.u2, view.n2, inst.k),
                 )
-                typed = _deal(inst, view, split, lo)
-                assert (typed.x_bundles, typed.y_bundles) == by_value
+                dealt = _deal(inst, view, split)
+                assert tuple(tuple(dealt.bundle(i) for i in members)
+                             for members in (view.members1, view.members2)) == by_value
                 for gamma in (lo, hi):
-                    pot = _potentials_at(inst, view, split, gamma)
+                    pot = _potentials_of(inst, view, dealt, gamma)
                     by_price = (
                         round_robin_by_price(split.s, pot.p, view.n1, inst.k),
                         round_robin_by_price(split.t, pot.p, view.n2, inst.k),
@@ -487,10 +523,9 @@ class TestIntervalStructure:
             ):
                 lo, hi = grid.interval(ell)
                 split = optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
-                typed = _deal(inst, view, split, gamma, _potentials_at(inst, view, split, gamma))
-                assembled = _assemble(view, typed)
-                if not is_ef1(inst, assembled).holds:
-                    assert conditions_ab(typed)[which]
+                dealt = _deal(inst, view, split)
+                if not is_ef1(inst, dealt).holds:
+                    assert conditions_ab(view, dealt, _potentials_of(inst, view, dealt, gamma).p)[which]
 
 
 def _grid_conditions(inst, view, grid):
@@ -498,9 +533,9 @@ def _grid_conditions(inst, view, grid):
     for ell in range(1, grid.interval_count + 1):
         lo, hi = grid.interval(ell)
         split = optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
+        dealt = _deal(inst, view, split)
         for g in (lo, hi):
-            typed = _deal(inst, view, split, g, _potentials_at(inst, view, split, g))
-            conds[(ell, g)] = conditions_ab(typed)
+            conds[(ell, g)] = conditions_ab(view, dealt, _potentials_of(inst, view, dealt, g).p)
     return conds
 
 
@@ -526,13 +561,12 @@ class TestCaseDrivers:
             for ell in range(1, grid.interval_count + 1):
                 lo, hi = grid.interval(ell)
                 if conds[(ell, lo)][0] and conds[(ell, hi)][1]:
-                    gamma, typed = case1_sweep(inst, grid, ell)
+                    gamma, dealt, pot = case1_sweep(inst, grid, ell)
                     assert lo <= gamma <= hi
-                    a_holds, b_holds = conditions_ab(typed)
+                    a_holds, b_holds = conditions_ab(view, dealt, pot.p)
                     assert a_holds and b_holds
-                    assembled = _assemble(view, typed)
-                    assert is_ef1(inst, assembled).holds
-                    assert check_fpo(inst, assembled).is_fpo
+                    assert is_ef1(inst, dealt).holds
+                    assert check_fpo(inst, dealt).is_fpo
                     exercised += 1
                     break
 
@@ -557,8 +591,10 @@ class TestCaseDrivers:
             for ell in range(1, grid.interval_count):
                 shared = grid.endpoint(ell)
                 if conds[(ell, shared)][0] and conds[(ell + 1, shared)][1]:
-                    pot = _potentials_at(inst, view, _interval_split(inst, view, grid, ell), shared)
-                    allocation = case2_exchange(inst, grid, ell, pot)
+                    left = _interval_split(inst, view, grid, ell)
+                    right = _interval_split(inst, view, grid, ell + 1)
+                    pot = _potentials_of(inst, view, _deal(inst, view, left), shared)
+                    allocation = case2_exchange(inst, view, left, right, shared, pot)
                     assert is_ef1(inst, allocation).holds
                     assert check_fpo(inst, allocation).is_fpo
                     exercised += 1
@@ -571,10 +607,10 @@ class TestCaseDrivers:
             spec = case["instance"]
             inst = make_instance(spec["n"], spec["m"], [[Fraction(v) for v in row] for row in spec["valuations"]])
             view = _two_type_view(inst)
-            gamma, typed = case1_sweep(inst, critical_values(view.u1, view.u2), case["ell"])
+            gamma, dealt, _ = case1_sweep(inst, critical_values(view.u1, view.u2), case["ell"])
             assert gamma == Fraction(case["gamma"])
-            assert [sorted(b) for b in typed.x_bundles] == case["x_bundles"]
-            assert [sorted(b) for b in typed.y_bundles] == case["y_bundles"]
+            assert [sorted(dealt.bundle(i)) for i in view.members1] == case["x_bundles"]
+            assert [sorted(dealt.bundle(i)) for i in view.members2] == case["y_bundles"]
 
     def test_case1_precondition_means_scan_succeeds(self, monkeypatch):
         # (a) at an interval's lower end and (b) at its upper end make its
@@ -603,7 +639,7 @@ class TestCaseDrivers:
                 lo, hi = grid.interval(ell)
                 if conds[(ell, lo)][0] and conds[(ell, hi)][1]:
                     split = optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
-                    assert is_ef1(inst, _assemble(view, _deal(inst, view, split, lo))).holds
+                    assert is_ef1(inst, _deal(inst, view, split)).holds
                     hits += 1
             if hits:
                 sol = solve_two_types(inst)
@@ -630,18 +666,18 @@ class TestExchangeTightness:
         return args
 
     def test_untouched_potentials_pass(self, monkeypatch):
-        inst, grid, ell, pot = self.exchange_args(monkeypatch)
-        assert is_ef1(inst, case2_exchange(inst, grid, ell, pot)).holds
+        *walk, pot = self.exchange_args(monkeypatch)
+        assert is_ef1(walk[0], case2_exchange(*walk, pot)).holds
 
     def test_potentials_not_tight_raise(self, monkeypatch):
         # raising every q keeps the duals feasible but no owned pair tight
-        inst, grid, ell, pot = self.exchange_args(monkeypatch)
+        *walk, pot = self.exchange_args(monkeypatch)
         loose = Potentials(q=tuple(q + 1 for q in pot.q), p=pot.p)
         with pytest.raises(InternalInvariantError, match="lost tightness"):
-            case2_exchange(inst, grid, ell, loose)
+            case2_exchange(*walk, loose)
 
     def test_infeasible_potentials_raise(self, monkeypatch):
-        inst, grid, ell, pot = self.exchange_args(monkeypatch)
+        *walk, pot = self.exchange_args(monkeypatch)
         cheap = Potentials(q=pot.q, p=tuple(p - 1 for p in pot.p))
         with pytest.raises(InternalInvariantError, match="not dual feasible"):
-            case2_exchange(inst, grid, ell, cheap)
+            case2_exchange(*walk, cheap)
