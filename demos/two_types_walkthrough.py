@@ -11,17 +11,17 @@ because every deal maximizes the weighted welfare at its gamma.
 from fractions import Fraction
 
 from fairbalance import check_fpo, is_ef1, make_instance, solve_two_types
+from fairbalance.core import two_type_view
 from fairbalance.twotypes import (
     _deal,
     _potentials_of,
-    _two_type_view,
     compute_delta,
     critical_values,
     optimal_split,
 )
 
 inst = make_instance(2, 4, [[10, 10, 21, 22], [0, 1, 6, 8]])
-view = _two_type_view(inst)
+view = two_type_view(inst)
 
 delta = compute_delta(view.u1, view.u2)
 grid = critical_values(view.u1, view.u2)

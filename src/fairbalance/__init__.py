@@ -14,7 +14,6 @@ from .core import (
     General,
     Instance,
     Rational,
-    SingleType,
     Solution,
     TwoType,
     bundle_value,
@@ -49,7 +48,6 @@ __all__ = [
     "Instance",
     "Potentials",
     "Rational",
-    "SingleType",
     "Solution",
     "TwoType",
     "build_exchange_graph",

@@ -22,8 +22,6 @@ from .core import (
     InternalInvariantError,
     NotBivalued,
     Solution,
-    _distinct_rows,
-    _value_pairs,
     make_allocation,
 )
 from .graph import compute_potentials
@@ -50,10 +48,9 @@ def slot_weight(params: tuple, s: int, value, scale: int) -> int:
 def bivalued_pairs(inst: Instance) -> tuple:
     """(a_i, b_i) per agent; a constant row counts every good as low.
     Raises NotBivalued otherwise."""
-    pairs = _value_pairs(inst)
-    if pairs is not None:
-        return pairs
-    if len(_distinct_rows(inst)) == 1:
+    if inst.value_pairs is not None:
+        return inst.value_pairs
+    if len(inst.types) == 1:
         raise NotBivalued("identical rows with more than two distinct values")
     raise NotBivalued("some agent uses more than two distinct values")
 
@@ -84,10 +81,9 @@ def solve_bivalued(inst: Instance) -> Solution:
     k = inst.k
     scale = inst.n * k * (k + 1)
     # high[i][j]: agent i + 1 values good j + 1 high; slot s then weighs K + s
-    high = [
-        [slot_weight(pair, 1, v, scale) > 0 for v in row]
-        for pair, row in zip(pairs, inst.values)
-    ]
+    value_scale, values = inst.scaled_values
+    high = [[v == a.numerator * (value_scale // a.denominator) for v in row]
+            for (a, _), row in zip(pairs, values)]
     rows = [tuple(scale + s if h else 0 for h in mask) for mask in high for s in range(1, k + 1)]
     result = matching_mod.max_weight_perfect_matching(
         matching_mod.BipartiteWeights(size=inst.m, weight=tuple(rows))

@@ -105,6 +105,34 @@ class Instance:
         it."""
         return integer_rows(self.values)
 
+    @cached_property
+    def types(self) -> tuple:
+        """The distinct valuation rows in first-appearance order, each with
+        the agents (1-based, ascending) that hold it.  Rows are grouped by
+        their int rows, which one common scale keeps distinct exactly when
+        the Fraction rows are."""
+        members = {}
+        for i, row in enumerate(self.scaled_values[1], start=1):
+            members.setdefault(row, []).append(i)
+        return tuple((self.values[agents[0] - 1], tuple(agents)) for agents in members.values())
+
+    @cached_property
+    def value_pairs(self) -> Optional[tuple]:
+        """Per-agent (a_i, b_i) with a_i > b_i, or None when some row uses
+        more than two distinct values.  A constant row v counts every good
+        as low: (v + 1, v)."""
+        scale, rows = self.scaled_values
+        pairs = [None] * self.n
+        for _, members in self.types:
+            values = sorted(set(rows[members[0] - 1]))
+            if len(values) > 2:
+                return None
+            low = Fraction(values[0], scale)
+            pair = (Fraction(values[1], scale), low) if len(values) == 2 else (low + 1, low)
+            for i in members:
+                pairs[i - 1] = pair
+        return tuple(pairs)
+
     def agents(self) -> range:
         return range(1, self.n + 1)
 
@@ -200,11 +228,6 @@ class Solution:
 # --- instance classification -------------------------------------------------
 
 @dataclass(frozen=True)
-class SingleType:
-    row: tuple
-
-
-@dataclass(frozen=True)
 class Bivalued:
     """Per-agent (high, low) value pairs with high > low >= 0."""
 
@@ -213,8 +236,8 @@ class Bivalued:
 
 @dataclass(frozen=True)
 class TwoType:
-    """Two distinct valuation rows; type 1 is the type of agent 1.  The
-    two-type solver reads a single-row instance as u2 = members2 = ()."""
+    """At most two distinct valuation rows; type 1 is the type of agent 1.
+    A single-row instance has u2 = members2 = ()."""
 
     u1: tuple
     u2: tuple
@@ -235,41 +258,25 @@ class General:
     pass
 
 
-InstanceClass = Union[SingleType, Bivalued, TwoType, General]
+InstanceClass = Union[Bivalued, TwoType, General]
 
 
-def _distinct_rows(inst: Instance) -> tuple:
-    """Distinct valuation rows in first-appearance order, each paired with
-    the agents (1-based, ascending) that hold it."""
-    members = {}
-    for i, row in enumerate(inst.values, start=1):
-        members.setdefault(row, []).append(i)
-    return tuple((row, tuple(agents)) for row, agents in members.items())
-
-
-def _value_pairs(inst: Instance):
-    """Per-agent (a_i, b_i) with a_i > b_i, or None when some row uses more
-    than two distinct values.  A constant row counts every good as low."""
-    pairs = []
-    for row in inst.values:
-        vals = sorted(set(row))
-        if len(vals) > 2:
-            return None
-        pairs.append((vals[1], vals[0]) if len(vals) == 2 else (vals[0] + 1, vals[0]))
-    return tuple(pairs)
+def two_type_view(inst: Instance) -> TwoType:
+    """The instance read as at most two types; MoreThanTwoTypes otherwise."""
+    rows = inst.types
+    if len(rows) > 2:
+        raise MoreThanTwoTypes(f"{len(rows)} distinct valuation rows")
+    (u1, members1), (u2, members2) = rows if len(rows) == 2 else (rows[0], ((), ()))
+    return TwoType(u1, u2, members1, members2)
 
 
 def classify(inst: Instance) -> InstanceClass:
-    """Most specific class, preferring SingleType > Bivalued > TwoType."""
-    rows = _distinct_rows(inst)
-    if len(rows) == 1:
-        return SingleType(row=rows[0][0])
-    pairs = _value_pairs(inst)
-    if pairs is not None:
-        return Bivalued(pairs=pairs)
-    if len(rows) == 2:
-        (u1, members1), (u2, members2) = rows
-        return TwoType(u1=u1, u2=u2, members1=members1, members2=members2)
+    """Most specific class, preferring Bivalued > TwoType > General; a
+    single-row instance is a TwoType with n2 == 0."""
+    if len(inst.types) > 1 and inst.value_pairs is not None:
+        return Bivalued(pairs=inst.value_pairs)
+    if len(inst.types) <= 2:
+        return two_type_view(inst)
     return General()
 
 

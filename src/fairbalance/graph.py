@@ -119,7 +119,8 @@ class Potentials:
         return all(v >= 0 for v in self.q) and all(v >= 0 for v in self.p)
 
 
-def _check_alpha(inst: Instance, alpha: Sequence[Fraction]) -> None:
+def check_alpha(inst: Instance, alpha: Sequence[Fraction]) -> None:
+    """Raise ValueError unless alpha is one positive weight per agent."""
     if len(alpha) != inst.n:
         raise ValueError("alpha length must equal the number of agents")
     if any(a <= 0 for a in alpha):
@@ -133,7 +134,7 @@ def build_exchange_graph(inst: Instance, alloc: Allocation, alpha: Sequence[Frac
     so every alpha_i * v_ij times it is an int.
     """
     check_allocation(inst, alloc, balanced=True)
-    _check_alpha(inst, alpha)
+    check_alpha(inst, alpha)
     n, m = inst.n, inst.m
     alpha_scale, (alpha_ints,) = integer_rows((alpha,))
     value_scale, rows = inst.scaled_values

@@ -21,7 +21,7 @@ from .core import (
     check_allocation,
     make_allocation,
 )
-from .graph import Potentials, _check_alpha
+from .graph import Potentials, check_alpha
 
 
 class LPError(Exception):
@@ -240,7 +240,7 @@ def solve_primal(inst: Instance, alpha: Sequence[Fraction]) -> tuple:
 
     Returns ``(Allocation, value)``.
     """
-    _check_alpha(inst, alpha)
+    check_alpha(inst, alpha)
     res = solve_lp(_primal_program(inst, alpha))
     if any(v != 0 and v != 1 for v in res.x):
         raise InternalInvariantError("transportation vertex must be integral")
@@ -258,7 +258,7 @@ def solve_dual(inst: Instance, alpha: Sequence[Fraction]) -> Potentials:
     exists), independently of the shortest-path construction in
     :mod:`fairbalance.graph`.
     """
-    _check_alpha(inst, alpha)
+    check_alpha(inst, alpha)
     n, m, k = inst.n, inst.m, inst.k
     # variables: q (n), p (m), surplus s_ij (n*m)
     nv = n + m + n * m
@@ -343,7 +343,7 @@ def verify_complementary_slackness(
     violations raise ValueError (they are a different failure than broken
     slackness).
     """
-    _check_alpha(inst, alpha)
+    check_alpha(inst, alpha)
     check_allocation(inst, alloc, balanced=True)
     if not pot.is_feasible(inst, alpha):
         raise ValueError("potentials are not dual feasible")

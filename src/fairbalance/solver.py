@@ -7,7 +7,6 @@ from .core import (
     Bivalued,
     Instance,
     MoreThanTwoTypes,
-    SingleType,
     Solution,
     TwoType,
     classify,
@@ -20,19 +19,17 @@ def solve(inst: Instance, algorithm: str = "auto") -> Solution:
     """Balanced EF1 allocation, with its fPO certificate when one exists.
 
     ``algorithm`` is one of "auto", "bivalued", "two-types" and
-    "round-robin", as in the CLI's ``--algorithm``.  "auto" runs round
-    robin on single-type instances, the bivalued solver on bivalued ones
-    and the two-type solver on two-type ones, and raises MoreThanTwoTypes
+    "round-robin", as in the CLI's ``--algorithm``.  "auto" runs the
+    bivalued solver on bivalued instances and the two-type solver on
+    instances with one or two valuation rows, and raises MoreThanTwoTypes
     otherwise.  A named solver raises NotBivalued or MoreThanTwoTypes when
     the instance is outside its class.  Round robin is certified only on
-    single-type instances, where it is the two-type solver's value deal
+    single-row instances, where it is the two-type solver's value deal
     (alpha = 1, gamma = 1); elsewhere it returns an uncertified Solution.
     """
     cls = classify(inst)
     if algorithm == "auto":
-        if isinstance(cls, SingleType):
-            algorithm = "round-robin"
-        elif isinstance(cls, Bivalued):
+        if isinstance(cls, Bivalued):
             algorithm = "bivalued"
         elif isinstance(cls, TwoType):
             algorithm = "two-types"
@@ -47,7 +44,7 @@ def solve(inst: Instance, algorithm: str = "auto") -> Solution:
     if algorithm == "two-types":
         return solve_two_types(inst)
     if algorithm == "round-robin":
-        if isinstance(cls, SingleType):
+        if isinstance(cls, TwoType) and cls.n2 == 0:
             return solve_two_types(inst)
         return Solution(round_robin_by_preference(inst), None, None, None)
     raise ValueError(f"unknown algorithm {algorithm!r}")

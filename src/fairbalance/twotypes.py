@@ -26,13 +26,12 @@ from .core import (
     FairDivisionError,
     Instance,
     InternalInvariantError,
-    MoreThanTwoTypes,
     Solution,
     TwoType,
-    _distinct_rows,
     as_rational,
     integer_rows,
     make_allocation,
+    two_type_view,
 )
 from .graph import Potentials, compute_potentials
 from .lp import verify_complementary_slackness
@@ -176,16 +175,6 @@ def conditions_ab(view: TwoType, alloc: Allocation, p: Sequence) -> tuple:
 
 # --- solver internals ---------------------------------------------------------
 
-def _two_type_view(inst: Instance) -> TwoType:
-    rows = _distinct_rows(inst)
-    if len(rows) > 2:
-        raise MoreThanTwoTypes(f"{len(rows)} distinct valuation rows")
-    if len(rows) == 1:
-        return TwoType(rows[0][0], (), rows[0][1], ())
-    (u1, members1), (u2, members2) = rows
-    return TwoType(u1, u2, members1, members2)
-
-
 def _alpha_for(view: TwoType, n: int, gamma: Fraction) -> tuple:
     alpha = [Fraction(1)] * n
     for i in view.members2:
@@ -264,7 +253,7 @@ def case1_sweep(inst: Instance, grid: GammaGrid, ell: int) -> tuple:
     kinks, and each gap's root on each piece; they are scanned in
     ascending order with Bellman-Ford potentials.
     """
-    view = _two_type_view(inst)
+    view = two_type_view(inst)
     lo, hi = grid.interval(ell)
     split = _interval_split(inst, view, grid, ell)
     alloc = _deal(inst, view, split)
@@ -331,7 +320,7 @@ def solve_two_types(inst: Instance) -> Solution:
     alpha = 1 on type-1 agents and gamma on type-2 agents, and its
     potentials are the optimal duals at that gamma.
     """
-    view = _two_type_view(inst)
+    view = two_type_view(inst)
     inst.k  # fail fast on unbalanced shapes
 
     if view.n2 == 0:
@@ -346,7 +335,7 @@ def solve_two_types(inst: Instance) -> Solution:
     # dealt allocation depends on the split, not on gamma, and only the first
     # EF1 one needs duals (at its interval's lower end, where both adjacent
     # splits are optimal and give the same shortest-path potentials).
-    splits = []  # splits[ell - 1] is interval ell's
+    splits, allocs = [], []  # splits[ell - 1] is interval ell's, allocs[ell - 1] its deal
     for ell in range(1, grid.interval_count + 1):
         split = _interval_split(inst, view, grid, ell)
         if split not in splits[-1:]:
@@ -357,6 +346,7 @@ def solve_two_types(inst: Instance) -> Solution:
                 conditions_ab(view, alloc, pot.p)  # raises if both fail
                 return _solution(inst, view, alloc, lo, pot)
         splits.append(split)
+        allocs.append(alloc)
 
     # No split deals an EF1 allocation, so case 1 cannot occur: where (a)
     # holds at an interval's lower end and (b) at its upper end, the paper's
@@ -364,10 +354,9 @@ def solve_two_types(inst: Instance) -> Solution:
     # deal.  Case 2 then holds at some shared end.
     for ell in range(1, grid.interval_count):
         shared = grid.endpoint(ell)
-        left, right = splits[ell - 1], splits[ell]
-        left_alloc = _deal(inst, view, left)
+        left_alloc = allocs[ell - 1]
         pot = _potentials_of(inst, view, left_alloc, shared)  # one Bellman-Ford run per shared gamma
-        if (conditions_ab(view, left_alloc, pot.p)[0]
-                and conditions_ab(view, _deal(inst, view, right), pot.p)[1]):
-            return _solution(inst, view, case2_exchange(inst, view, left, right, shared, pot), shared, pot)
+        if conditions_ab(view, left_alloc, pot.p)[0] and conditions_ab(view, allocs[ell], pot.p)[1]:
+            alloc = case2_exchange(inst, view, splits[ell - 1], splits[ell], shared, pot)
+            return _solution(inst, view, alloc, shared, pot)
     raise InternalInvariantError("neither sweep nor exchange case occurred")

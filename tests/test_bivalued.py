@@ -72,9 +72,12 @@ def _paper_instance(rng: random.Random, n: int, k: int):
 
 
 class TestIntegerRuleReference:
-    def test_matches_paper_rational_weights(self):
+    def test_matches_paper_rational_weights(self, monkeypatch):
         # the paper's weights: a/(a-b) + s*eps for a high good in slot s,
         # b/(a-b) for a low one, eps = 1/(n*k*(k+1)); one matching each
+        passed = []
+        monkeypatch.setattr(matching, "max_weight_perfect_matching",
+                            lambda w: passed.append(w.weight) or max_weight_perfect_matching(w))
         rng = random.Random(2026)
         kinds = set()
         for t in range(240):
@@ -93,11 +96,14 @@ class TestIntegerRuleReference:
             bundles = [set() for _ in range(n)]
             for row0, good in enumerate(reference.assignment):
                 bundles[row0 // k].add(good)
+            passed.clear()
             assert [set(b) for b in solve_bivalued(inst).allocation.bundles] == bundles
 
             scale = n * k * (k + 1)
             ints = tuple(tuple(slot_weight(pairs[row0 // k], row0 % k + 1, inst.value(row0 // k + 1, j), scale)
                                for j in inst.goods()) for row0 in range(inst.m))
+            # the solver's slot rows are slot_weight's, entry for entry
+            assert passed == [ints]
             integer = max_weight_perfect_matching(BipartiteWeights(size=inst.m, weight=ints))
             assert integer.assignment == reference.assignment
             assert type(integer.value) is int

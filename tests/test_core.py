@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,6 @@ from fairbalance.core import (
     Bivalued,
     General,
     Instance,
-    SingleType,
     TwoType,
     bundle_value,
     classify,
@@ -21,6 +21,7 @@ from fairbalance.core import (
     strip_dummies,
     utilitarian_value,
 )
+from fairbalance.solver import solve
 from fairbalance.verify import is_ef1
 
 from conftest import alloc, permutation_enumerate
@@ -100,10 +101,11 @@ class TestScaledValues:
         assert [f.name for f in dataclasses.fields(Instance)] == ["n", "m", "values"]
         fresh = make_instance(2, 4, [list(row) for row in ref_instance.values])
         before = (repr(fresh), hash(fresh))
-        ref_instance.scaled_values
+        ref_instance.scaled_values, ref_instance.types, ref_instance.value_pairs
         assert ref_instance == fresh
         assert (repr(ref_instance), hash(ref_instance)) == before
-        assert "scaled" not in repr(ref_instance)
+        for name in ("scaled", "types", "pairs"):
+            assert name not in repr(ref_instance)
 
 
 class TestBundleValue:
@@ -129,7 +131,7 @@ class TestClassify:
 
     def test_identical_rows(self):
         inst = make_instance(3, 3, [[1, 2, 3]] * 3)
-        assert isinstance(classify(inst), SingleType)
+        assert classify(inst) == TwoType((1, 2, 3), (), (1, 2, 3), ())
 
     def test_bivalued_scan(self):
         inst = make_instance(3, 3, [[2, 1, 2], [0, 3, 3], [5, 5, 0]])
@@ -161,6 +163,84 @@ class TestClassify:
             rng.shuffle(perm)
             tag = type(classify(inst))
             assert type(classify(make_instance(n, m, perm))) is tag
+
+
+def _reference_distinct_rows(inst):
+    """Rows grouped by their Fraction entries, first appearance first."""
+    members = {}
+    for i, row in enumerate(inst.values, start=1):
+        members.setdefault(row, []).append(i)
+    return tuple((row, tuple(agents)) for row, agents in members.items())
+
+
+def _reference_value_pairs(inst):
+    """(a_i, b_i) from each row's Fraction values; a constant row is (v + 1, v)."""
+    pairs = []
+    for row in inst.values:
+        vals = sorted(set(row))
+        if len(vals) > 2:
+            return None
+        pairs.append((vals[1], vals[0]) if len(vals) == 2 else (vals[0] + 1, vals[0]))
+    return tuple(pairs)
+
+
+def _reference_classify(inst):
+    rows = _reference_distinct_rows(inst)
+    pairs = _reference_value_pairs(inst)
+    if len(rows) > 1 and pairs is not None:
+        return Bivalued(pairs=pairs)
+    if len(rows) == 1:
+        return TwoType(rows[0][0], (), rows[0][1], ())
+    if len(rows) == 2:
+        (u1, members1), (u2, members2) = rows
+        return TwoType(u1, u2, members1, members2)
+    return General()
+
+
+class TestRowReading:
+    """`Instance.types` and `Instance.value_pairs` group int rows; the
+    references above read the Fraction rows directly."""
+
+    @staticmethod
+    def _row(rng, kind, m):
+        pool = [Fraction(rng.randint(0, 12), rng.choice((1, 2, 3, 6))) for _ in range(3)]
+        if kind == "constant":
+            return [pool[0]] * m
+        if kind == "two":
+            return [rng.choice(pool[:2]) for _ in range(m)]
+        return [rng.choice(pool) for _ in range(m)]
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(600):
+            m, distinct = rng.randint(1, 5), rng.randint(1, 3)
+            base = [self._row(rng, rng.choice(("constant", "two", "any")), m) for _ in range(distinct)]
+            rows = base + [rng.choice(base) for _ in range(rng.randint(0, 3))]
+            rng.shuffle(rows)
+            inst = make_instance(len(rows), m, rows)
+            assert inst.types == _reference_distinct_rows(inst)
+            assert inst.value_pairs == _reference_value_pairs(inst)
+            cls = classify(inst)
+            assert cls == _reference_classify(inst)
+            seen.add((type(cls).__name__, len(inst.types)))
+            seen |= {"rational" for row in rows for v in row if v.denominator > 1}
+            seen |= {"constant" for row in rows if len(set(row)) == 1}
+            seen |= {"repeated" for _, members in inst.types if len(members) > 1}
+        assert seen >= {("TwoType", 1), ("TwoType", 2), ("Bivalued", 2), ("Bivalued", 3),
+                        ("General", 3), "rational", "constant", "repeated"}
+
+    def test_each_body_runs_once_per_solve(self, monkeypatch):
+        calls = []
+        for name in ("types", "value_pairs"):
+            body = getattr(Instance, name).func
+            spy = functools.cached_property(lambda inst, body=body, name=name: calls.append(name) or body(inst))
+            spy.__set_name__(Instance, name)
+            monkeypatch.setattr(Instance, name, spy)
+        for rows in ([[2, 1, 2, 1], [3, 0, 0, 3]], [[10, 10, 21, 22], [0, 1, 6, 8]]):
+            calls.clear()
+            solve(make_instance(2, 4, rows))
+            assert sorted(calls) == ["types", "value_pairs"]
 
 
 class TestReduceUnconstrained:

@@ -10,6 +10,7 @@ from fairbalance.core import (
     InternalInvariantError,
     MoreThanTwoTypes,
     make_instance,
+    two_type_view,
 )
 from fairbalance.graph import Potentials
 from fairbalance.lp import check_fpo, solve_primal, verify_complementary_slackness
@@ -19,7 +20,6 @@ from fairbalance.twotypes import (
     _deal,
     _interval_split,
     _potentials_of,
-    _two_type_view,
     case1_sweep,
     case2_exchange,
     compute_delta,
@@ -184,7 +184,7 @@ class TestOptimalSplit:
             n = rng.choice([2, 3])
             m = n * rng.choice([1, 2])
             inst = random_two_type_instance(rng, n, m)
-            view = _two_type_view(inst)
+            view = two_type_view(inst)
             if view.n2 == 0:
                 continue
             gamma = Fraction(rng.randint(1, 12), rng.randint(1, 6))
@@ -252,7 +252,7 @@ class TestConditions:
         inst = make_instance(2, 2, [[3, 1], [2, 5]])
         sol = solve_two_types(inst)
         alloc_out, gamma, pot = sol.allocation, sol.gamma, sol.potentials
-        view = _two_type_view(inst)
+        view = two_type_view(inst)
         grid = critical_values(view.u1, view.u2)
         for ell in range(1, grid.interval_count + 1):
             lo, hi = grid.interval(ell)
@@ -272,7 +272,7 @@ class TestConditions:
             if m > 8:
                 continue
             inst = random_two_type_instance(rng, n, m)
-            view = _two_type_view(inst)
+            view = two_type_view(inst)
             if view.n2 == 0:
                 continue
             try:
@@ -298,7 +298,7 @@ class TestDealPlacement:
 
     def setup_method(self):
         self.inst = make_instance(4, 8, [self.B, self.A, self.B, self.A])  # types 1, 2, 1, 2
-        self.view = _two_type_view(self.inst)
+        self.view = two_type_view(self.inst)
         self.grid = critical_values(self.view.u1, self.view.u2)
 
     def dealt(self, ell):
@@ -334,7 +334,7 @@ class TestPriceModel:
             n = rng.choice([2, 3, 4])
             m = n * rng.choice([1, 2])
             inst = random_two_type_instance(rng, n, m)
-            view = _two_type_view(inst)
+            view = two_type_view(inst)
             if view.n2 == 0:
                 continue
             try:
@@ -408,7 +408,7 @@ class TestSolveTwoTypes:
             assert allocation.is_balanced(inst)
             assert is_ef1(inst, allocation).holds
             assert check_fpo(inst, allocation).is_fpo
-            view = _two_type_view(inst)
+            view = two_type_view(inst)
             alpha = tuple(Fraction(1) if i in view.members1 else gamma for i in inst.agents())
             assert verify_complementary_slackness(inst, allocation, pot, alpha)
 
@@ -421,7 +421,7 @@ class TestIntervalStructure:
             n = rng.choice([2, 3])
             m = n * rng.choice([1, 2])
             inst = random_two_type_instance(rng, n, m)
-            view = _two_type_view(inst)
+            view = two_type_view(inst)
             if view.n2 == 0:
                 continue
             try:
@@ -448,7 +448,7 @@ class TestIntervalStructure:
             n = rng.choice([2, 3])
             m = n * rng.choice([1, 2])
             inst = random_two_type_instance(rng, n, m)
-            view = _two_type_view(inst)
+            view = two_type_view(inst)
             if view.n2 == 0:
                 continue
             try:
@@ -475,7 +475,7 @@ class TestIntervalStructure:
         for _ in range(40):
             n = rng.choice([2, 3, 4])
             inst = random_two_type_instance(rng, n, n * rng.choice([1, 2, 3]))
-            view = _two_type_view(inst)
+            view = two_type_view(inst)
             if view.n2 == 0:
                 continue
             try:
@@ -510,7 +510,7 @@ class TestIntervalStructure:
             if m > 8:
                 continue
             inst = random_two_type_instance(rng, n, m)
-            view = _two_type_view(inst)
+            view = two_type_view(inst)
             if view.n2 == 0:
                 continue
             try:
@@ -550,7 +550,7 @@ class TestCaseDrivers:
             if m > 8:
                 continue
             inst = random_two_type_instance(rng, n, m)
-            view = _two_type_view(inst)
+            view = two_type_view(inst)
             if view.n2 == 0:
                 continue
             try:
@@ -580,7 +580,7 @@ class TestCaseDrivers:
             if m > 8:
                 continue
             inst = random_two_type_instance(rng, n, m)
-            view = _two_type_view(inst)
+            view = two_type_view(inst)
             if view.n2 == 0:
                 continue
             try:
@@ -606,7 +606,7 @@ class TestCaseDrivers:
         for case in SWEEP_GOLDEN:
             spec = case["instance"]
             inst = make_instance(spec["n"], spec["m"], [[Fraction(v) for v in row] for row in spec["valuations"]])
-            view = _two_type_view(inst)
+            view = two_type_view(inst)
             gamma, dealt, _ = case1_sweep(inst, critical_values(view.u1, view.u2), case["ell"])
             assert gamma == Fraction(case["gamma"])
             assert [sorted(dealt.bundle(i)) for i in view.members1] == case["x_bundles"]
@@ -626,7 +626,7 @@ class TestCaseDrivers:
         for _ in range(300):
             n = rng.choice([2, 3, 4])
             inst = random_two_type_instance(rng, n, n * rng.choice([1, 2, 3]), top=3)
-            view = _two_type_view(inst)
+            view = two_type_view(inst)
             if view.n2 == 0:
                 continue
             try:
