@@ -99,15 +99,6 @@ def solve_bivalued(inst: Instance) -> Solution:
     return Solution(alloc, alpha, None, compute_potentials(inst, alloc, alpha))
 
 
-def high_counts(inst: Instance, alloc: Allocation, viewer: int, pairs: Sequence[tuple]) -> list:
-    """Per-agent count of goods the viewer values at their high value."""
-    a = pairs[viewer - 1][0]
-    return [
-        sum(1 for j in alloc.bundle(i) if inst.value(viewer, j) == a)
-        for i in inst.agents()
-    ]
-
-
 def check_bivalued_fpo(inst: Instance, alloc: Allocation) -> bool:
     """fPO test specific to bivalued instances: the allocation is fPO iff
     it maximizes sum_i v_i(A_i)/(a_i-b_i), i.e. iff its exchange graph

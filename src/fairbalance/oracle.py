@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterator, List
 
 from . import lp as lp_mod
@@ -20,8 +21,6 @@ from .core import (
     balanced_allocation_count,
     bundle_value,
     make_allocation,
-    nash_product,
-    utilitarian_value,
 )
 
 
@@ -93,7 +92,8 @@ def full_report(inst: Instance, max_states: int = 10 ** 4) -> EnumerationReport:
     """Flags for every balanced allocation: EF1, PO, fPO, welfare stats.
 
     PO is decided by pairwise dominance inside the enumeration; fPO by the
-    exact LP check.
+    exact LP check.  The Nash product and the utilitarian sum are read off
+    each value vector.
     """
     allocations = list(enumerate_balanced(inst, max_states=max_states))
     value_vectors = [
@@ -111,8 +111,8 @@ def full_report(inst: Instance, max_states: int = 10 ** 4) -> EnumerationReport:
                 ef1=verify_mod.is_ef1(inst, alloc).holds,
                 po=not any(pareto_dominates(other, vec) for other in distinct),
                 fpo=lp_mod.check_fpo(inst, alloc).is_fpo,
-                nash=nash_product(inst, alloc),
-                utilitarian=utilitarian_value(inst, alloc),
+                nash=prod(vec, start=Fraction(1)),
+                utilitarian=sum(vec, Fraction(0)),
             )
         )
     return EnumerationReport(records=tuple(records))

@@ -7,8 +7,8 @@ descending order of that type's values.  Owned goods are tight and agents
 of one type share a potential, so dual prices order each type's goods
 exactly as its values do: the value deal is the price deal at every gamma
 of the interval.  The solver returns the first split whose deal is EF1;
-when there is none, it walks good swaps at a shared interval end where
-price condition (a) holds on the left and (b) on the right.  Every deal
+when there is none, it walks good swaps at a gamma where the split changes
+and price condition (a) holds on the left and (b) on the right.  Every deal
 maximizes the gamma-weighted welfare, so it is fPO.
 """
 
@@ -333,30 +333,30 @@ def solve_two_types(inst: Instance) -> Solution:
     # Owned goods are tight and agents of one type share q, so on an
     # interval prices order each type's goods as that type's values do: the
     # dealt allocation depends on the split, not on gamma, and only the first
-    # EF1 one needs duals (at its interval's lower end, where both adjacent
+    # EF1 one needs duals (at its run's lower end, where both adjacent
     # splits are optimal and give the same shortest-path potentials).
-    splits, allocs = [], []  # splits[ell - 1] is interval ell's, allocs[ell - 1] its deal
+    runs = []  # (split, its deal, gamma where the run starts), one per change of split
     for ell in range(1, grid.interval_count + 1):
         split = _interval_split(inst, view, grid, ell)
-        if split not in splits[-1:]:
+        if not runs or split != runs[-1][0]:
             lo = grid.endpoint(ell - 1)
             alloc = _deal(inst, view, split)
             if verify_mod.is_ef1(inst, alloc).holds:
                 pot = _potentials_of(inst, view, alloc, lo)
                 conditions_ab(view, alloc, pot.p)  # raises if both fail
                 return _solution(inst, view, alloc, lo, pot)
-        splits.append(split)
-        allocs.append(alloc)
+            runs.append((split, alloc, lo))
 
     # No split deals an EF1 allocation, so case 1 cannot occur: where (a)
     # holds at an interval's lower end and (b) at its upper end, the paper's
     # sweep finds a gamma with both, whose deal is EF1 and is the interval's
-    # deal.  Case 2 then holds at some shared end.
-    for ell in range(1, grid.interval_count):
-        shared = grid.endpoint(ell)
-        left_alloc = allocs[ell - 1]
-        pot = _potentials_of(inst, view, left_alloc, shared)  # one Bellman-Ford run per shared gamma
-        if conditions_ab(view, left_alloc, pot.p)[0] and conditions_ab(view, allocs[ell], pot.p)[1]:
-            alloc = case2_exchange(inst, view, splits[ell - 1], splits[ell], shared, pot)
+    # deal.  Case 2 then holds at some shared end, and only ends between runs
+    # need a look: at an end inside a run, (a) on the left and (b) on the
+    # right would hold for one deal at one set of potentials, making it
+    # price-EF1, hence EF1, and the scan would have returned it.
+    for (left, left_alloc, _), (right, right_alloc, shared) in zip(runs, runs[1:]):
+        pot = _potentials_of(inst, view, left_alloc, shared)  # one Bellman-Ford run per boundary
+        if conditions_ab(view, left_alloc, pot.p)[0] and conditions_ab(view, right_alloc, pot.p)[1]:
+            alloc = case2_exchange(inst, view, left, right, shared, pot)
             return _solution(inst, view, alloc, shared, pot)
     raise InternalInvariantError("neither sweep nor exchange case occurred")

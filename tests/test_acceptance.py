@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import fairbalance.twotypes as twotypes_mod
-from fairbalance.bivalued import bivalued_pairs, check_bivalued_fpo, high_counts, solve_bivalued
+from fairbalance.bivalued import check_bivalued_fpo, solve_bivalued
 from fairbalance.cli import main
 from fairbalance.core import (
     balanced_allocation_count,
@@ -28,7 +28,7 @@ from fairbalance.oracle import enumerate_balanced, full_report
 from fairbalance.twotypes import round_robin_by_price, solve_two_types
 from fairbalance.verify import is_ef1, is_p_ef1, price_drop_top
 
-from conftest import REF_VALUES, alloc, random_alpha
+from conftest import REF_VALUES, alloc, high_counts, random_alpha
 
 
 def report(criterion: int, detail: str) -> None:
@@ -89,9 +89,8 @@ def test_criterion_2_bivalued_solver_suite():
         assert is_ef1(inst, out).holds
         assert check_bivalued_fpo(inst, out)
         assert check_fpo(inst, out).is_fpo
-        pairs = bivalued_pairs(inst)
         for viewer in inst.agents():
-            counts = high_counts(inst, out, viewer, pairs)
+            counts = high_counts(inst, out, viewer)
             assert all(counts[viewer - 1] >= c - 1 for c in counts)
     elapsed = time.monotonic() - started
     assert elapsed < 60.0

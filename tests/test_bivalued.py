@@ -8,7 +8,6 @@ from fairbalance import matching
 from fairbalance.bivalued import (
     bivalued_pairs,
     check_bivalued_fpo,
-    high_counts,
     slot_weight,
     solve_bivalued,
 )
@@ -17,7 +16,7 @@ from fairbalance.lp import check_fpo
 from fairbalance.matching import BipartiteWeights, make_weights, max_weight_perfect_matching
 from fairbalance.verify import certify_fpo, is_ef1
 
-from conftest import permutation_enumerate, random_bivalued_instance
+from conftest import high_counts, permutation_enumerate, random_bivalued_instance
 
 
 class TestSlotWeight:
@@ -150,9 +149,8 @@ class TestSolveBivalued:
         inst = make_instance(2, 4, [[5, 5, 2, 2], [5, 2, 5, 2]])
         sol = solve_bivalued(inst)
         alloc, alpha = sol.allocation, sol.alpha
-        pairs = bivalued_pairs(inst)
-        counts1 = high_counts(inst, alloc, 1, pairs)
-        counts2 = high_counts(inst, alloc, 2, pairs)
+        counts1 = high_counts(inst, alloc, 1)
+        counts2 = high_counts(inst, alloc, 2)
         assert abs(counts1[0] - counts2[1]) <= 1  # own-view high counts
         assert is_ef1(inst, alloc).holds
         assert check_fpo(inst, alloc).is_fpo
@@ -223,7 +221,6 @@ class TestSolverPropertySweep:
             inst = random_bivalued_instance(rng, n, k)
             sol = solve_bivalued(inst)
             alloc, alpha = sol.allocation, sol.alpha
-            pairs = bivalued_pairs(inst)
             assert alloc.is_balanced(inst)
             assert is_ef1(inst, alloc).holds
             assert check_bivalued_fpo(inst, alloc)
@@ -231,6 +228,6 @@ class TestSolverPropertySweep:
             assert certify_fpo(inst, alloc, alpha).holds
             # high goods spread within one unit, from every agent's view
             for viewer in inst.agents():
-                counts = high_counts(inst, alloc, viewer, pairs)
+                counts = high_counts(inst, alloc, viewer)
                 own = counts[viewer - 1]
                 assert all(own >= c - 1 for c in counts)

@@ -1,9 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from fairbalance.bivalued import solve_bivalued
-from fairbalance.core import TooLargeError, balanced_allocation_count, make_instance
+from fairbalance.core import (
+    TooLargeError,
+    balanced_allocation_count,
+    make_instance,
+    nash_product,
+    utilitarian_value,
+)
 from fairbalance.oracle import enumerate_balanced, full_report
 from fairbalance.twotypes import solve_two_types
 
@@ -87,6 +94,18 @@ class TestFullReport:
         assert r.nash == 280 and r.values == (20, 14)
         assert max(rec.nash for rec in report.records) == 280
         assert max(rec.utilitarian for rec in report.records) == 44
+
+    def test_nash_and_utilitarian_match_the_core_functions(self):
+        # the report reads both off each value vector; the core functions,
+        # which read every bundle again, are the reference
+        rng = random.Random(8)
+        for _ in range(12):
+            n, m = rng.choice([(2, 2), (2, 4), (3, 3)])
+            inst = make_instance(n, m, [[Fraction(rng.randint(0, 9), rng.randint(1, 3)) for _ in range(m)]
+                                        for _ in range(n)])
+            for r in full_report(inst).records:
+                assert type(r.nash) is Fraction and r.nash == nash_product(inst, r.allocation)
+                assert type(r.utilitarian) is Fraction and r.utilitarian == utilitarian_value(inst, r.allocation)
 
     def test_solver_containment(self):
         rng = random.Random(6)

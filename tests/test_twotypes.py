@@ -36,6 +36,9 @@ from conftest import alloc, random_two_type_instance
 SWEEP_GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "case1_sweep_golden.json").read_text(encoding="utf-8")
 )
+EXCHANGE_CASES = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "exchange_path.json").read_text(encoding="utf-8")
+)
 
 REF_U1 = [10, 10, 21, 22]
 REF_U2 = [0, 1, 6, 8]
@@ -646,6 +649,49 @@ class TestCaseDrivers:
                 assert is_ef1(inst, sol.allocation).holds
                 exercised += 1
         assert exercised >= 100
+
+
+    def test_equal_splits_at_a_shared_end_mean_scan_succeeds(self):
+        # at an end inside a run of equal splits, (a) on the left and (b) on
+        # the right hold for one deal at one set of potentials; that deal is
+        # EF1, so the exchange fallback only needs the ends between runs
+        rng = random.Random(83)
+        exercised = 0
+        for _ in range(300):
+            n = rng.choice([2, 3, 4])
+            inst = random_two_type_instance(rng, n, n * rng.choice([1, 2, 3]), top=rng.choice([3, 9]))
+            view = two_type_view(inst)
+            if view.n2 == 0:
+                continue
+            try:
+                grid = critical_values(view.u1, view.u2)
+            except AllValuesEqual:
+                continue
+            splits = [_interval_split(inst, view, grid, ell) for ell in range(1, grid.interval_count + 1)]
+            for ell in range(1, grid.interval_count):
+                if splits[ell - 1] != splits[ell]:
+                    continue
+                dealt = _deal(inst, view, splits[ell])
+                pot = _potentials_of(inst, view, dealt, grid.endpoint(ell))
+                if all(conditions_ab(view, dealt, pot.p)):
+                    assert is_ef1(inst, dealt).holds
+                    exercised += 1
+        assert exercised >= 200
+
+    @pytest.mark.parametrize("case", EXCHANGE_CASES, ids=lambda c: f"trial{c['trial']}")
+    def test_fallback_visits_only_split_changes(self, case, monkeypatch):
+        # the exchange fallback runs Bellman-Ford at most once per boundary
+        # between runs of equal splits, never at an end inside a run
+        spec = case["instance"]
+        inst = make_instance(spec["n"], spec["m"], spec["valuations"])
+        view = two_type_view(inst)
+        grid = critical_values(view.u1, view.u2)
+        splits = {_interval_split(inst, view, grid, ell) for ell in range(1, grid.interval_count + 1)}
+        calls = []
+        real = twotypes._potentials_of
+        monkeypatch.setattr(twotypes, "_potentials_of", lambda *args: calls.append(args) or real(*args))
+        solve_two_types(inst)
+        assert 1 <= len(calls) <= len(splits) - 1
 
 
 class TestExchangeTightness:
