@@ -61,6 +61,12 @@ class SimplexResult:
 _ZERO = Fraction(0)
 
 
+def _eliminate(row: list, coef: Fraction, prow: list) -> list:
+    """``row - coef * prow`` as a new list; each entry where ``prow`` is
+    zero is kept as it is."""
+    return [a - coef * b if b else a for a, b in zip(row, prow)]
+
+
 def solve_lp(lp: LinearProgram) -> SimplexResult:
     """Two-phase simplex; returns an optimal vertex and its objective.
 
@@ -82,22 +88,19 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
     # depend on the width of the tableau
     stall_limit = 4 * (nstruct + 2 * nrows) + 32
 
-    def run_phase(costs, expel_artificials):
+    def run_phase(costs):
         # reduced-cost row for the given costs (one per tableau column) under
-        # the current basis; a basic artificial outside the columns costs 0
+        # the current basis, its last entry minus the objective value; a
+        # basic artificial outside the columns costs 0
         ncols = len(costs)
-        z = list(costs)
-        zval = _ZERO
+        # phase II: a zero-level basic artificial with a nonzero entering
+        # coefficient would drift off zero, so it leaves first (degenerate,
+        # feasible pivot); in phase I artificials may re-enter
+        expel = ncols == nstruct
+        z = list(costs) + [_ZERO]
         for r in range(nrows):
-            if basis[r] >= ncols:
-                continue
-            cb = costs[basis[r]]
-            if cb != 0:
-                trow = tableau[r]
-                for j in range(ncols):
-                    if trow[j] != 0:
-                        z[j] -= cb * trow[j]
-                zval += cb * trow[ncols]
+            if basis[r] < ncols and costs[basis[r]] != 0:
+                z = _eliminate(z, costs[basis[r]], tableau[r])
 
         bland = False
         stall = 0
@@ -115,21 +118,14 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
                         best = z[j]
                         enter = j
             if enter is None:
-                return zval
+                return -z[-1]
 
-            # leaving row: minimum ratio; in phase II a zero-level basic
-            # artificial with a nonzero entering coefficient would drift
-            # off zero, so expel it first (degenerate, feasible pivot)
+            # leaving row: minimum ratio, ties to the smaller basis index
             leave = None
             best_ratio = None
             for r in range(nrows):
                 coef = tableau[r][enter]
-                if (
-                    expel_artificials
-                    and basis[r] >= nstruct
-                    and tableau[r][ncols] == 0
-                    and coef != 0
-                ):
+                if expel and basis[r] >= nstruct and tableau[r][ncols] == 0 and coef != 0:
                     leave = r
                     break
                 if coef > 0:
@@ -151,23 +147,15 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
                 inv = 1 / piv
                 tableau[leave] = prow = [x * inv for x in prow]
             for r in range(nrows):
-                if r == leave:
-                    continue
                 coef = tableau[r][enter]
-                if coef != 0:
-                    trow = tableau[r]
-                    tableau[r] = [a - coef * b for a, b in zip(trow, prow)]
-            coef = z[enter]
-            old_zval = zval
-            if coef != 0:
-                for j in range(ncols):
-                    if prow[j] != 0:
-                        z[j] -= coef * prow[j]
-                zval += coef * prow[ncols]
+                if r != leave and coef != 0:
+                    tableau[r] = _eliminate(tableau[r], coef, prow)
+            old_value = z[-1]
+            z = _eliminate(z, z[enter], prow)
             basis[leave] = enter
 
             if not bland:
-                if zval > old_zval:
+                if z[-1] < old_value:
                     stall = 0
                 else:
                     stall += 1
@@ -175,19 +163,19 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
                         bland = True
 
     # Phase I: drive artificials to zero; they may re-enter here
-    if run_phase([_ZERO] * nstruct + [Fraction(-1)] * nrows, expel_artificials=False) != 0:
+    if run_phase([_ZERO] * nstruct + [Fraction(-1)] * nrows) != 0:
         raise LPError("infeasible constraint system")
 
     # Phase II: optimize the real objective on the structural columns
     for r in range(nrows):
         tableau[r] = tableau[r][:nstruct] + tableau[r][-1:]
-    zval = run_phase(list(lp.c), expel_artificials=True)
+    objective = run_phase(list(lp.c))
 
     x = [_ZERO] * nstruct
     for r in range(nrows):
         if basis[r] < nstruct:
             x[basis[r]] = tableau[r][nstruct]
-    return SimplexResult(x=tuple(x), objective=zval)
+    return SimplexResult(x=tuple(x), objective=objective)
 
 
 # --- allocation LPs ----------------------------------------------------------

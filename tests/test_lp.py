@@ -1,3 +1,4 @@
+import itertools
 import os
 import pathlib
 import random
@@ -19,6 +20,7 @@ from fairbalance.core import (
 from fairbalance.graph import Potentials, compute_potentials
 from fairbalance.lp import (
     LinearProgram,
+    LPError,
     SimplexResult,
     check_fpo,
     solve_dual,
@@ -30,6 +32,7 @@ from fairbalance.lp import (
 from conftest import alloc, brute_max_welfare, permutation_enumerate, random_alpha, random_instance
 
 ONE = (Fraction(1), Fraction(1))
+HALVES = [Fraction(v, 2) for v in range(-4, 5)]
 
 
 class TestSimplexCore:
@@ -70,6 +73,103 @@ class TestSimplexCore:
         res = solve_lp(lp)
         assert res.objective == Fraction(1, 2)
         assert res.x == (Fraction(1, 2), Fraction(1, 2))
+
+    def test_infeasible_raises(self):
+        # x + y = 1 and x + y = 2: phase I ends with a positive artificial sum
+        with pytest.raises(LPError, match="infeasible constraint system"):
+            solve_lp(LinearProgram(c=(1, 1), a=((1, 1), (1, 1)), b=(1, 2)))
+
+    def test_unbounded_raises(self):
+        # max x subject to x - y = 0: x = y grows without limit
+        with pytest.raises(LPError, match="objective unbounded"):
+            solve_lp(LinearProgram(c=(1, 0), a=((1, -1),), b=(0,)))
+
+
+def _solve_square(mat, rhs):
+    """x with mat x = rhs, or None when mat is singular (Gauss-Jordan)."""
+    n = len(mat)
+    aug = [list(row) + [v] for row, v in zip(mat, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [u - f * v for u, v in zip(aug[r], aug[col])]
+    return [row[n] for row in aug]
+
+
+def _basic_solutions(a, b):
+    """Every basic solution of A x = b: for each set of len(a) columns with
+    a nonsingular submatrix, the x that is zero off those columns.  Empty
+    exactly when A is not of full row rank."""
+    out = []
+    for cols in itertools.combinations(range(len(a[0])), len(a)):
+        xb = _solve_square([[row[j] for j in cols] for row in a], b)
+        if xb is not None:
+            x = [Fraction(0)] * len(a[0])
+            for j, v in zip(cols, xb):
+                x[j] = v
+            out.append(x)
+    return out
+
+
+def _random_bounded_system(rng):
+    """(A, b, basic solutions): 1-3 random rows over 2-5 x columns with
+    entries in -2..2 by halves and a mostly zero rhs, then the bounding row
+    sum(x) + s = M on one more column s, drawn again until of full row rank."""
+    while True:
+        nx = rng.randint(2, 5)
+        rows = [[rng.choice(HALVES) for _ in range(nx)] + [Fraction(0)]
+                for _ in range(rng.randint(1, 3))]
+        rhs = [Fraction(0) if rng.random() < 0.6 else Fraction(rng.randint(1, 4)) for _ in rows]
+        rows.append([Fraction(1)] * (nx + 1))
+        rhs.append(Fraction(rng.randint(1, 3)))
+        bases = _basic_solutions(rows, rhs)
+        if bases:
+            return rows, rhs, bases
+
+
+class TestSimplexAgainstBases:
+    """solve_lp against exhaustive basis enumeration on small degenerate LPs.
+
+    The bounding row makes every feasible LP bounded, so it is infeasible
+    exactly when no basic solution is nonnegative, and otherwise its optimum
+    is the best nonnegative basic solution.  A repeated row keeps an
+    artificial basic at level zero after phase I, which phase II's expel
+    rule must hold there."""
+
+    def test_matches_best_basic_solution(self):
+        rng = random.Random(13)
+        dot = lambda u, v: sum(p * q for p, q in zip(u, v))
+        seen = {"feasible": 0, "infeasible": 0, "repeated row": 0}
+        for _ in range(400):
+            rows, rhs, bases = _random_bounded_system(rng)
+            costs = [rng.choice(HALVES) for _ in rows[0]]
+            feasible = [x for x in bases if min(x) >= 0]
+            a, b = list(rows), list(rhs)
+            if rng.random() < 0.3:
+                src, at = rng.randrange(len(rows)), rng.randrange(len(rows) + 1)
+                a.insert(at, rows[src])
+                b.insert(at, rhs[src])
+                seen["repeated row"] += bool(feasible)
+            program = LinearProgram(c=costs, a=a, b=b)
+            if not feasible:
+                seen["infeasible"] += 1
+                with pytest.raises(LPError, match="infeasible constraint system"):
+                    solve_lp(program)
+                continue
+            seen["feasible"] += 1
+            res = solve_lp(program)
+            assert res.objective == max(dot(costs, x) for x in feasible)
+            assert all(v >= 0 for v in res.x)
+            assert all(dot(row, res.x) == v for row, v in zip(a, b))
+            assert dot(costs, res.x) == res.objective
+        assert seen["feasible"] >= 200 and seen["infeasible"] >= 100, seen
+        assert seen["repeated row"] >= 50, seen
 
 
 class TestSolvePrimal:
