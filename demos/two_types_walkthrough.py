@@ -1,11 +1,13 @@
 """Two agent types: scanning the weight ratio until fairness appears.
 
 With types weighted 1 and gamma, the optimal split of goods changes only
-at finitely many critical ratios.  The solver scans the intervals, deals
-each type's goods by descending value, and stops at the first EF1 deal.
-Dual prices order each type's goods as its values do, so the printed
-prices never reorder a deal within an interval.  Efficiency is automatic
-because every deal maximizes the weighted welfare at its gamma.
+at finitely many critical ratios.  This script prints the whole grid of
+them and each interval's split.  The solver visits only the ratios where
+the split changes, deals each type's goods by descending value, and stops
+at the first EF1 deal.  Dual prices order each type's goods as its values
+do, so the printed prices never reorder a deal within an interval.
+Efficiency is automatic because every deal maximizes the weighted welfare
+at its gamma.
 """
 
 from fractions import Fraction

@@ -6,10 +6,13 @@ constant, and each type's goods are dealt round-robin to its agents in
 descending order of that type's values.  Owned goods are tight and agents
 of one type share a potential, so dual prices order each type's goods
 exactly as its values do: the value deal is the price deal at every gamma
-of the interval.  The solver returns the first split whose deal is EF1;
-when there is none, it walks good swaps at a gamma where the split changes
-and price condition (a) holds on the left and (b) on the right.  Every deal
-maximizes the gamma-weighted welfare, so it is fPO.
+of the interval.  The solver walks gamma upward from delta over the points
+where the split changes, found on the int value rows one at a time, never
+listing every critical ratio (:func:`critical_values` builds that grid for
+inspection).  It returns the first split whose deal is EF1; when there is
+none, it walks good swaps at a gamma where the split changes and price
+condition (a) holds on the left and (b) on the right.  Every deal maximizes
+the gamma-weighted welfare, so it is fPO.
 """
 
 from __future__ import annotations
@@ -91,8 +94,12 @@ class Split:
 def compute_delta(u1: Sequence, u2: Sequence) -> Fraction:
     """Smallest positive same-type value difference scaled by one plus the
     largest value; every interesting weight ratio lies in (delta, 1/delta)."""
+    return _delta(*integer_rows((u1, u2)))
+
+
+def _delta(scale: int, rows: Sequence) -> Fraction:
+    """compute_delta on the two rows times ``scale``, as ints."""
     # in ints over a common denominator: g/(1+M) is (scale*g)/(scale + scale*M)
-    scale, rows = integer_rows((u1, u2))
     # the smallest difference lies between neighbours in sorted order
     gaps = []
     for row in rows:
@@ -138,6 +145,39 @@ def optimal_split(u1: Sequence, u2: Sequence, gamma: Fraction, n1: int, k: int) 
     key = [gamma.numerator * b - gamma.denominator * a for a, b in zip(a1, a2)]
     order = sorted(range(1, len(u1) + 1), key=lambda j: key[j - 1])  # stable: ties by index
     return Split(s=frozenset(order[: k * n1]), t=frozenset(order[k * n1:]))
+
+
+def _split_runs(a1: Sequence, a2: Sequence, delta: Fraction, size: int):
+    """Yield each optimal split as gamma rises from delta to 1/delta, with
+    the gamma where its run starts: the split of :func:`optimal_split` on
+    every grid interval, without building the grid.
+
+    ``a1`` and ``a2`` are the two rows as ints over one scale.  Just above
+    a gamma, goods tied at it rank by ascending a2, so sorting by the
+    score there, then a2, then index gives the next run's split.  That
+    split holds until a good j in S falls below a good j' in T, at the
+    least (a1j - a1j')/(a2j - a2j') over pairs with both differences
+    positive; with nonnegative values every such ratio lies inside
+    (delta, 1/delta).
+    """
+    goods = range(1, len(a1) + 1)
+    gamma = delta
+    while True:
+        num, den = gamma.numerator, gamma.denominator
+        order = sorted(goods, key=lambda j: (num * a2[j - 1] - den * a1[j - 1], a2[j - 1], j))
+        s, t = order[:size], order[size:]
+        yield Split(s=frozenset(s), t=frozenset(t)), gamma
+        t_rows = [(a1[j - 1], a2[j - 1]) for j in t]
+        best1, best2 = 1, 0  # the least ratio so far as best1/best2; 1/0 is none yet
+        for j in s:
+            x1, x2 = a1[j - 1], a2[j - 1]
+            for y1, y2 in t_rows:
+                d1, d2 = x1 - y1, x2 - y2
+                if d1 > 0 and d2 > 0 and d1 * best2 < best1 * d2:
+                    best1, best2 = d1, d2
+        if not best2:
+            return
+        gamma = Fraction(best1, best2)
 
 
 def round_robin_by_price(goods, prices: Sequence, agents: int, k: int) -> tuple:
@@ -325,8 +365,10 @@ def solve_two_types(inst: Instance) -> Solution:
 
     if view.n2 == 0:
         return _trivial_solution(inst, view)
+    scale, rows = inst.scaled_values
+    a1, a2 = rows[view.members1[0] - 1], rows[view.members2[0] - 1]
     try:
-        grid = critical_values(view.u1, view.u2)
+        delta = _delta(scale, (a1, a2))
     except AllValuesEqual:
         return _trivial_solution(inst, view)
 
@@ -336,16 +378,13 @@ def solve_two_types(inst: Instance) -> Solution:
     # EF1 one needs duals (at its run's lower end, where both adjacent
     # splits are optimal and give the same shortest-path potentials).
     runs = []  # (split, its deal, gamma where the run starts), one per change of split
-    for ell in range(1, grid.interval_count + 1):
-        split = _interval_split(inst, view, grid, ell)
-        if not runs or split != runs[-1][0]:
-            lo = grid.endpoint(ell - 1)
-            alloc = _deal(inst, view, split)
-            if verify_mod.is_ef1(inst, alloc).holds:
-                pot = _potentials_of(inst, view, alloc, lo)
-                conditions_ab(view, alloc, pot.p)  # raises if both fail
-                return _solution(inst, view, alloc, lo, pot)
-            runs.append((split, alloc, lo))
+    for split, lo in _split_runs(a1, a2, delta, view.n1 * inst.k):
+        alloc = _deal(inst, view, split)
+        if verify_mod.is_ef1(inst, alloc).holds:
+            pot = _potentials_of(inst, view, alloc, lo)
+            conditions_ab(view, alloc, pot.p)  # raises if both fail
+            return _solution(inst, view, alloc, lo, pot)
+        runs.append((split, alloc, lo))
 
     # No split deals an EF1 allocation, so case 1 cannot occur: where (a)
     # holds at an interval's lower end and (b) at its upper end, the paper's

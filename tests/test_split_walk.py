@@ -1,0 +1,191 @@
+"""The two-type solver's walk over split change points, against the grid scan.
+
+The reference below is the grid scan: every critical ratio from
+`critical_values`, `optimal_split` at each interval's midpoint, one run
+per change of split, the first EF1 deal's run start as gamma, and the
+exchange fallback over the runs.  The walk must give the same runs and the
+same `Solution`, field by field.
+"""
+
+import json
+import pathlib
+import random
+from fractions import Fraction
+
+import pytest
+
+from fairbalance import core, graph, solve, twotypes
+from fairbalance.core import Solution, make_instance, two_type_view
+from fairbalance.lp import verify_complementary_slackness
+from fairbalance.twotypes import (
+    AllValuesEqual,
+    _alpha_for,
+    _deal,
+    _potentials_of,
+    _split_runs,
+    _trivial_solution,
+    case2_exchange,
+    compute_delta,
+    conditions_ab,
+    critical_values,
+    optimal_split,
+    solve_two_types,
+)
+from fairbalance.verify import is_ef1
+
+EXCHANGE_CASES = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "exchange_path.json").read_text(encoding="utf-8")
+)
+
+
+def scan_runs(inst, view):
+    """(split, gamma where its run starts) per change of split, read off
+    the whole critical-ratio grid at interval midpoints."""
+    grid = critical_values(view.u1, view.u2)
+    last = None
+    for ell in range(1, grid.interval_count + 1):
+        lo, hi = grid.interval(ell)
+        split = optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
+        if split != last:
+            yield split, lo
+            last = split
+
+
+def scan_solve(inst):
+    """solve_two_types over the grid scan's runs, then the exchange walk."""
+    view = two_type_view(inst)
+    if view.n2 == 0:
+        return _trivial_solution(inst, view)
+    try:
+        runs = scan_runs(inst, view)
+        dealt = []
+        for split, lo in runs:
+            alloc = _deal(inst, view, split)
+            if is_ef1(inst, alloc).holds:
+                pot = _potentials_of(inst, view, alloc, lo)
+                return Solution(alloc, _alpha_for(view, inst.n, lo), lo, pot)
+            dealt.append((split, alloc, lo))
+    except AllValuesEqual:
+        return _trivial_solution(inst, view)
+    for (left, left_alloc, _), (right, right_alloc, shared) in zip(dealt, dealt[1:]):
+        pot = _potentials_of(inst, view, left_alloc, shared)
+        if conditions_ab(view, left_alloc, pot.p)[0] and conditions_ab(view, right_alloc, pot.p)[1]:
+            alloc = case2_exchange(inst, view, left, right, shared, pot)
+            return Solution(alloc, _alpha_for(view, inst.n, shared), shared, pot)
+    raise AssertionError("the reference scan found no EF1 allocation")
+
+
+def walk_runs(inst, view):
+    scale, rows = inst.scaled_values
+    a1, a2 = rows[view.members1[0] - 1], rows[view.members2[0] - 1]
+    return list(_split_runs(a1, a2, compute_delta(view.u1, view.u2), view.n1 * inst.k))
+
+
+def random_rows(rng, m):
+    """Two value rows of one of the shapes that stress the change points."""
+    kind = rng.choice(["small", "wide", "rational", "identical", "equal-gaps", "constant"])
+    if kind == "small":
+        return [rng.randint(0, 5) for _ in range(m)], [rng.randint(0, 5) for _ in range(m)]
+    if kind == "wide":
+        return [rng.randint(0, 1000) for _ in range(m)], [rng.randint(0, 1000) for _ in range(m)]
+    if kind == "rational":
+        def value():
+            return Fraction(rng.randint(0, 12), rng.randint(1, 4))
+        return [value() for _ in range(m)], [value() for _ in range(m)]
+    if kind == "identical":
+        # few distinct goods, each repeated
+        kinds = [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(rng.randint(1, 3))]
+        goods = [rng.choice(kinds) for _ in range(m)]
+        return [g[0] for g in goods], [g[1] for g in goods]
+    if kind == "equal-gaps":
+        # u1 = c*u2 + e up to a few outliers: many pairs share one ratio
+        c, e = rng.randint(1, 3), rng.randint(0, 4)
+        u2 = [rng.randint(0, 6) for _ in range(m)]
+        u1 = [c * v + e if rng.random() < 0.8 else rng.randint(0, 20) for v in u2]
+        return u1, u2
+    varying = [rng.randint(0, 9) for _ in range(m)]
+    constant = [rng.randint(0, 9)] * m
+    return (varying, constant) if rng.random() < 0.5 else (constant, varying)
+
+
+def random_case(rng):
+    n = rng.randint(2, 6)
+    m = n * rng.randint(1, 4)
+    u1, u2 = random_rows(rng, m)
+    n1 = rng.randint(1, n - 1)
+    types = [1] * n1 + [2] * (n - n1)
+    rng.shuffle(types)
+    return make_instance(n, m, [u1 if t == 1 else u2 for t in types])
+
+
+def exchange_instance(case):
+    spec = case["instance"]
+    return make_instance(spec["n"], spec["m"], spec["valuations"])
+
+
+def assert_walk_matches_scan(inst):
+    view = two_type_view(inst)
+    if view.n2:
+        try:
+            expected = list(scan_runs(inst, view))
+        except AllValuesEqual:
+            expected = None
+        if expected is not None:
+            assert walk_runs(inst, view) == expected
+    assert solve_two_types(inst) == scan_solve(inst)
+
+
+def test_walk_matches_scan_on_seeded_instances():
+    rng = random.Random(1414)
+    walked = 0
+    for _ in range(600):
+        inst = random_case(rng)
+        assert_walk_matches_scan(inst)
+        walked += two_type_view(inst).n2 > 0
+    assert walked >= 500
+
+
+@pytest.mark.parametrize("case", EXCHANGE_CASES, ids=lambda c: f"trial{c['trial']}")
+def test_walk_matches_scan_on_exchange_fixtures(case):
+    assert_walk_matches_scan(exchange_instance(case))
+
+
+def test_solve_skips_the_grid_and_scales_the_rows_once(monkeypatch):
+    inst = exchange_instance(EXCHANGE_CASES[0])
+    value_rows = set(map(tuple, inst.values))  # before scaled_values is read
+    scalings = []
+    real = core.integer_rows
+
+    def spy(rows):
+        if all(tuple(row) in value_rows for row in rows):
+            scalings.append(rows)
+        return real(rows)
+
+    def unreachable(*args):
+        raise AssertionError("the solver built the grid")
+
+    for module in (core, graph, twotypes):
+        monkeypatch.setattr(module, "integer_rows", spy)
+    monkeypatch.setattr(twotypes, "critical_values", unreachable)
+    monkeypatch.setattr(twotypes, "optimal_split", unreachable)
+    sol = solve(inst)
+    assert is_ef1(inst, sol.allocation).holds
+    assert len(scalings) == 1
+
+
+def test_walk_matches_scan_at_scale():
+    # n = 8, types interleaved, values 0..10^6: about 4,000 grid intervals
+    # at m = 128 and 15,000 at m = 256, but 40-80 runs; the whole grid scan
+    # takes seconds at m = 256, so there only the solve is compared
+    rng = random.Random(256)
+    for m in (128, 128, 128, 256):
+        u1 = [rng.randint(0, 10**6) for _ in range(m)]
+        u2 = [rng.randint(0, 10**6) for _ in range(m)]
+        inst = make_instance(8, m, [u1 if i % 2 == 0 else u2 for i in range(8)])
+        if m == 128:
+            view = two_type_view(inst)
+            assert walk_runs(inst, view) == list(scan_runs(inst, view))
+        sol = solve(inst)
+        assert sol == scan_solve(inst)
+        assert is_ef1(inst, sol.allocation).holds
+        assert verify_complementary_slackness(inst, sol.allocation, sol.potentials, sol.alpha)
