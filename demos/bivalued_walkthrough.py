@@ -3,12 +3,14 @@
 Each agent rates every good either "high" (a_i) or "low" (b_i).  Expanding
 each agent into k slots, weighing a high good K + s in slot s (K =
 n*k*(k+1)) and a low good 0, makes a single maximum-weight perfect matching
-both EF1 and fPO.
+both EF1 and fPO.  fPO is then checked twice: by ``certify_fpo`` at the
+certificate weights 1/(a_i - b_i), which holds exactly when the exchange
+graph has no negative cycle, and by the exact LP test.
 """
 
 
-from fairbalance import check_bivalued_fpo, check_fpo, is_ef1, make_instance, solve_bivalued
-from fairbalance.bivalued import bivalued_pairs, slot_weight
+from fairbalance import certify_fpo, check_fpo, is_ef1, make_instance, solve_bivalued
+from fairbalance.bivalued import bivalued_pairs, certificate_alpha, slot_weight
 
 inst = make_instance(
     3,
@@ -34,7 +36,7 @@ allocation, alpha = solution.allocation, solution.alpha
 print("\nallocation:", [sorted(b) for b in allocation.bundles])
 print("certificate weights 1/(a_i - b_i):", [str(a) for a in alpha])
 print("EF1:", is_ef1(inst, allocation).holds)
-print("fPO via the weighted exchange graph:", check_bivalued_fpo(inst, allocation))
+print("fPO via the weighted exchange graph:", certify_fpo(inst, allocation, certificate_alpha(pairs)).holds)
 print("fPO via the exact LP test:         ", check_fpo(inst, allocation).is_fpo)
 
 high_per_agent = [

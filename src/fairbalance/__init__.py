@@ -7,7 +7,7 @@ and brute-force oracles make every claimed property checkable exactly
 (all arithmetic is rational, never floating point).
 """
 
-from .bivalued import check_bivalued_fpo, slot_weight, solve_bivalued
+from .bivalued import slot_weight, solve_bivalued
 from .core import (
     Allocation,
     Bivalued,
@@ -28,7 +28,7 @@ from .core import (
 from .graph import Potentials, build_exchange_graph, compute_potentials, detect_negative_cycle
 from .lp import check_fpo, solve_dual, solve_primal, verify_complementary_slackness
 from .matching import max_weight_perfect_matching
-from .oracle import enumerate_balanced, full_report
+from .oracle import enumerate_balanced, full_report, is_po_bruteforce
 from .solver import solve
 from .twotypes import (
     compute_delta,
@@ -37,7 +37,7 @@ from .twotypes import (
     round_robin_by_price,
     solve_two_types,
 )
-from .verify import certify_fpo, is_ef1, is_p_ef1, is_po_bruteforce
+from .verify import certify_fpo, is_ef1, is_p_ef1
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "build_exchange_graph",
     "bundle_value",
     "certify_fpo",
-    "check_bivalued_fpo",
     "check_fpo",
     "classify",
     "compute_delta",

@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import matching as matching_mod
-from . import verify as verify_mod
 from .core import (
     Allocation,
     Instance,
@@ -98,10 +97,3 @@ def solve_bivalued(inst: Instance) -> Solution:
     alpha = certificate_alpha(pairs)
     return Solution(alloc, alpha, None, compute_potentials(inst, alloc, alpha))
 
-
-def check_bivalued_fpo(inst: Instance, alloc: Allocation) -> bool:
-    """fPO test specific to bivalued instances: the allocation is fPO iff
-    it maximizes sum_i v_i(A_i)/(a_i-b_i), i.e. iff its exchange graph
-    under those weights has no negative cycle."""
-    pairs = bivalued_pairs(inst)
-    return verify_mod.certify_fpo(inst, alloc, certificate_alpha(pairs)).holds

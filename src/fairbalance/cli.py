@@ -300,7 +300,7 @@ def cmd_check(args) -> int:
     if args.po:
         requested = True
         try:
-            v = verify_mod.is_po_bruteforce(inst, alloc, max_states=args.max_states)
+            v = oracle_mod.is_po_bruteforce(inst, alloc, max_states=args.max_states)
         except TooLargeError as exc:
             print(f"po: not decided, enumeration guard tripped ({exc}); "
                   "PO checking is intractable in general", file=sys.stderr)

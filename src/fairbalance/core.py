@@ -33,11 +33,13 @@ class MoreThanTwoTypes(FairDivisionError):
 
 
 class NegativeCycleError(FairDivisionError):
-    """The exchange graph has a negative cycle (allocation not optimal)."""
+    """The exchange graph has a negative cycle (allocation not optimal):
+    ``cycle`` lists its nodes and ``weight`` is its exact total weight."""
 
-    def __init__(self, cycle):
+    def __init__(self, cycle, weight):
         super().__init__(f"allocation is not weighted-welfare optimal: {cycle}")
         self.cycle = cycle
+        self.weight = weight
 
 
 class TooLargeError(FairDivisionError):

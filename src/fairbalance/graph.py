@@ -89,10 +89,11 @@ class Potentials:
     def objective(self, k: int) -> Fraction:
         return k * sum(self.q, Fraction(0)) + sum(self.p, Fraction(0))
 
-    def scaled(self, inst: Instance, alpha: Sequence[Fraction]) -> tuple:
+    def scaled_if_feasible(self, inst: Instance, alpha: Sequence[Fraction]) -> Optional[tuple]:
         """``(qs, ps, rs, rows)``, all ints over one positive common
-        denominator: q_i + p_j compares with alpha_i * v_ij exactly as
-        ``qs[i-1] + ps[j-1]`` with ``rs[i-1] * rows[i-1][j-1]``.
+        denominator, so that q_i + p_j compares with alpha_i * v_ij exactly
+        as ``qs[i-1] + ps[j-1]`` with ``rs[i-1] * rows[i-1][j-1]``; None when
+        some pair has q_i + p_j < alpha_i * v_ij.
 
         Raises ValueError unless there are n q's, m p's and n alphas.
         """
@@ -104,16 +105,16 @@ class Potentials:
         alpha_scale, (alpha_ints,) = integer_rows((alpha,))
         # everything times dual_scale * alpha_scale * value_scale
         left = alpha_scale * value_scale
-        return ([q * left for q in qs], [p * left for p in ps],
-                [a * dual_scale for a in alpha_ints], rows)
-
-    def is_feasible(self, inst: Instance, alpha: Sequence[Fraction]) -> bool:
-        qs, ps, rs, rows = self.scaled(inst, alpha)
+        qs, ps = [q * left for q in qs], [p * left for p in ps]
+        rs = [a * dual_scale for a in alpha_ints]
         for q, r, row in zip(qs, rs, rows):
             for p, w in zip(ps, row):
                 if q + p < r * w:
-                    return False
-        return True
+                    return None
+        return qs, ps, rs, rows
+
+    def is_feasible(self, inst: Instance, alpha: Sequence[Fraction]) -> bool:
+        return self.scaled_if_feasible(inst, alpha) is not None
 
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for v in self.q) and all(v >= 0 for v in self.p)
@@ -195,7 +196,7 @@ def detect_negative_cycle(g: ExchangeGraph) -> Optional[list]:
     """A simple negative-weight cycle as a node list, or None.
 
     The cycle is returned so that consecutive nodes (wrapping around) are
-    arcs of the graph.
+    arcs of the graph; it is the cycle that compute_potentials raises.
     """
     dist, pred, bad = _bellman_ford(g)
     if bad is None:
@@ -216,14 +217,16 @@ def compute_potentials(inst: Instance, alloc: Allocation, alpha: Sequence[Fracti
 
     Requires ``alloc`` to maximize the alpha-weighted welfare over balanced
     allocations; otherwise the graph has a negative cycle and
-    NegativeCycleError is raised.  q_i is the distance to agent i and p_j
-    the negated distance to good j; the pair is dual-feasible, nonnegative
-    and complementary-slack with the allocation.
+    NegativeCycleError is raised with that cycle and its weight.  q_i is
+    the distance to agent i and p_j the negated distance to good j; the
+    pair is dual-feasible, nonnegative and complementary-slack with the
+    allocation.
     """
     g = build_exchange_graph(inst, alloc, alpha)
     dist, pred, bad = _bellman_ford(g)
     if bad is not None:
-        raise NegativeCycleError(_extract_cycle(g, pred, bad[1]))
+        cycle = _extract_cycle(g, pred, bad[1])
+        raise NegativeCycleError(cycle, cycle_weight(g, cycle))
     n = inst.n
     if any(d < 0 for d in dist[1:n + 1]) or any(d > 0 for d in dist[n + 1:]):
         raise InternalInvariantError("shortest-path potentials must be nonnegative")

@@ -333,9 +333,10 @@ def verify_complementary_slackness(
     """
     check_alpha(inst, alpha)
     check_allocation(inst, alloc, balanced=True)
-    qs, ps, rs, rows = pot.scaled(inst, alpha)
-    if any(q + p < r * w for q, r, row in zip(qs, rs, rows) for p, w in zip(ps, row)):
+    scaled = pot.scaled_if_feasible(inst, alpha)
+    if scaled is None:
         raise ValueError("potentials are not dual feasible")
+    qs, ps, rs, rows = scaled
     for q, r, row, bundle in zip(qs, rs, rows, alloc.bundles):
         for j in bundle:
             if q + ps[j - 1] != r * row[j - 1]:

@@ -2,7 +2,8 @@
 
 Enumeration is exhaustive and exact, so anything here is usable as an
 independent oracle for the polynomial-time solvers, at the price of only
-working on desk-scale instances.
+working on desk-scale instances: the balanced-allocation enumeration,
+Pareto dominance, the guarded brute-force PO check and the flag report.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .core import (
     TooLargeError,
     balanced_allocation_count,
     bundle_value,
+    check_allocation,
     make_allocation,
 )
 
@@ -58,6 +60,24 @@ def pareto_dominates(theirs, mine) -> bool:
     """Does value vector ``theirs`` Pareto-dominate ``mine``: at least as
     good for every agent and strictly better for one?"""
     return all(t >= v for t, v in zip(theirs, mine)) and any(t > v for t, v in zip(theirs, mine))
+
+
+def is_po_bruteforce(inst: Instance, alloc: Allocation, max_states: int = 10 ** 6) -> verify_mod.Verdict:
+    """Pareto optimality by enumerating all balanced allocations.
+
+    Deciding PO is intractable in general, so this is guarded: instances
+    with more than ``max_states`` balanced allocations raise TooLargeError
+    (from the enumeration).
+    """
+    check_allocation(inst, alloc, balanced=True)
+    mine = [bundle_value(inst, i, alloc.bundle(i)) for i in inst.agents()]
+    for cand in enumerate_balanced(inst, max_states=max_states):
+        theirs = [bundle_value(inst, i, cand.bundle(i)) for i in inst.agents()]
+        if pareto_dominates(theirs, mine):
+            dominated_by = tuple(sorted(sorted(b) for b in cand.bundles))
+            return verify_mod.Verdict(False, {"dominated_by": dominated_by, "values": tuple(mine),
+                                              "dominating_values": tuple(theirs)})
+    return verify_mod.Verdict(holds=True)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Independent fairness and efficiency checkers with explicit witnesses.
 
-Each check returns a :class:`Verdict`; when a check fails the witness
-carries the exact rational quantities that break the definition, so a
-failure is self-explanatory in reports and CLI output.
+EF1, price-EF1 and the fPO certificate check for a given alpha (read off
+the shortest-path potentials of ``graph``); brute-force PO lives in
+``oracle``.  Each check returns a :class:`Verdict`; when a check fails the
+witness carries the exact rational quantities that break the definition,
+so a failure is self-explanatory in reports and CLI output.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import graph as graph_mod
-from .core import Allocation, Instance, bundle_value, check_allocation
+from .core import Allocation, Instance, NegativeCycleError, check_allocation
 
 
 @dataclass(frozen=True)
@@ -89,42 +91,12 @@ def is_p_ef1(prices: Sequence[Fraction], alloc: Allocation) -> Verdict:
     return Verdict(holds=True)
 
 
-def is_po_bruteforce(inst: Instance, alloc: Allocation, max_states: int = 10 ** 6) -> Verdict:
-    """Pareto optimality by enumerating all balanced allocations.
-
-    Deciding PO is intractable in general, so this is guarded: instances
-    with more than ``max_states`` balanced allocations raise TooLargeError
-    (from the enumeration).
-    """
-    from .oracle import enumerate_balanced, pareto_dominates  # local import to avoid a cycle
-
-    check_allocation(inst, alloc, balanced=True)
-    mine = [bundle_value(inst, i, alloc.bundle(i)) for i in inst.agents()]
-    for cand in enumerate_balanced(inst, max_states=max_states):
-        theirs = [bundle_value(inst, i, cand.bundle(i)) for i in inst.agents()]
-        if pareto_dominates(theirs, mine):
-            return Verdict(
-                holds=False,
-                witness={
-                    "dominated_by": tuple(sorted(sorted(b) for b in cand.bundles)),
-                    "values": tuple(mine),
-                    "dominating_values": tuple(theirs),
-                },
-            )
-    return Verdict(holds=True)
-
-
 def certify_fpo(inst: Instance, alloc: Allocation, alpha: Sequence[Fraction]) -> Verdict:
     """Positive fPO certificate: the allocation maximizes the alpha-weighted
-    welfare exactly when its exchange graph has no negative cycle."""
-    g = graph_mod.build_exchange_graph(inst, alloc, alpha)
-    cycle = graph_mod.detect_negative_cycle(g)
-    if cycle is None:
-        return Verdict(holds=True)
-    return Verdict(
-        holds=False,
-        witness={
-            "negative_cycle": cycle,
-            "cycle_weight": graph_mod.cycle_weight(g, cycle),
-        },
-    )
+    welfare exactly when its exchange graph has no negative cycle, that is
+    when shortest-path potentials exist."""
+    try:
+        graph_mod.compute_potentials(inst, alloc, alpha)
+    except NegativeCycleError as exc:
+        return Verdict(holds=False, witness={"negative_cycle": exc.cycle, "cycle_weight": exc.weight})
+    return Verdict(holds=True)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import fairbalance.twotypes as twotypes_mod
-from fairbalance.bivalued import check_bivalued_fpo, solve_bivalued
+from fairbalance.bivalued import bivalued_pairs, certificate_alpha, solve_bivalued
 from fairbalance.cli import main
 from fairbalance.core import (
     balanced_allocation_count,
@@ -26,7 +26,7 @@ from fairbalance.graph import build_exchange_graph, compute_potentials, detect_n
 from fairbalance.lp import check_fpo, solve_dual, solve_primal, verify_complementary_slackness
 from fairbalance.oracle import enumerate_balanced, full_report
 from fairbalance.twotypes import round_robin_by_price, solve_two_types
-from fairbalance.verify import is_ef1, is_p_ef1, price_drop_top
+from fairbalance.verify import certify_fpo, is_ef1, is_p_ef1, price_drop_top
 
 from conftest import REF_VALUES, alloc, high_counts, random_alpha
 
@@ -87,7 +87,7 @@ def test_criterion_2_bivalued_solver_suite():
         out, alpha = sol.allocation, sol.alpha
         assert out.is_balanced(inst)
         assert is_ef1(inst, out).holds
-        assert check_bivalued_fpo(inst, out)
+        assert certify_fpo(inst, out, certificate_alpha(bivalued_pairs(inst))).holds
         assert check_fpo(inst, out).is_fpo
         for viewer in inst.agents():
             counts = high_counts(inst, out, viewer)

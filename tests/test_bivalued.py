@@ -7,7 +7,7 @@ import pytest
 from fairbalance import matching
 from fairbalance.bivalued import (
     bivalued_pairs,
-    check_bivalued_fpo,
+    certificate_alpha,
     slot_weight,
     solve_bivalued,
 )
@@ -195,12 +195,12 @@ class TestCheckBivaluedFpo:
         for _ in range(15):
             inst = random_bivalued_instance(rng, rng.choice([2, 3]), rng.choice([1, 2]))
             alloc = solve_bivalued(inst).allocation
-            assert check_bivalued_fpo(inst, alloc)
+            assert certify_fpo(inst, alloc, certificate_alpha(bivalued_pairs(inst))).holds
 
     def test_tied_singletons(self):
         inst = make_instance(2, 2, [[3, 0], [3, 0]])
         for a in permutation_enumerate(inst):
-            assert check_bivalued_fpo(inst, a)
+            assert certify_fpo(inst, a, certificate_alpha(bivalued_pairs(inst))).holds
 
     def test_agrees_with_lp_check(self):
         rng = random.Random(5)
@@ -208,8 +208,9 @@ class TestCheckBivaluedFpo:
         for _ in range(12):
             n, k = rng.choice(shapes)
             inst = random_bivalued_instance(rng, n, k)
+            alpha = certificate_alpha(bivalued_pairs(inst))
             for a in permutation_enumerate(inst):
-                assert check_bivalued_fpo(inst, a) == check_fpo(inst, a).is_fpo
+                assert certify_fpo(inst, a, alpha).holds == check_fpo(inst, a).is_fpo
 
 
 class TestSolverPropertySweep:
@@ -223,9 +224,9 @@ class TestSolverPropertySweep:
             alloc, alpha = sol.allocation, sol.alpha
             assert alloc.is_balanced(inst)
             assert is_ef1(inst, alloc).holds
-            assert check_bivalued_fpo(inst, alloc)
-            assert check_fpo(inst, alloc).is_fpo
+            assert alpha == certificate_alpha(bivalued_pairs(inst))
             assert certify_fpo(inst, alloc, alpha).holds
+            assert check_fpo(inst, alloc).is_fpo
             # high goods spread within one unit, from every agent's view
             for viewer in inst.agents():
                 counts = high_counts(inst, alloc, viewer)

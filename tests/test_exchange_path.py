@@ -18,8 +18,7 @@ from fairbalance import check_fpo, is_ef1, solve, twotypes
 from fairbalance.cli import main, rational_to_json
 from fairbalance.core import balanced_allocation_count, make_instance
 from fairbalance.lp import verify_complementary_slackness
-from fairbalance.oracle import full_report
-from fairbalance.verify import is_po_bruteforce
+from fairbalance.oracle import full_report, is_po_bruteforce
 
 CASES = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "exchange_path.json").read_text(encoding="utf-8")

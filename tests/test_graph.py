@@ -251,17 +251,24 @@ class TestGolden:
         assert len(holds) >= 200 and 50 <= sum(holds) <= len(holds) - 50
 
     def test_potentials_and_cycles(self):
+        # compute_potentials and detect_negative_cycle report the same cycle
         for case in GRAPH_GOLDEN:
             inst, a, alpha = self.load(case)
+            g = build_exchange_graph(inst, a, alpha)
             if "potentials" in case:
                 pot = compute_potentials(inst, a, alpha)
                 assert [str(v) for v in pot.q] == [str(v) for v in case["potentials"]["q"]]
                 assert [str(v) for v in pot.p] == [str(v) for v in case["potentials"]["p"]]
                 assert all(type(v) is Fraction for v in pot.q + pot.p)
+                assert detect_negative_cycle(g) is None
             else:
                 with pytest.raises(NegativeCycleError) as info:
                     compute_potentials(inst, a, alpha)
                 assert info.value.cycle == [tuple(node) for node in case["negative_cycle_error"]]
+                weight = info.value.weight
+                assert type(weight) is Fraction
+                assert weight == Fraction(case["certify_fpo"]["cycle_weight"])
+                assert detect_negative_cycle(g) == info.value.cycle
 
     def test_certify_fpo_witness(self):
         for case in GRAPH_GOLDEN:

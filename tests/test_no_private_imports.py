@@ -1,19 +1,24 @@
-"""No package module imports an underscore name from a sibling module:
-what one module needs of another is part of that module's public face."""
+"""Import discipline inside the package: no module imports an underscore
+name from a sibling (what one module needs of another is part of that
+module's public face), no module imports a sibling inside a function body,
+and the module-level imports between siblings form no cycle."""
 
 import ast
+import graphlib
 import pathlib
 
 import fairbalance
 
+PACKAGE = pathlib.Path(fairbalance.__file__).resolve().parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = {path.stem for path in SOURCES}
+
 
 def test_no_module_imports_a_private_sibling_name():
-    package = pathlib.Path(fairbalance.__file__).resolve().parent
-    sources = sorted(package.glob("*.py"))
-    assert sources
+    assert SOURCES
     found = [
         f"{path.name}:{node.lineno} {alias.name}"
-        for path in sources
+        for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.ImportFrom)
         and (node.level > 0 or (node.module or "").startswith("fairbalance"))
@@ -21,3 +26,64 @@ def test_no_module_imports_a_private_sibling_name():
         if alias.name.startswith("_")
     ]
     assert found == []
+
+
+def _siblings(node) -> list:
+    """The package modules an import statement loads ([] for any other node)."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("fairbalance.")]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    if node.level == 1:
+        base = node.module or ""
+    elif node.level == 0 and (node.module or "").split(".")[0] == "fairbalance":
+        base = node.module.partition(".")[2]
+    else:
+        return []
+    if base:
+        return [base.split(".")[0]]
+    return [alias.name if alias.name in MODULES else "__init__" for alias in node.names]
+
+
+def _sibling_imports(tree) -> list:
+    """(line, sibling, inside a function) per sibling import; the body of
+    an ``if TYPE_CHECKING:`` block never runs, so it is skipped."""
+    found = []
+
+    def visit(node, in_function):
+        in_function = in_function or isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        found.extend((node.lineno, sibling, in_function) for sibling in _siblings(node))
+        children = list(ast.iter_child_nodes(node))
+        if isinstance(node, ast.If) and ast.unparse(node.test) in (
+                "TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            children = node.orelse
+        for child in children:
+            visit(child, in_function)
+
+    visit(tree, False)
+    return found
+
+
+IMPORTS = {path.stem: _sibling_imports(ast.parse(path.read_text(encoding="utf-8")))
+           for path in SOURCES}
+
+
+def test_no_module_imports_a_sibling_inside_a_function():
+    found = [f"{name}.py:{line} imports {sibling}"
+             for name, imports in IMPORTS.items()
+             for line, sibling, in_function in imports if in_function]
+    assert found == []
+
+
+def test_module_level_sibling_imports_form_no_cycle():
+    graph = {name: {sibling for _, sibling, in_function in imports
+                    if not in_function and sibling != name}
+             for name, imports in IMPORTS.items()}
+    assert "verify" in graph["oracle"] and "graph" in graph["verify"]
+    assert set().union(*graph.values()) <= MODULES
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None

@@ -6,7 +6,8 @@ import pytest
 from fairbalance.core import TooLargeError, make_instance
 from fairbalance.graph import compute_potentials
 from fairbalance.lp import check_fpo, solve_primal
-from fairbalance.verify import certify_fpo, is_ef1, is_p_ef1, is_po_bruteforce
+from fairbalance.oracle import is_po_bruteforce
+from fairbalance.verify import certify_fpo, is_ef1, is_p_ef1
 
 from conftest import (
     alloc,
@@ -152,6 +153,18 @@ class TestCertifyFpo:
 
     def test_optimal_allocation_certified(self, ref_instance):
         assert certify_fpo(ref_instance, alloc({3, 4}, {1, 2}), ONE).holds
+
+    @pytest.mark.parametrize("bundles, alpha, message", [
+        (({1}, {2, 3, 4}), ONE, "allocation is not balanced"),
+        (({1, 2}, {3, 4}), (Fraction(1), Fraction(0)), "alpha must be strictly positive"),
+        (({1, 2}, {3, 4}), (Fraction(1),), "alpha length must equal the number of agents"),
+        (({1, 2}, {3, 4}), (Fraction(1),) * 3, "alpha length must equal the number of agents"),
+    ], ids=["unbalanced", "zero-alpha", "short-alpha", "long-alpha"])
+    def test_rejects_bad_input(self, ref_instance, bundles, alpha, message):
+        # the checks run before any certificate is sought, through compute_potentials
+        with pytest.raises(ValueError) as info:
+            certify_fpo(ref_instance, alloc(*bundles), alpha)
+        assert str(info.value) == message
 
     def test_implies_lp_check(self):
         rng = random.Random(59)
