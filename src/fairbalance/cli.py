@@ -234,9 +234,9 @@ def cmd_solve(args) -> int:
     dump_json(result, args.output)
     if all(checks.values()):
         return EXIT_OK
-    if args.algorithm == "round-robin":
-        # round robin only promises EF1; an uncertified efficiency check may
-        # legitimately fail, which is not a success
+    if sol.alpha is None:
+        # uncertified output (only round robin returns it) promises EF1
+        # alone; a failing efficiency check is legitimate but not a success
         print("note: round-robin output is not fPO-certified", file=sys.stderr)
         return EXIT_INAPPLICABLE
     print("error: solver output failed its own checks", file=sys.stderr)
@@ -277,16 +277,15 @@ def cmd_check(args) -> int:
             raise InputError(f"allocation is not balanced (every bundle needs {inst.k} goods)")
     if args.pef1 is not None and not all(alloc.bundles):
         raise InputError("price EF1 needs non-empty bundles")
-    requested = False
+    if not (args.ef1 or args.fpo or args.po or args.pef1 is not None):
+        raise InputError("no checks requested (use --ef1/--fpo/--po/--pef1)")
     all_hold = True
 
     if args.ef1:
-        requested = True
         v = verify_mod.is_ef1(inst, alloc)
         _print_verdict("ef1", v, args.quiet)
         all_hold &= v.holds
     if args.fpo:
-        requested = True
         res = lp_mod.check_fpo(inst, alloc, mode="unconstrained" if args.unconstrained else "balanced")
         if res.is_fpo:
             if not args.quiet:
@@ -298,7 +297,6 @@ def cmd_check(args) -> int:
                       f"(total surplus {rational_to_json(res.improvement)})")
             all_hold = False
     if args.po:
-        requested = True
         try:
             v = oracle_mod.is_po_bruteforce(inst, alloc, max_states=args.max_states)
         except TooLargeError as exc:
@@ -308,7 +306,6 @@ def cmd_check(args) -> int:
         _print_verdict("po", v, args.quiet)
         all_hold &= v.holds
     if args.pef1 is not None:
-        requested = True
         data = load_json(args.pef1)
         if not isinstance(data, dict) or not isinstance(data.get("prices"), list):
             raise InputError("prices file must be a JSON object with a 'prices' list")
@@ -319,8 +316,6 @@ def cmd_check(args) -> int:
         _print_verdict("pef1", v, args.quiet)
         all_hold &= v.holds
 
-    if not requested:
-        raise InputError("no checks requested (use --ef1/--fpo/--po/--pef1)")
     return EXIT_OK if all_hold else EXIT_CHECK_FAILED
 
 
@@ -480,7 +475,7 @@ def main(argv=None) -> int:
     except (TooLargeError, NotBivalued, MoreThanTwoTypes) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except (lp_mod.LPError, FairDivisionError) as exc:
+    except FairDivisionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -24,10 +24,6 @@ from .core import (
 from .graph import Potentials, check_alpha
 
 
-class LPError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class LinearProgram:
     """max c.x subject to A x = b, x >= 0, all entries Rational, b >= 0.
@@ -71,9 +67,9 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
     """Two-phase simplex; returns an optimal vertex and its objective.
 
     Phase I starts from one artificial column per row; phase II drops
-    those columns and pivots on the structural ones alone.  Raises LPError
-    on infeasibility or unboundedness (the LPs in this package are
-    feasible and bounded by construction, so either signals a caller bug).
+    those columns and pivots on the structural ones alone.  Raises
+    InternalInvariantError on infeasibility or unboundedness (the package's
+    LPs are feasible and bounded by construction: either is a caller bug).
     """
     nstruct = len(lp.c)
     nrows = len(lp.a)
@@ -138,7 +134,7 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
                         best_ratio = ratio
                         leave = r
             if leave is None:
-                raise LPError("objective unbounded")
+                raise InternalInvariantError("objective unbounded")
 
             # pivot
             prow = tableau[leave]
@@ -164,7 +160,7 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
 
     # Phase I: drive artificials to zero; they may re-enter here
     if run_phase([_ZERO] * nstruct + [Fraction(-1)] * nrows) != 0:
-        raise LPError("infeasible constraint system")
+        raise InternalInvariantError("infeasible constraint system")
 
     # Phase II: optimize the real objective on the structural columns
     for r in range(nrows):

@@ -61,8 +61,6 @@ def max_weight_perfect_matching(weights: BipartiteWeights) -> MatchingResult:
     match_r = [None] * n  # right -> left
 
     for start in range(n):
-        if match_l[start] is not None:
-            continue
         # grow an alternating tree rooted at `start` inside the tight graph
         in_tree_left = [False] * n
         in_tree_left[start] = True

@@ -44,14 +44,6 @@ class AllValuesEqual(FairDivisionError):
     """Both type rows are constant; every balanced allocation is EF and fPO."""
 
 
-class SweepExhausted(InternalInvariantError):
-    """No sweep point satisfied both conditions (should be impossible)."""
-
-
-class ExchangeExhausted(InternalInvariantError):
-    """The exchange walk ended without an EF1 allocation (impossible)."""
-
-
 # --- gamma grid ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -309,7 +301,7 @@ def case1_sweep(inst: Instance, grid: GammaGrid, ell: int) -> tuple:
         pot = pots[gamma] if gamma in pots else _potentials_of(inst, view, alloc, gamma)
         if all(conditions_ab(view, alloc, pot.p)):
             return gamma, alloc, pot
-    raise SweepExhausted(f"interval {ell} had no point satisfying both conditions")
+    raise InternalInvariantError(f"interval {ell} had no point satisfying both conditions")
 
 
 def case2_exchange(inst: Instance, view: TwoType, split: Split, target: Split,
@@ -338,7 +330,7 @@ def case2_exchange(inst: Instance, view: TwoType, split: Split, target: Split,
         j_out = min(split.s - target.s)
         j_in = min(split.t - target.t)
         split = Split(s=split.s - {j_out} | {j_in}, t=split.t - {j_in} | {j_out})
-    raise ExchangeExhausted(f"no EF1 allocation on the exchange walk at gamma {gamma}")
+    raise InternalInvariantError(f"no EF1 allocation on the exchange walk at gamma {gamma}")
 
 
 def _solution(inst: Instance, view: TwoType, alloc: Allocation, gamma: Fraction, pot: Potentials) -> Solution:

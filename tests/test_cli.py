@@ -6,14 +6,23 @@ from fractions import Fraction
 
 import pytest
 
-from fairbalance import cli, solve
+from fairbalance import cli, lp, solve
 from fairbalance.cli import (
     main,
     parse_instance,
     rational_from_json,
     rational_to_json,
 )
-from fairbalance.core import classify, Bivalued, TwoType
+from fairbalance.core import (
+    Bivalued,
+    InternalInvariantError,
+    Solution,
+    TwoType,
+    classify,
+    make_allocation,
+    make_instance,
+)
+from fairbalance.graph import compute_potentials
 
 from conftest import REF_VALUES
 
@@ -209,7 +218,82 @@ class TestCertificateGate:
         self.run_with(monkeypatch, tmp_path, capsys, ref_path, raise_q)
 
 
+class TestInternalErrorExit4:
+    """A broken invariant anywhere under a command exits 4 through main()."""
+
+    def test_solver_fault(self, ref_path, monkeypatch, capsys):
+        def broken(inst, algorithm="auto"):
+            raise InternalInvariantError("boom")
+
+        monkeypatch.setattr(cli, "solve", broken)
+        assert main(["solve", ref_path]) == 4
+        assert capsys.readouterr() == ("", "internal error: boom\n")
+
+    def test_lp_fault(self, ref_path, monkeypatch, tmp_path, capsys):
+        # an infeasible package LP is a caller bug: x + y = 1 and x + y = 2
+        real = lp.solve_lp
+        infeasible = lp.LinearProgram(c=(1, 1), a=((1, 1), (1, 1)), b=(1, 2))
+        monkeypatch.setattr(lp, "solve_lp", lambda program: real(infeasible))
+        apath = write_json(tmp_path / "a.json", {"allocation": [[1, 3], [2, 4]]})
+        assert main(["check", ref_path, apath, "--fpo"]) == 4
+        assert capsys.readouterr() == ("", "internal error: infeasible constraint system\n")
+
+    def test_certified_output_failing_ef1(self, ref_path, monkeypatch, capsys):
+        # alpha = (1, 1) certifies the welfare optimum, but agent 2 values
+        # agent 1's bundle at 14 and its own at 1, so EF1 fails
+        inst = make_instance(2, 4, REF_VALUES)
+        alloc = make_allocation([[3, 4], [1, 2]])
+        alpha = (Fraction(1), Fraction(1))
+        sol = Solution(alloc, alpha, None, compute_potentials(inst, alloc, alpha))
+        monkeypatch.setattr(cli, "solve", lambda inst, algorithm="auto": sol)
+        assert main(["solve", ref_path]) == 4
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["checks"] == {"ef1": False, "fpo": True, "balanced": True}
+        assert captured.err == "error: solver output failed its own checks\n"
+
+
+def _with_value(value):
+    """A 2 x 2 instance whose first value is ``value``."""
+    return {"n": 2, "m": 2, "valuations": [[value, 1], [1, 2]]}
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (["solve", "{inst}"], {"inst": _with_value(True)}, "not a rational: True"),
+    (["solve", "{inst}"], {"inst": _with_value([1])}, "not a rational: [1]"),
+    (["solve", "{inst}"], {"inst": _with_value(f"1e{cli.MAX_DIGITS}")},
+     f"rational '1e{cli.MAX_DIGITS}' has more than {cli.MAX_DIGITS} digits"),
+    (["solve", "{inst}"], {"inst": [REF_FILE]}, "instance file must be a JSON object"),
+    (["solve", "{inst}"], {"inst": {"n": 2, "valuations": REF_VALUES}},
+     "instance file misses key 'm'"),
+    (["solve", "{inst}"], {"inst": {"n": 2, "m": 2, "valuations": [[1, 2], [3]]}},
+     "valuations must be an n x m array"),
+    (["solve", "{inst}"], {"inst": _with_value(-1)}, "valuations must be nonnegative"),
+    (["check", "{inst}", "{alloc}", "--ef1"], {"inst": REF_FILE, "alloc": {"bundles": [[1, 3], [2, 4]]}},
+     "allocation file must be a JSON object with an 'allocation' key"),
+    (["check", "{inst}", "{alloc}", "--ef1"], {"inst": REF_FILE, "alloc": {"allocation": [[1, 2, 3, 4]]}},
+     "allocation must list 2 bundles"),
+    (["check", "{inst}", "{alloc}", "--pef1", "{prices}"],
+     {"inst": REF_FILE, "alloc": {"allocation": [[1, 3], [2, 4]]}, "prices": {"prices": [4, 3]}},
+     "need 4 prices"),
+    (["gen", "--n", "2", "--m", "4", "--max-value", "0"], {}, "max-value must be at least 1"),
+    (["gen", "--class", "two-types", "--n", "1", "--m", "4"], {}, "two-types generation needs n >= 2"),
+], ids=["value-true", "value-list", "value-too-long", "array-file", "no-m-key", "ragged-rows",
+        "negative-value", "no-allocation-key", "too-few-bundles", "too-few-prices",
+        "gen-max-value-0", "gen-two-types-n-1"])
+def test_malformed_input_exits_2(argv, files, message, tmp_path, capsys):
+    """Malformed input is an input error with its own message, never a
+    traceback."""
+    paths = {name: write_json(tmp_path / f"{name}.json", obj) for name, obj in files.items()}
+    assert main([a.format(**paths) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestCheck:
+    def test_quiet_prints_nothing(self, ref_path, tmp_path, capsys):
+        apath = write_json(tmp_path / "a.json", {"allocation": [[1, 3], [2, 4]]})
+        assert main(["check", ref_path, apath, "--ef1", "--fpo", "--quiet"]) == 0
+        assert capsys.readouterr() == ("", "")
+
     def test_fpo_failure_prints_dominator(self, ref_path, tmp_path, capsys):
         apath = write_json(tmp_path / "a.json", {"allocation": [[1, 4], [2, 3]]})
         code = main(["check", ref_path, apath, "--fpo"])

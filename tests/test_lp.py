@@ -20,7 +20,6 @@ from fairbalance.core import (
 from fairbalance.graph import Potentials, compute_potentials
 from fairbalance.lp import (
     LinearProgram,
-    LPError,
     SimplexResult,
     check_fpo,
     solve_dual,
@@ -76,13 +75,29 @@ class TestSimplexCore:
 
     def test_infeasible_raises(self):
         # x + y = 1 and x + y = 2: phase I ends with a positive artificial sum
-        with pytest.raises(LPError, match="infeasible constraint system"):
+        with pytest.raises(InternalInvariantError, match="infeasible constraint system"):
             solve_lp(LinearProgram(c=(1, 1), a=((1, 1), (1, 1)), b=(1, 2)))
 
     def test_unbounded_raises(self):
         # max x subject to x - y = 0: x = y grows without limit
-        with pytest.raises(LPError, match="objective unbounded"):
+        with pytest.raises(InternalInvariantError, match="objective unbounded"):
             solve_lp(LinearProgram(c=(1, 0), a=((1, -1),), b=(0,)))
+
+    def test_cycling_example_terminates(self):
+        # Chvatal, Linear Programming (1983), ch. 3: the largest-coefficient
+        # rule cycles through degenerate bases here, so the solve finishes
+        # only after the switch to Bland's rule
+        h = Fraction(1, 2)
+        lp = LinearProgram(
+            c=(10, -57, -9, -24, 0, 0, 0),
+            a=((h, -11 * h, -5 * h, 9, 1, 0, 0),
+               (h, -3 * h, -h, 1, 0, 1, 0),
+               (1, 0, 0, 0, 0, 0, 1)),
+            b=(0, 0, 1),
+        )
+        res = solve_lp(lp)
+        assert res.objective == 1
+        assert res.x == (1, 0, 1, 0, 2, 0, 0)
 
 
 def _solve_square(mat, rhs):
@@ -159,7 +174,7 @@ class TestSimplexAgainstBases:
             program = LinearProgram(c=costs, a=a, b=b)
             if not feasible:
                 seen["infeasible"] += 1
-                with pytest.raises(LPError, match="infeasible constraint system"):
+                with pytest.raises(InternalInvariantError, match="infeasible constraint system"):
                     solve_lp(program)
                 continue
             seen["feasible"] += 1

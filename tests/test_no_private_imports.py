@@ -1,13 +1,18 @@
 """Import discipline inside the package: no module imports an underscore
 name from a sibling (what one module needs of another is part of that
 module's public face), no module imports a sibling inside a function body,
-and the module-level imports between siblings form no cycle."""
+and the module-level imports between siblings form no cycle.  Every
+exception class the package defines maps to a CLI exit code."""
 
 import ast
 import graphlib
+import importlib
+import inspect
 import pathlib
 
 import fairbalance
+from fairbalance.cli import InputError
+from fairbalance.core import FairDivisionError
 
 PACKAGE = pathlib.Path(fairbalance.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -87,3 +92,15 @@ def test_module_level_sibling_imports_form_no_cycle():
         graphlib.TopologicalSorter(graph).prepare()
     except graphlib.CycleError as exc:
         raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
+
+
+def test_every_exception_class_maps_to_an_exit_code():
+    # main() maps InputError to exit 2 and FairDivisionError's subclasses
+    # to 3 or 4; any other class would escape it as a traceback
+    defined = [cls for name in sorted(MODULES)
+               for cls in vars(importlib.import_module(f"fairbalance.{name}")).values()
+               if inspect.isclass(cls) and issubclass(cls, BaseException)
+               and cls.__module__ == f"fairbalance.{name}"]
+    assert InputError in defined and FairDivisionError in defined
+    assert [cls.__qualname__ for cls in defined
+            if cls is not InputError and not issubclass(cls, FairDivisionError)] == []
