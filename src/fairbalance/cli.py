@@ -200,23 +200,13 @@ def _certificate(sol: Solution) -> dict | None:
     }
 
 
-def _certificate_holds(inst: Instance, sol: Solution) -> bool:
-    """alpha > 0, dual feasibility and complementary slackness: an exact
-    proof that the allocation maximizes the alpha-weighted welfare over
-    balanced fractional allocations, hence is fPO."""
-    try:
-        return lp_mod.verify_complementary_slackness(inst, sol.allocation, sol.potentials, sol.alpha)
-    except ValueError:  # infeasible duals or a non-positive alpha
-        return False
-
-
 def cmd_solve(args) -> int:
     inst = parse_instance(load_json(args.input))
     sol = solve(inst, args.algorithm)
     alloc = sol.allocation
     if sol.alpha is None:
         fpo = lp_mod.check_fpo(inst, alloc).is_fpo
-    elif _certificate_holds(inst, sol):
+    elif lp_mod.verify_complementary_slackness(inst, alloc, sol.potentials, sol.alpha):
         fpo = True
     else:
         print("error: certificate failed re-verification", file=sys.stderr)

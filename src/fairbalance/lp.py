@@ -2,8 +2,8 @@
 
 Everything is solved in standard equality form (max c.x, Ax = b, x >= 0)
 with a two-phase tableau method.  Pivoting starts with the largest-
-coefficient rule and switches to Bland's rule after a degenerate stall,
-so termination is guaranteed while typical solves stay fast.
+coefficient rule and switches to Bland's rule at the first repeated basis
+(a repeat under Bland's rule raises), so every solve terminates.
 """
 
 from __future__ import annotations
@@ -63,13 +63,29 @@ def _eliminate(row: list, coef: Fraction, prow: list) -> list:
     return [a - coef * b if b else a for a, b in zip(row, prow)]
 
 
+def _entering(z: list, ncols: int, bland: bool) -> Optional[int]:
+    """The column of the largest positive reduced cost among the first
+    ``ncols``, ties to the lowest index, or under Bland's rule the first
+    positive one; None when none is positive (the basis is optimal)."""
+    enter, best = None, _ZERO
+    for j in range(ncols):
+        if z[j] > best:
+            if bland:
+                return j
+            enter, best = j, z[j]
+    return enter
+
+
 def solve_lp(lp: LinearProgram) -> SimplexResult:
     """Two-phase simplex; returns an optimal vertex and its objective.
 
     Phase I starts from one artificial column per row; phase II drops
-    those columns and pivots on the structural ones alone.  Raises
-    InternalInvariantError on infeasibility or unboundedness (the package's
-    LPs are feasible and bounded by construction: either is a caller bug).
+    those columns and pivots on the structural ones alone.  The pivot is a
+    function of the basis, so a basis that repeats before the objective
+    rises would repeat forever: there the phase switches to Bland's rule.
+    Raises InternalInvariantError on infeasibility or unboundedness (the
+    package's LPs are feasible and bounded by construction: either is a
+    caller bug) and on a basis repeated under Bland's rule (it cannot cycle).
     """
     nstruct = len(lp.c)
     nrows = len(lp.a)
@@ -80,9 +96,6 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
         tableau.append(row)
     # basis entries >= nstruct are artificial columns, also in phase II
     basis = [nstruct + i for i in range(nrows)]
-    # a fixed limit for both phases, so the switch to Bland's rule does not
-    # depend on the width of the tableau
-    stall_limit = 4 * (nstruct + 2 * nrows) + 32
 
     def run_phase(costs):
         # reduced-cost row for the given costs (one per tableau column) under
@@ -99,20 +112,9 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
                 z = _eliminate(z, costs[basis[r]], tableau[r])
 
         bland = False
-        stall = 0
+        seen = set()  # the bases since the objective last rose
         while True:
-            enter = None
-            if bland:
-                for j in range(ncols):
-                    if z[j] > 0:
-                        enter = j
-                        break
-            else:
-                best = _ZERO
-                for j in range(ncols):
-                    if z[j] > best:
-                        best = z[j]
-                        enter = j
+            enter = _entering(z, ncols, bland)
             if enter is None:
                 return -z[-1]
 
@@ -146,17 +148,18 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
                 coef = tableau[r][enter]
                 if r != leave and coef != 0:
                     tableau[r] = _eliminate(tableau[r], coef, prow)
-            old_value = z[-1]
             z = _eliminate(z, z[enter], prow)
             basis[leave] = enter
 
-            if not bland:
-                if z[-1] < old_value:
-                    stall = 0
-                else:
-                    stall += 1
-                    if stall > stall_limit:
-                        bland = True
+            if prow[-1]:  # a nondegenerate pivot: the objective rose
+                seen.clear()
+            key = tuple(basis)
+            if key in seen:
+                if bland:
+                    raise InternalInvariantError("the simplex cycled under Bland's rule")
+                # forget the cycle: Bland's rule may pass its bases once more
+                bland, seen = True, set()
+            seen.add(key)
 
     # Phase I: drive artificials to zero; they may re-enter here
     if run_phase([_ZERO] * nstruct + [Fraction(-1)] * nrows) != 0:
@@ -320,18 +323,16 @@ def verify_complementary_slackness(
     pot: Potentials,
     alpha: Sequence[Fraction],
 ) -> bool:
-    """True iff q_i + p_j = alpha_i v_ij on every pair with good j in
-    agent i's bundle.
-
-    The allocation must be balanced and the potentials dual feasible;
-    violations raise ValueError (they are a different failure than broken
-    slackness).
+    """True iff alpha > 0, q_i + p_j >= alpha_i v_ij on every pair (dual
+    feasibility) and q_i + p_j = alpha_i v_ij on every pair with good j in
+    agent i's bundle: an exact proof that the allocation is fPO.  Raises
+    ValueError when alpha, q or p has the wrong length or the allocation
+    is not a balanced partition of the goods.
     """
-    check_alpha(inst, alpha)
     check_allocation(inst, alloc, balanced=True)
     scaled = pot.scaled_if_feasible(inst, alpha)
-    if scaled is None:
-        raise ValueError("potentials are not dual feasible")
+    if scaled is None or any(a <= 0 for a in alpha):
+        return False
     qs, ps, rs, rows = scaled
     for q, r, row, bundle in zip(qs, rs, rows, alloc.bundles):
         for j in bundle:

@@ -186,8 +186,7 @@ class TestCertificateGate:
         real = solve
 
         def tampered(inst, algorithm="auto"):
-            sol = real(inst, algorithm)
-            return dataclasses.replace(sol, potentials=tamper(sol.potentials))
+            return tamper(real(inst, algorithm))
 
         monkeypatch.setattr(cli, "solve", tampered)
         out = tmp_path / "result.json"
@@ -200,22 +199,29 @@ class TestCertificateGate:
 
     def test_infeasible_potentials_exit_4(self, ref_path, monkeypatch, tmp_path, capsys):
         # agent 1 values good 3 at 21 = q_1 + p_3; a lower price breaks feasibility
-        def lower_price(pot):
-            p = list(pot.p)
+        def lower_price(sol):
+            p = list(sol.potentials.p)
             p[2] -= 1
-            return dataclasses.replace(pot, p=tuple(p))
+            return dataclasses.replace(sol, potentials=dataclasses.replace(sol.potentials, p=tuple(p)))
 
         self.run_with(monkeypatch, tmp_path, capsys, ref_path, lower_price)
 
     def test_non_tight_owned_pair_exits_4(self, ref_path, monkeypatch, tmp_path, capsys):
         # raising q_1 keeps every constraint feasible but leaves agent 1's
         # goods strictly above their weighted value
-        def raise_q(pot):
-            q = list(pot.q)
+        def raise_q(sol):
+            q = list(sol.potentials.q)
             q[0] += 1
-            return dataclasses.replace(pot, q=tuple(q))
+            return dataclasses.replace(sol, potentials=dataclasses.replace(sol.potentials, q=tuple(q)))
 
         self.run_with(monkeypatch, tmp_path, capsys, ref_path, raise_q)
+
+    def test_non_positive_alpha_exits_4(self, ref_path, monkeypatch, tmp_path, capsys):
+        # a weight of 0 is no certificate, whatever the potentials
+        def zero_weight(sol):
+            return dataclasses.replace(sol, alpha=(sol.alpha[0], Fraction(0)) + sol.alpha[2:])
+
+        self.run_with(monkeypatch, tmp_path, capsys, ref_path, zero_weight)
 
 
 class TestInternalErrorExit4:

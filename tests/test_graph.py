@@ -235,8 +235,7 @@ class TestPotentialsFeasibility:
             moved = Potentials(q=tight.q, p=(tight.p[0] + shift, tight.p[1]))
             assert moved.is_feasible(inst, alpha) is feasible
         below = Potentials(q=tight.q, p=(tight.p[0] - unit, tight.p[1]))
-        with pytest.raises(ValueError, match="dual feasible"):
-            verify_complementary_slackness(inst, alloc({1, 2}), below, alpha)
+        assert not verify_complementary_slackness(inst, alloc({1, 2}), below, alpha)
 
 
 class TestGolden:

@@ -84,20 +84,53 @@ class TestSimplexCore:
             solve_lp(LinearProgram(c=(1, 0), a=((1, -1),), b=(0,)))
 
     def test_cycling_example_terminates(self):
-        # Chvatal, Linear Programming (1983), ch. 3: the largest-coefficient
-        # rule cycles through degenerate bases here, so the solve finishes
-        # only after the switch to Bland's rule
-        h = Fraction(1, 2)
-        lp = LinearProgram(
-            c=(10, -57, -9, -24, 0, 0, 0),
-            a=((h, -11 * h, -5 * h, 9, 1, 0, 0),
-               (h, -3 * h, -h, 1, 0, 1, 0),
-               (1, 0, 0, 0, 0, 0, 1)),
-            b=(0, 0, 1),
-        )
-        res = solve_lp(lp)
+        # the largest-coefficient rule cycles through degenerate bases here,
+        # so the solve finishes only after the switch to Bland's rule
+        res = solve_lp(_chvatal_cycling_example())
         assert res.objective == 1
         assert res.x == (1, 0, 1, 0, 2, 0, 0)
+
+    def test_cycling_example_switches_at_first_repeated_basis(self, monkeypatch):
+        # the reduced costs are a function of the basis, so the first scan
+        # under Bland's rule sees the reduced costs of an earlier scan
+        real = lp._entering
+        scans = []
+
+        def spy(z, ncols, bland):
+            scans.append((tuple(z), bland))
+            return real(z, ncols, bland)
+
+        monkeypatch.setattr(lp, "_entering", spy)
+        assert solve_lp(_chvatal_cycling_example()).objective == 1
+        flags = [bland for _, bland in scans]
+        assert len(scans) == 16
+        assert sum(not a and b for a, b in zip(flags, flags[1:])) == 1
+        first = flags.index(True)
+        assert all(flags[first:])
+        before = [z for z, _ in scans[:first]]
+        assert len(set(before)) == len(before)
+        assert scans[first][0] in before
+
+    def test_cycling_under_blands_rule_raises(self, monkeypatch):
+        # an entering rule that ignores the switch cycles forever; the
+        # repeated basis under "Bland's rule" turns that into an error
+        real = lp._entering
+        monkeypatch.setattr(lp, "_entering", lambda z, ncols, bland: real(z, ncols, False))
+        with pytest.raises(InternalInvariantError, match="cycled under Bland's rule"):
+            solve_lp(_chvatal_cycling_example())
+
+
+def _chvatal_cycling_example() -> LinearProgram:
+    """Chvatal, Linear Programming (1983), ch. 3, in equality form: max
+    10x1 - 57x2 - 9x3 - 24x4 over three rows, two of them degenerate."""
+    h = Fraction(1, 2)
+    return LinearProgram(
+        c=(10, -57, -9, -24, 0, 0, 0),
+        a=((h, -11 * h, -5 * h, 9, 1, 0, 0),
+           (h, -3 * h, -h, 1, 0, 1, 0),
+           (1, 0, 0, 0, 0, 0, 1)),
+        b=(0, 0, 1),
+    )
 
 
 def _solve_square(mat, rhs):
@@ -341,15 +374,13 @@ class TestComplementarySlackness:
         assert raised.is_feasible(ref_instance, ONE)
         assert not verify_complementary_slackness(ref_instance, a, raised, ONE)
 
-    def test_infeasible_inputs_raise(self, ref_instance):
+    def test_failing_certificate_is_false_bad_partition_raises(self, ref_instance):
         pot = compute_potentials(ref_instance, alloc({3, 4}, {1, 2}), ONE)
         with pytest.raises(ValueError, match="partition"):
             verify_complementary_slackness(ref_instance, alloc({1, 2}, {2, 3}), pot, ONE)
         bad_pot = Potentials(q=(Fraction(0), Fraction(0)), p=(Fraction(0),) * 4)
-        with pytest.raises(ValueError, match="dual feasible"):
-            verify_complementary_slackness(ref_instance, alloc({3, 4}, {1, 2}), bad_pot, ONE)
-        with pytest.raises(ValueError, match="positive"):
-            verify_complementary_slackness(ref_instance, alloc({3, 4}, {1, 2}), pot, (Fraction(1), Fraction(0)))
+        assert not verify_complementary_slackness(ref_instance, alloc({3, 4}, {1, 2}), bad_pot, ONE)
+        assert not verify_complementary_slackness(ref_instance, alloc({3, 4}, {1, 2}), pot, (Fraction(1), Fraction(0)))
 
     @pytest.mark.parametrize("bundles,message", [
         (({1, 2, 3, 4},), "1 bundles"),

@@ -719,11 +719,11 @@ class TestExchangeTightness:
         # raising every q keeps the duals feasible but no owned pair tight
         *walk, pot = self.exchange_args(monkeypatch)
         loose = Potentials(q=tuple(q + 1 for q in pot.q), p=pot.p)
-        with pytest.raises(InternalInvariantError, match="lost tightness"):
+        with pytest.raises(InternalInvariantError, match="lost dual feasibility or tightness"):
             case2_exchange(*walk, loose)
 
     def test_infeasible_potentials_raise(self, monkeypatch):
         *walk, pot = self.exchange_args(monkeypatch)
         cheap = Potentials(q=pot.q, p=tuple(p - 1 for p in pot.p))
-        with pytest.raises(InternalInvariantError, match="not dual feasible"):
+        with pytest.raises(InternalInvariantError, match="lost dual feasibility or tightness"):
             case2_exchange(*walk, cheap)
