@@ -10,8 +10,6 @@ and brute-force oracles make every claimed property checkable exactly
 from .bivalued import slot_weight, solve_bivalued
 from .core import (
     Allocation,
-    Bivalued,
-    General,
     Instance,
     Rational,
     Solution,
@@ -43,8 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Allocation",
-    "Bivalued",
-    "General",
     "Instance",
     "Potentials",
     "Rational",

@@ -230,13 +230,6 @@ class Solution:
 # --- instance classification -------------------------------------------------
 
 @dataclass(frozen=True)
-class Bivalued:
-    """Per-agent (high, low) value pairs with high > low >= 0."""
-
-    pairs: tuple
-
-
-@dataclass(frozen=True)
 class TwoType:
     """At most two distinct valuation rows; type 1 is the type of agent 1.
     A single-row instance has u2 = members2 = ()."""
@@ -255,14 +248,6 @@ class TwoType:
         return len(self.members2)
 
 
-@dataclass(frozen=True)
-class General:
-    pass
-
-
-InstanceClass = Union[Bivalued, TwoType, General]
-
-
 def two_type_view(inst: Instance) -> TwoType:
     """The instance read as at most two types; MoreThanTwoTypes otherwise."""
     rows = inst.types
@@ -272,14 +257,16 @@ def two_type_view(inst: Instance) -> TwoType:
     return TwoType(u1, u2, members1, members2)
 
 
-def classify(inst: Instance) -> InstanceClass:
-    """Most specific class, preferring Bivalued > TwoType > General; a
-    single-row instance is a TwoType with n2 == 0."""
+def classify(inst: Instance) -> str:
+    """The :func:`fairbalance.solve` algorithm for the instance's most
+    specific class: "bivalued" for two or more distinct rows that each use
+    at most two values, "two-types" for one or two distinct rows, else
+    "general", which no certified solver covers."""
     if len(inst.types) > 1 and inst.value_pairs is not None:
-        return Bivalued(pairs=inst.value_pairs)
+        return "bivalued"
     if len(inst.types) <= 2:
-        return two_type_view(inst)
-    return General()
+        return "two-types"
+    return "general"
 
 
 # --- welfare functionals -----------------------------------------------------

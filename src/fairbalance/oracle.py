@@ -19,7 +19,6 @@ from .core import (
     Allocation,
     Instance,
     TooLargeError,
-    balanced_allocation_count,
     bundle_value,
     check_allocation,
     make_allocation,
@@ -30,30 +29,39 @@ def enumerate_balanced(inst: Instance, max_states: int = 10 ** 6) -> Iterator[Al
     """Yield every balanced allocation exactly once.
 
     Order is lexicographic in the good -> agent assignment string, i.e.
-    good 1 prefers agent 1, then good 2, and so on.
+    good 1 prefers agent 1, then good 2, and so on.  Raises TooLargeError
+    at the call, before yielding, when there are more than ``max_states``.
     """
-    total = balanced_allocation_count(inst)
-    if total > max_states:
-        raise TooLargeError(f"{total} balanced allocations exceed the guard of {max_states}")
-    k = inst.k
-    capacity = [k] * inst.n
-    assignment = [0] * inst.m
+    # m!/(k!)^n one factor at a time: every partial product is a multinomial
+    # coefficient, so it stays an int and never decreases.
+    k, count = inst.k, 1
+    for t in range(1, inst.m + 1):
+        count = count * t // ((t - 1) % k + 1)
+        if count > max_states:
+            raise TooLargeError(f"more than {max_states} balanced allocations")
+    return _balanced_in_order(inst.n, k)
 
-    def rec(j: int) -> Iterator[Allocation]:
-        if j == inst.m:
-            bundles = [set() for _ in range(inst.n)]
-            for good, agent in enumerate(assignment, start=1):
-                bundles[agent - 1].add(good)
-            yield make_allocation(bundles)
+
+def _balanced_in_order(n: int, k: int) -> Iterator[Allocation]:
+    """Each permutation of the multiset 1^k 2^k ... n^k, least first: the
+    next one swaps the last ascent with the last larger entry after it and
+    reverses the tail."""
+    assignment = [agent for agent in range(1, n + 1) for _ in range(k)]
+    while True:
+        bundles = [set() for _ in range(n)]
+        for good, agent in enumerate(assignment, start=1):
+            bundles[agent - 1].add(good)
+        yield make_allocation(bundles)
+        i = len(assignment) - 2
+        while i >= 0 and assignment[i] >= assignment[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for agent in inst.agents():
-            if capacity[agent - 1] > 0:
-                capacity[agent - 1] -= 1
-                assignment[j] = agent
-                yield from rec(j + 1)
-                capacity[agent - 1] += 1
-
-    return rec(0)
+        j = len(assignment) - 1
+        while assignment[j] <= assignment[i]:
+            j -= 1
+        assignment[i], assignment[j] = assignment[j], assignment[i]
+        assignment[i + 1:] = reversed(assignment[i + 1:])
 
 
 def pareto_dominates(theirs, mine) -> bool:

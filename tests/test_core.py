@@ -8,8 +8,6 @@ import pytest
 
 from fairbalance import core
 from fairbalance.core import (
-    Bivalued,
-    General,
     Instance,
     TwoType,
     bundle_value,
@@ -19,12 +17,18 @@ from fairbalance.core import (
     reduce_unconstrained,
     round_robin_by_preference,
     strip_dummies,
+    two_type_view,
     utilitarian_value,
 )
 from fairbalance.solver import solve
 from fairbalance.verify import is_ef1
 
-from conftest import alloc, permutation_enumerate
+from conftest import (
+    alloc,
+    permutation_enumerate,
+    random_bivalued_instance,
+    random_two_type_instance,
+)
 
 
 class TestRationalArithmetic:
@@ -125,33 +129,32 @@ class TestBundleValue:
 
 class TestClassify:
     def test_reference_is_two_type(self, ref_instance):
-        cls = classify(ref_instance)
-        assert isinstance(cls, TwoType)
-        assert cls.members1 == (1,) and cls.members2 == (2,)
+        assert classify(ref_instance) == "two-types"
+        view = two_type_view(ref_instance)
+        assert view.members1 == (1,) and view.members2 == (2,)
 
     def test_identical_rows(self):
         inst = make_instance(3, 3, [[1, 2, 3]] * 3)
-        assert classify(inst) == TwoType((1, 2, 3), (), (1, 2, 3), ())
+        assert classify(inst) == "two-types"
+        assert two_type_view(inst) == TwoType((1, 2, 3), (), (1, 2, 3), ())
 
     def test_bivalued_scan(self):
         inst = make_instance(3, 3, [[2, 1, 2], [0, 3, 3], [5, 5, 0]])
-        cls = classify(inst)
-        assert isinstance(cls, Bivalued)
-        assert cls.pairs == ((2, 1), (3, 0), (5, 0))
+        assert classify(inst) == "bivalued"
+        assert inst.value_pairs == ((2, 1), (3, 0), (5, 0))
 
     def test_constant_row_counts_as_bivalued(self):
         inst = make_instance(2, 2, [[4, 4], [1, 0]])
-        cls = classify(inst)
-        assert isinstance(cls, Bivalued)
-        assert cls.pairs[0] == (5, 4)  # all goods low for the constant agent
+        assert classify(inst) == "bivalued"
+        assert inst.value_pairs[0] == (5, 4)  # all goods low for the constant agent
 
     def test_bivalued_preferred_over_two_type(self):
         inst = make_instance(2, 2, [[2, 1], [3, 0]])
-        assert isinstance(classify(inst), Bivalued)
+        assert classify(inst) == "bivalued"
 
     def test_general(self):
         inst = make_instance(3, 3, [[1, 2, 3], [3, 1, 2], [2, 3, 1]])
-        assert isinstance(classify(inst), General)
+        assert classify(inst) == "general"
 
     def test_stable_under_agent_permutation(self):
         rng = random.Random(3)
@@ -161,8 +164,19 @@ class TestClassify:
             inst = make_instance(n, m, rows)
             perm = rows[:]
             rng.shuffle(perm)
-            tag = type(classify(inst))
-            assert type(classify(make_instance(n, m, perm))) is tag
+            assert classify(make_instance(n, m, perm)) == classify(inst)
+
+    def test_names_a_solver_that_auto_runs(self):
+        rng = random.Random(5)
+        names = set()
+        for _ in range(30):
+            n, k = rng.randint(2, 3), rng.randint(1, 3)
+            for inst in (random_bivalued_instance(rng, n, k), random_two_type_instance(rng, n, n * k)):
+                name = classify(inst)
+                names.add(name)
+                assert name in ("bivalued", "two-types", "general")
+                assert solve(inst) == solve(inst, name)
+        assert names == {"bivalued", "two-types"}
 
 
 def _reference_distinct_rows(inst):
@@ -186,15 +200,17 @@ def _reference_value_pairs(inst):
 
 def _reference_classify(inst):
     rows = _reference_distinct_rows(inst)
-    pairs = _reference_value_pairs(inst)
-    if len(rows) > 1 and pairs is not None:
-        return Bivalued(pairs=pairs)
+    if len(rows) > 1 and _reference_value_pairs(inst) is not None:
+        return "bivalued"
+    return "two-types" if len(rows) <= 2 else "general"
+
+
+def _reference_two_type_view(inst):
+    rows = _reference_distinct_rows(inst)
     if len(rows) == 1:
         return TwoType(rows[0][0], (), rows[0][1], ())
-    if len(rows) == 2:
-        (u1, members1), (u2, members2) = rows
-        return TwoType(u1, u2, members1, members2)
-    return General()
+    (u1, members1), (u2, members2) = rows
+    return TwoType(u1, u2, members1, members2)
 
 
 class TestRowReading:
@@ -221,14 +237,16 @@ class TestRowReading:
             inst = make_instance(len(rows), m, rows)
             assert inst.types == _reference_distinct_rows(inst)
             assert inst.value_pairs == _reference_value_pairs(inst)
-            cls = classify(inst)
-            assert cls == _reference_classify(inst)
-            seen.add((type(cls).__name__, len(inst.types)))
+            name = classify(inst)
+            assert name == _reference_classify(inst)
+            if len(inst.types) <= 2:
+                assert two_type_view(inst) == _reference_two_type_view(inst)
+            seen.add((name, len(inst.types)))
             seen |= {"rational" for row in rows for v in row if v.denominator > 1}
             seen |= {"constant" for row in rows if len(set(row)) == 1}
             seen |= {"repeated" for _, members in inst.types if len(members) > 1}
-        assert seen >= {("TwoType", 1), ("TwoType", 2), ("Bivalued", 2), ("Bivalued", 3),
-                        ("General", 3), "rational", "constant", "repeated"}
+        assert seen >= {("two-types", 1), ("two-types", 2), ("bivalued", 2), ("bivalued", 3),
+                        ("general", 3), "rational", "constant", "repeated"}
 
     def test_each_body_runs_once_per_solve(self, monkeypatch):
         calls = []

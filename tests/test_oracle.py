@@ -55,6 +55,24 @@ class TestEnumerateBalanced:
         with pytest.raises(TooLargeError):
             list(enumerate_balanced(ref_instance, max_states=3))
 
+    def test_guard_trips_exactly_past_the_count(self):
+        for n, k in [(1, 5), (2, 3), (3, 2), (4, 3), (5, 1)]:
+            inst = make_instance(n, n * k, [[1] * (n * k)] * n)
+            total = balanced_allocation_count(inst)
+            enumerate_balanced(inst, max_states=total)
+            with pytest.raises(TooLargeError, match=f"^more than {total - 1} balanced allocations$"):
+                enumerate_balanced(inst, max_states=total - 1)
+
+    def test_guard_never_formats_the_count(self):
+        # C(16000, 8000) has more digits than Python's int-to-str limit
+        inst = make_instance(2, 16000, [[1] * 16000] * 2)
+        with pytest.raises(TooLargeError, match="^more than 1000000 balanced allocations$"):
+            enumerate_balanced(inst)
+
+    def test_many_goods_for_one_agent(self):
+        inst = make_instance(1, 1100, [[1] * 1100])
+        assert list(enumerate_balanced(inst)) == [alloc(range(1, 1101))]
+
 
 class TestFullReport:
     def test_reference_flag_sets(self, ref_instance):
