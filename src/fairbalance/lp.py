@@ -294,6 +294,8 @@ def check_fpo(inst: Instance, alloc: Allocation, mode: str = "balanced") -> FpoR
         raise ValueError(f"unknown mode {mode!r}")
     balanced = mode == "balanced"
     check_allocation(inst, alloc, balanced=balanced)
+    if inst.n == 1:  # one agent owns every good, so nothing can be moved
+        return FpoResult(is_fpo=True, dominating=None, improvement=_ZERO)
     n, m = inst.n, inst.m
     nv = n * m + n  # x variables then z variables
     c = [_ZERO] * nv

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from fairbalance.core import Instance, make_allocation, make_instance, utilitarian_value
+from fairbalance.matching import BipartiteWeights, MatchingResult, check_certificate
 
 REF_VALUES = [[10, 10, 21, 22], [0, 1, 6, 8]]
 
@@ -84,3 +85,69 @@ def high_counts(inst: Instance, alloc, viewer: int) -> list:
 
 def random_alpha(rng: random.Random, n: int) -> tuple:
     return tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n))
+
+
+def reference_matching(weights: BipartiteWeights) -> MatchingResult:
+    """The Hungarian method as the package ran it before its lazy-shift
+    rewrite: every potential shift rebuilds the free right nodes' (slack,
+    parent) pairs.  Same tie rules, so the result must be identical."""
+    n = weights.size
+    w = weights.weight
+    u = [max(row) for row in w]
+    v = [0] * n
+    match_l = [None] * n  # left -> right (0-based)
+    match_r = [None] * n  # right -> left
+
+    for start in range(n):
+        # grow an alternating tree rooted at `start` inside the tight graph
+        in_tree_left = [False] * n
+        in_tree_left[start] = True
+        parent_right = [None] * n  # tree parent (a left node) of each right node
+        min_slack = [(u[start] + v[r] - w[start][r], start) for r in range(n)]
+        while True:
+            best_r = None
+            best = None
+            for r in range(n):
+                if parent_right[r] is not None:
+                    continue
+                if best is None or min_slack[r][0] < best:
+                    best = min_slack[r][0]
+                    best_r = r
+            if best > 0:
+                # shift potentials to make the chosen edge tight
+                for l in range(n):
+                    if in_tree_left[l]:
+                        u[l] -= best
+                for r in range(n):
+                    if parent_right[r] is not None:
+                        v[r] += best
+                    else:
+                        min_slack[r] = (min_slack[r][0] - best, min_slack[r][1])
+            parent_right[best_r] = min_slack[best_r][1]
+            other = match_r[best_r]
+            if other is None:
+                # augment along the tree back to the root
+                r = best_r
+                while r is not None:
+                    l = parent_right[r]
+                    prev = match_l[l]
+                    match_l[l] = r
+                    match_r[r] = l
+                    r = prev
+                break
+            in_tree_left[other] = True
+            for r in range(n):
+                if parent_right[r] is None:
+                    slack = u[other] + v[r] - w[other][r]
+                    if slack < min_slack[r][0]:
+                        min_slack[r] = (slack, other)
+
+    value = sum(w[l][match_l[l]] for l in range(n))
+    result = MatchingResult(
+        assignment=tuple(match_l[l] + 1 for l in range(n)),
+        value=value,
+        u=tuple(u),
+        v=tuple(v),
+    )
+    check_certificate(weights, result)
+    return result

@@ -639,6 +639,17 @@ class TestOversizedEnumeration:
         assert main(["check", inst, apath, "--po"]) == 0
         assert capsys.readouterr() == ("po: holds\n", "")
 
+    def test_one_agent_enumerates_without_an_lp(self, tmp_path, capsys, monkeypatch):
+        def no_lp(program):
+            raise AssertionError("one agent needs no LP")
+
+        monkeypatch.setattr(lp, "solve_lp", no_lp)
+        inst, _ = self.files(tmp_path, 1, 1100)
+        assert main(["enumerate", inst, "--format", "json"]) == 0
+        [row] = json.loads(capsys.readouterr().out)
+        assert row["allocation"] == [list(range(1, 1101))]
+        assert (row["po"], row["fpo"]) == (True, True)
+
 
 class TestUnwritableOutput:
     """Every --output file goes through one writer; an unwritable path is

@@ -345,6 +345,19 @@ class TestCheckFpo:
         with pytest.raises(ValueError):
             check_fpo(ref_instance, alloc({1, 3}, {2, 4}), mode="other")
 
+    @pytest.mark.parametrize("mode", ["balanced", "unconstrained"])
+    def test_one_agent_is_fpo_without_an_lp(self, monkeypatch, mode):
+        # the one agent owns every good, so no transfer exists to find
+        def no_lp(program):
+            raise AssertionError("one agent needs no LP")
+
+        monkeypatch.setattr(lp, "solve_lp", no_lp)
+        inst = make_instance(1, 300, [[j % 7 for j in range(300)]])
+        res = check_fpo(inst, alloc(set(range(1, 301))), mode=mode)
+        assert res == lp.FpoResult(is_fpo=True, dominating=None, improvement=Fraction(0))
+        with pytest.raises(ValueError):
+            check_fpo(inst, alloc(set(range(1, 300))), mode=mode)
+
 
 class TestComplementarySlackness:
     def test_optimal_pair_passes(self, ref_instance):

@@ -14,6 +14,8 @@ from fairbalance.matching import (
     max_weight_perfect_matching,
 )
 
+from conftest import reference_matching
+
 
 def brute_force_value(w: BipartiteWeights) -> Fraction:
     n = w.size
@@ -100,6 +102,45 @@ def test_int_weights_stay_int():
         res = max_weight_perfect_matching(BipartiteWeights(size=n, weight=tuple(map(tuple, matrix))))
         assert all(type(x) is int for x in (res.value, *res.u, *res.v))
         assert res == max_weight_perfect_matching(make_weights(matrix))
+
+
+def _zero_one(rng, n):
+    return BipartiteWeights(size=n, weight=tuple(
+        tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n)))
+
+
+def _slots(rng, n):
+    # bivalued slot rows: an agent's k slots weigh K + s on its high goods
+    ks = [k for k in range(1, n + 1) if n % k == 0]
+    k = rng.choice(ks)
+    scale = n * (k + 1)
+    rows = []
+    for _ in range(n // k):
+        high = [rng.random() < rng.choice((0.2, 0.5, 0.8)) for _ in range(n)]
+        rows.extend(tuple(scale + s if h else 0 for h in high) for s in range(1, k + 1))
+    return BipartiteWeights(size=n, weight=tuple(rows))
+
+
+def _fractions(rng, n):
+    top = rng.choice((1, 3, 9))
+    return make_weights([[Fraction(rng.randint(0, top), rng.randint(1, 3)) for _ in range(n)]
+                         for _ in range(n)])
+
+
+@pytest.mark.parametrize("kind", [_zero_one, _slots, _fractions])
+def test_equals_reference_hungarian(kind):
+    # same assignment and duals as the eager-shift form, ties included
+    rng = random.Random(f"reference-{kind.__name__}")
+    for t in range(1050):
+        weights = kind(rng, 1 + t % 14)
+        got = max_weight_perfect_matching(weights)
+        want = reference_matching(weights)
+        assert (got.assignment, got.value, got.u, got.v) == (
+            want.assignment, want.value, want.u, want.v)
+        assert [type(x) for x in (got.value, *got.u, *got.v)] == [
+            type(x) for x in (want.value, *want.u, *want.v)]
+        if kind is not _fractions:
+            assert all(type(x) is int for x in (got.value, *got.u, *got.v))
 
 
 @pytest.mark.parametrize("broken, message", [
