@@ -10,7 +10,7 @@ graph has no negative cycle, and by the exact LP test.
 
 
 from fairbalance import certify_fpo, check_fpo, is_ef1, make_instance, solve_bivalued
-from fairbalance.bivalued import bivalued_pairs, certificate_alpha, slot_weight
+from fairbalance.bivalued import bivalued_pairs, certificate_alpha, slot_rows
 
 inst = make_instance(
     3,
@@ -28,8 +28,8 @@ print(f"n={inst.n} agents, m={inst.m} goods, k={inst.k} each; K = n*k*(k+1) = {s
 print("per-agent (high, low) pairs:", [(int(a), int(b)) for a, b in pairs])
 
 print("\ninteger slot weights for agent 1 (slots are rows, goods are columns):")
-for s in range(1, inst.k + 1):
-    print(f"  slot {s}: {[slot_weight(pairs[0], s, inst.value(1, j), scale) for j in inst.goods()]}")
+for s, row in enumerate(slot_rows(inst, pairs)[:inst.k], start=1):
+    print(f"  slot {s}: {list(row)}")
 
 solution = solve_bivalued(inst)
 allocation, alpha = solution.allocation, solution.alpha

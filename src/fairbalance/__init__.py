@@ -7,11 +7,10 @@ and brute-force oracles make every claimed property checkable exactly
 (all arithmetic is rational, never floating point).
 """
 
-from .bivalued import slot_weight, solve_bivalued
+from .bivalued import solve_bivalued
 from .core import (
     Allocation,
     Instance,
-    Rational,
     Solution,
     TwoType,
     bundle_value,
@@ -21,7 +20,6 @@ from .core import (
     nash_product,
     reduce_unconstrained,
     round_robin_by_preference,
-    strip_dummies,
 )
 from .graph import Potentials, build_exchange_graph, compute_potentials, detect_negative_cycle
 from .lp import check_fpo, solve_dual, solve_primal, verify_complementary_slackness
@@ -43,7 +41,6 @@ __all__ = [
     "Allocation",
     "Instance",
     "Potentials",
-    "Rational",
     "Solution",
     "TwoType",
     "build_exchange_graph",
@@ -68,12 +65,10 @@ __all__ = [
     "reduce_unconstrained",
     "round_robin_by_preference",
     "round_robin_by_price",
-    "slot_weight",
     "solve",
     "solve_bivalued",
     "solve_dual",
     "solve_primal",
     "solve_two_types",
-    "strip_dummies",
     "verify_complementary_slackness",
 ]

@@ -26,24 +26,6 @@ from .core import (
 from .graph import compute_potentials
 
 
-def slot_weight(params: tuple, s: int, value, scale: int) -> int:
-    """Weight of the edge between an agent's s-th slot and a good, where
-    scale is K = n*k*(k+1): K + s for a high good, 0 for a low good.
-
-    The paper weighs high goods a/(a-b) + s/K and low goods b/(a-b).  Every
-    slot takes one good, so dropping b/(a-b) from each of an agent's slots
-    and scaling by K changes no perfect matching's rank: 1 + s/K -> K + s.
-    """
-    a, b = params
-    if not a > b >= 0:
-        raise ValueError("need a > b >= 0")
-    if value == a:
-        return scale + s
-    if value == b:
-        return 0
-    raise ValueError(f"value {value} is neither the high {a} nor the low {b}")
-
-
 def bivalued_pairs(inst: Instance) -> tuple:
     """(a_i, b_i) per agent; a constant row counts every good as low.
     Raises NotBivalued otherwise."""
@@ -58,6 +40,25 @@ def certificate_alpha(pairs: Sequence[tuple]) -> tuple:
     """The weight vector 1/(a_i - b_i) whose maximizers are exactly the
     fPO balanced allocations on a bivalued instance."""
     return tuple(Fraction(1, 1) / (a - b) for a, b in pairs)
+
+
+def slot_rows(inst: Instance, pairs: Sequence[tuple]) -> tuple:
+    """The matching's weight rows, agent by agent and slot by slot: in
+    agent i's s-th slot a good weighs K + s = n*k*(k+1) + s when i values it
+    at its high a_i, and 0 otherwise.
+
+    The paper weighs high goods a/(a-b) + s/K and low goods b/(a-b).  Every
+    slot takes one good, so dropping b/(a-b) from each of an agent's slots
+    and scaling by K changes no perfect matching's rank: 1 + s/K -> K + s.
+    """
+    k = inst.k
+    scale = inst.n * k * (k + 1)
+    value_scale, values = inst.scaled_values
+    rows = []
+    for (a, _), row in zip(pairs, values):
+        high = a.numerator * (value_scale // a.denominator)
+        rows += [tuple(scale + s if v == high else 0 for v in row) for s in range(1, k + 1)]
+    return tuple(rows)
 
 
 def _matching_to_allocation(inst: Instance, assignment: Sequence[int]) -> Allocation:
@@ -77,20 +78,16 @@ def solve_bivalued(inst: Instance) -> Solution:
     alpha-weighted welfare, which certifies fPO.
     """
     pairs = bivalued_pairs(inst)
-    k = inst.k
-    scale = inst.n * k * (k + 1)
-    # high[i][j]: agent i + 1 values good j + 1 high; slot s then weighs K + s
-    value_scale, values = inst.scaled_values
-    high = [[v == a.numerator * (value_scale // a.denominator) for v in row]
-            for (a, _), row in zip(pairs, values)]
-    rows = [tuple(scale + s if h else 0 for h in mask) for mask in high for s in range(1, k + 1)]
+    rows = slot_rows(inst, pairs)
     result = matching_mod.max_weight_perfect_matching(
-        matching_mod.BipartiteWeights(size=inst.m, weight=tuple(rows))
+        matching_mod.BipartiteWeights(size=inst.m, weight=rows)
     )
     alloc = _matching_to_allocation(inst, result.assignment)
 
-    # the slot bonuses of all n*k slots sum to K/2, below one high good
-    highs = sum(high[i - 1][j - 1] for i in inst.agents() for j in alloc.bundle(i))
+    # a matched high good weighs K plus its slot's bonus, and the bonuses
+    # of all n*k slots sum to K/2, below one high good
+    scale = inst.n * inst.k * (inst.k + 1)
+    highs = sum(row[good - 1] != 0 for row, good in zip(rows, result.assignment))
     drift = result.value - scale * highs
     if not 0 <= drift <= scale // 2:
         raise InternalInvariantError(f"slot bonus drift {drift} outside [0, {scale // 2}]")

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 if TYPE_CHECKING:
     from .graph import Potentials
 
-Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 
@@ -192,11 +191,6 @@ class Allocation:
             and all(len(b) == k for b in self.bundles)
         )
 
-    def assignment_string(self) -> tuple:
-        """Good -> agent tuple, the enumeration order key."""
-        owner = self.owner_map()
-        return tuple(owner[j] for j in sorted(owner))
-
 
 def make_allocation(bundles: Iterable[Iterable[int]]) -> Allocation:
     return Allocation(tuple(frozenset(b) for b in bundles))
@@ -288,15 +282,6 @@ def nash_product(inst: Instance, alloc: Allocation) -> Fraction:
     return prod
 
 
-def utilitarian_value(inst: Instance, alloc: Allocation, alpha: Sequence[Fraction] | None = None) -> Fraction:
-    """Sum of (optionally weighted) bundle values."""
-    total = Fraction(0)
-    for i in inst.agents():
-        w = alpha[i - 1] if alpha is not None else Fraction(1)
-        total += w * bundle_value(inst, i, alloc.bundle(i))
-    return total
-
-
 def round_robin_by_preference(inst: Instance) -> Allocation:
     """Classic round robin: agents 1..n repeatedly pick their favorite
     remaining good (ties to the lowest good index).  Always EF1."""
@@ -326,17 +311,3 @@ def reduce_unconstrained(inst: Instance) -> tuple:
     rows = tuple(row + (Fraction(0),) * dummies for row in inst.values)
     reduced = Instance(n=inst.n, m=new_m, values=rows)
     return reduced, frozenset(range(inst.m + 1, new_m + 1))
-
-
-def strip_dummies(alloc: Allocation, dummies: frozenset) -> Allocation:
-    """Inverse of :func:`reduce_unconstrained` on allocations."""
-    return Allocation(tuple(b - dummies for b in alloc.bundles))
-
-
-def balanced_allocation_count(inst: Instance) -> int:
-    """m! / (k!)^n, the number of balanced allocations."""
-    count = math.factorial(inst.m)
-    kf = math.factorial(inst.k)
-    for _ in range(inst.n):
-        count //= kf
-    return count

@@ -7,8 +7,8 @@ that case shortest-path distances from the root yield optimal dual
 potentials (q per agent, p per good).
 
 All weights are kept as ints over one positive common denominator, so the
-single Bellman-Ford loop adds and compares Python ints only; potentials,
-cycle weights and the ``arcs`` view divide by it to give exact Fractions.
+single Bellman-Ford loop adds and compares Python ints only; potentials
+and cycle weights divide by it to give exact Fractions.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class ExchangeGraph:
     good j -> its owner i with weight +alpha_i * v_ij, and root -> good j
     with weight 0.  Every weight is stored as an int over the common
     denominator ``scale``, on node ids 0 (root), i (agent i) and n + j
-    (good j); ``arcs`` gives the labelled, rational view.
+    (good j); ``label`` names a node id.
     """
 
     n: int
@@ -66,13 +66,6 @@ class ExchangeGraph:
             return 0
         kind, index = label
         return {"agent": index, "good": self.n + index}[kind]
-
-    @property
-    def arcs(self) -> tuple:
-        """(tail, head, weight) triples with node labels and exact weights."""
-        return tuple(
-            (self.label(u), self.label(v), Fraction(w, self.scale)) for u, v, w in self.int_arcs
-        )
 
 
 @dataclass(frozen=True)

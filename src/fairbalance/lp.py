@@ -26,7 +26,7 @@ from .graph import Potentials, check_alpha
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max c.x subject to A x = b, x >= 0, all entries Rational, b >= 0.
+    """max c.x subject to A x = b, x >= 0, all entries int or Fraction, b >= 0.
 
     Entries are stored as Fractions, so the simplex divides exactly; an
     int is converted and a float raises TypeError."""

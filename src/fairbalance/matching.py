@@ -26,9 +26,8 @@ joined the tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .core import InternalInvariantError, RationalLike, as_rational
+from .core import InternalInvariantError, RationalLike
 
 
 @dataclass(frozen=True)
@@ -38,19 +37,6 @@ class BipartiteWeights:
 
     size: int
     weight: tuple
-
-    def w(self, l: int, r: int) -> RationalLike:
-        return self.weight[l - 1][r - 1]
-
-
-def make_weights(matrix: Sequence[Sequence]) -> BipartiteWeights:
-    size = len(matrix)
-    if size < 1:
-        raise ValueError("need at least one node per side")
-    if any(len(row) != size for row in matrix):
-        raise ValueError("weight matrix must be square (pad or slot-expand first)")
-    rows = tuple(tuple(as_rational(x) for x in row) for row in matrix)
-    return BipartiteWeights(size=size, weight=rows)
 
 
 @dataclass(frozen=True)

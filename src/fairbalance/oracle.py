@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterator, List
+from typing import Iterator
 
 from . import lp as lp_mod
 from . import verify as verify_mod
@@ -102,18 +102,6 @@ class AllocationRecord:
 @dataclass(frozen=True)
 class EnumerationReport:
     records: tuple
-
-    def ef1_set(self) -> List[Allocation]:
-        return [r.allocation for r in self.records if r.ef1]
-
-    def fpo_set(self) -> List[Allocation]:
-        return [r.allocation for r in self.records if r.fpo]
-
-    def po_set(self) -> List[Allocation]:
-        return [r.allocation for r in self.records if r.po]
-
-    def ef1_and_fpo_set(self) -> List[Allocation]:
-        return [r.allocation for r in self.records if r.ef1 and r.fpo]
 
 
 def full_report(inst: Instance, max_states: int = 10 ** 4) -> EnumerationReport:

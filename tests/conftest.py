@@ -5,15 +5,28 @@ hand: its six balanced allocations have value vectors (20,14), (31,9),
 (32,7), (31,8), (32,6), (43,1); exactly four are EF1, exactly three are
 fPO, and only ({1,3},{2,4}) is both.  Frozen expected values in the test
 modules are recomputed from the enumeration oracles wherever stated.
+
+The references below (welfare sums, the slot rule entry by entry, the
+labelled arc view, the old Hungarian loop, ...) are code the package
+itself never runs; tests compare the package's results with them.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from fairbalance.core import Instance, make_allocation, make_instance, utilitarian_value
+from fairbalance.core import (
+    Allocation,
+    Instance,
+    as_rational,
+    bundle_value,
+    make_allocation,
+    make_instance,
+)
+from fairbalance.graph import ExchangeGraph
 from fairbalance.matching import BipartiteWeights, MatchingResult, check_certificate
 
 REF_VALUES = [[10, 10, 21, 22], [0, 1, 6, 8]]
@@ -26,6 +39,35 @@ def ref_instance() -> Instance:
 
 def alloc(*bundles):
     return make_allocation(bundles)
+
+
+def assignment_string(allocation: Allocation) -> tuple:
+    """Good -> agent tuple, the enumeration order key."""
+    owner = allocation.owner_map()
+    return tuple(owner[j] for j in sorted(owner))
+
+
+def utilitarian_value(inst: Instance, allocation: Allocation, alpha=None) -> Fraction:
+    """Sum of (optionally weighted) bundle values."""
+    total = Fraction(0)
+    for i in inst.agents():
+        w = alpha[i - 1] if alpha is not None else Fraction(1)
+        total += w * bundle_value(inst, i, allocation.bundle(i))
+    return total
+
+
+def strip_dummies(allocation: Allocation, dummies: frozenset) -> Allocation:
+    """Inverse of ``reduce_unconstrained`` on allocations."""
+    return Allocation(tuple(b - dummies for b in allocation.bundles))
+
+
+def balanced_allocation_count(inst: Instance) -> int:
+    """m! / (k!)^n, the number of balanced allocations."""
+    count = math.factorial(inst.m)
+    kf = math.factorial(inst.k)
+    for _ in range(inst.n):
+        count //= kf
+    return count
 
 
 def permutation_enumerate(inst: Instance):
@@ -85,6 +127,36 @@ def high_counts(inst: Instance, alloc, viewer: int) -> list:
 
 def random_alpha(rng: random.Random, n: int) -> tuple:
     return tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n))
+
+
+def labelled_arcs(g: ExchangeGraph) -> tuple:
+    """(tail, head, weight) triples with node labels and exact weights."""
+    return tuple((g.label(u), g.label(v), Fraction(w, g.scale)) for u, v, w in g.int_arcs)
+
+
+def slot_weight(params: tuple, s: int, value, scale: int) -> int:
+    """The slot rule entry by entry: the weight of the edge between an
+    agent's s-th slot and a good, where scale is K = n*k*(k+1): K + s for a
+    high good, 0 for a low good."""
+    a, b = params
+    if not a > b >= 0:
+        raise ValueError("need a > b >= 0")
+    if value == a:
+        return scale + s
+    if value == b:
+        return 0
+    raise ValueError(f"value {value} is neither the high {a} nor the low {b}")
+
+
+def make_weights(matrix) -> BipartiteWeights:
+    """A square matrix as matching weights, entries as exact rationals."""
+    size = len(matrix)
+    if size < 1:
+        raise ValueError("need at least one node per side")
+    if any(len(row) != size for row in matrix):
+        raise ValueError("weight matrix must be square (pad or slot-expand first)")
+    rows = tuple(tuple(as_rational(x) for x in row) for row in matrix)
+    return BipartiteWeights(size=size, weight=rows)
 
 
 def reference_matching(weights: BipartiteWeights) -> MatchingResult:

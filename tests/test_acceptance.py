@@ -15,20 +15,22 @@ import pytest
 import fairbalance.twotypes as twotypes_mod
 from fairbalance.bivalued import bivalued_pairs, certificate_alpha, solve_bivalued
 from fairbalance.cli import main
-from fairbalance.core import (
-    balanced_allocation_count,
-    make_instance,
-    reduce_unconstrained,
-    strip_dummies,
-    utilitarian_value,
-)
+from fairbalance.core import make_instance, reduce_unconstrained
 from fairbalance.graph import build_exchange_graph, compute_potentials, detect_negative_cycle
 from fairbalance.lp import check_fpo, solve_dual, solve_primal, verify_complementary_slackness
 from fairbalance.oracle import enumerate_balanced, full_report
 from fairbalance.twotypes import round_robin_by_price, solve_two_types
 from fairbalance.verify import certify_fpo, is_ef1, is_p_ef1, price_drop_top
 
-from conftest import REF_VALUES, alloc, high_counts, random_alpha
+from conftest import (
+    REF_VALUES,
+    alloc,
+    balanced_allocation_count,
+    high_counts,
+    random_alpha,
+    strip_dummies,
+    utilitarian_value,
+)
 
 
 def report(criterion: int, detail: str) -> None:
@@ -147,7 +149,7 @@ def test_criterion_3_two_types_solver_suite(monkeypatch):
         # of flags above; materialize the whole set on small instances to
         # exercise the report machinery end to end
         if states <= 120 and full_checks < 40:
-            good = {a.bundles for a in full_report(inst).ef1_and_fpo_set()}
+            good = {r.allocation.bundles for r in full_report(inst).records if r.ef1 and r.fpo}
             assert out.bundles in good
             full_checks += 1
     elapsed = time.monotonic() - started

@@ -5,18 +5,19 @@ from fractions import Fraction
 import pytest
 
 from fairbalance import matching
-from fairbalance.bivalued import (
-    bivalued_pairs,
-    certificate_alpha,
-    slot_weight,
-    solve_bivalued,
-)
+from fairbalance.bivalued import bivalued_pairs, certificate_alpha, slot_rows, solve_bivalued
 from fairbalance.core import InternalInvariantError, NotBivalued, make_instance
 from fairbalance.lp import check_fpo
-from fairbalance.matching import BipartiteWeights, make_weights, max_weight_perfect_matching
+from fairbalance.matching import BipartiteWeights, max_weight_perfect_matching
 from fairbalance.verify import certify_fpo, is_ef1
 
-from conftest import high_counts, permutation_enumerate, random_bivalued_instance
+from conftest import (
+    high_counts,
+    make_weights,
+    permutation_enumerate,
+    random_bivalued_instance,
+    slot_weight,
+)
 
 
 class TestSlotWeight:
@@ -102,7 +103,7 @@ class TestIntegerRuleReference:
             ints = tuple(tuple(slot_weight(pairs[row0 // k], row0 % k + 1, inst.value(row0 // k + 1, j), scale)
                                for j in inst.goods()) for row0 in range(inst.m))
             # the solver's slot rows are slot_weight's, entry for entry
-            assert passed == [ints]
+            assert passed == [ints] and slot_rows(inst, pairs) == ints
             integer = max_weight_perfect_matching(BipartiteWeights(size=inst.m, weight=ints))
             assert integer.assignment == reference.assignment
             assert type(integer.value) is int

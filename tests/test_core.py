@@ -16,18 +16,19 @@ from fairbalance.core import (
     nash_product,
     reduce_unconstrained,
     round_robin_by_preference,
-    strip_dummies,
     two_type_view,
-    utilitarian_value,
 )
 from fairbalance.solver import solve
 from fairbalance.verify import is_ef1
 
 from conftest import (
     alloc,
+    assignment_string,
     permutation_enumerate,
     random_bivalued_instance,
     random_two_type_instance,
+    strip_dummies,
+    utilitarian_value,
 )
 
 
@@ -315,7 +316,7 @@ class TestAllocation:
 
     def test_assignment_string(self):
         a = alloc({1, 3}, {2, 4})
-        assert a.assignment_string() == (1, 2, 1, 2)
+        assert assignment_string(a) == (1, 2, 1, 2)
 
 
 class TestRoundRobinByPreference:

@@ -20,7 +20,14 @@ from fairbalance.graph import (
 from fairbalance.lp import verify_complementary_slackness
 from fairbalance.verify import certify_fpo
 
-from conftest import alloc, brute_max_welfare, permutation_enumerate, random_alpha, random_instance
+from conftest import (
+    alloc,
+    brute_max_welfare,
+    labelled_arcs,
+    permutation_enumerate,
+    random_alpha,
+    random_instance,
+)
 
 ONE = (Fraction(1), Fraction(1))
 
@@ -33,7 +40,7 @@ GRAPH_GOLDEN = json.loads(
 
 
 def arc_weights(g):
-    return {(u, v): w for u, v, w in g.arcs}
+    return {(u, v): w for u, v, w in labelled_arcs(g)}
 
 
 class TestBuildExchangeGraph:
@@ -47,7 +54,7 @@ class TestBuildExchangeGraph:
     def test_all_zero_values(self):
         inst = make_instance(2, 2, [[0, 0], [0, 0]])
         g = build_exchange_graph(inst, alloc({1}, {2}), ONE)
-        assert all(w == 0 for _, _, w in g.arcs)
+        assert all(w == 0 for _, _, w in labelled_arcs(g))
         assert detect_negative_cycle(g) is None
 
     def test_weighted_ownership_arc(self, ref_instance):
@@ -58,9 +65,9 @@ class TestBuildExchangeGraph:
         g = build_exchange_graph(ref_instance, alloc({1, 3}, {2, 4}), ONE)
         n, m = ref_instance.n, ref_instance.m
         assert g.node_count() == n + m + 1
-        assert len(g.arcs) == n * m + m + m
+        assert len(labelled_arcs(g)) == n * m + m + m
         # exactly one ownership arc leaves each good
-        from_goods = [u for u, v, w in g.arcs if u[0] == "good"]
+        from_goods = [u for u, v, w in labelled_arcs(g) if u[0] == "good"]
         assert sorted(from_goods) == sorted(good_node(j) for j in ref_instance.goods())
 
     def test_rejects_unbalanced_allocation(self, ref_instance):

@@ -15,7 +15,6 @@ from fairbalance.core import (
     InternalInvariantError,
     bundle_value,
     make_instance,
-    utilitarian_value,
 )
 from fairbalance.graph import Potentials, compute_potentials
 from fairbalance.lp import (
@@ -28,7 +27,14 @@ from fairbalance.lp import (
     verify_complementary_slackness,
 )
 
-from conftest import alloc, brute_max_welfare, permutation_enumerate, random_alpha, random_instance
+from conftest import (
+    alloc,
+    brute_max_welfare,
+    permutation_enumerate,
+    random_alpha,
+    random_instance,
+    utilitarian_value,
+)
 
 ONE = (Fraction(1), Fraction(1))
 HALVES = [Fraction(v, 2) for v in range(-4, 5)]

@@ -7,20 +7,15 @@ import dataclasses
 import pytest
 
 from fairbalance.core import InternalInvariantError
-from fairbalance.matching import (
-    BipartiteWeights,
-    check_certificate,
-    make_weights,
-    max_weight_perfect_matching,
-)
+from fairbalance.matching import BipartiteWeights, check_certificate, max_weight_perfect_matching
 
-from conftest import reference_matching
+from conftest import make_weights, reference_matching
 
 
 def brute_force_value(w: BipartiteWeights) -> Fraction:
     n = w.size
     return max(
-        sum((w.w(l + 1, perm[l] + 1) for l in range(n)), Fraction(0))
+        sum((w.weight[l][perm[l]] for l in range(n)), Fraction(0))
         for perm in itertools.permutations(range(n))
     )
 
@@ -61,9 +56,9 @@ def test_duals_certify_optimality():
         assert sum(res.u) + sum(res.v) == res.value
         for l in range(1, n + 1):
             for r in range(1, n + 1):
-                assert res.u[l - 1] + res.v[r - 1] >= w.w(l, r)
+                assert res.u[l - 1] + res.v[r - 1] >= w.weight[l - 1][r - 1]
             r = res.assignment[l - 1]
-            assert res.u[l - 1] + res.v[r - 1] == w.w(l, r)
+            assert res.u[l - 1] + res.v[r - 1] == w.weight[l - 1][r - 1]
 
 
 def test_permutation_equivariance():

@@ -6,19 +6,20 @@ import pytest
 from fairbalance.bivalued import solve_bivalued
 from fairbalance.core import (
     TooLargeError,
-    balanced_allocation_count,
     make_instance,
     nash_product,
-    utilitarian_value,
 )
 from fairbalance.oracle import enumerate_balanced, full_report
 from fairbalance.twotypes import solve_two_types
 
 from conftest import (
     alloc,
+    assignment_string,
+    balanced_allocation_count,
     permutation_enumerate,
     random_bivalued_instance,
     random_two_type_instance,
+    utilitarian_value,
 )
 
 
@@ -36,7 +37,7 @@ class TestEnumerateBalanced:
         assert len(list(enumerate_balanced(inst))) == 2
 
     def test_lexicographic_order(self, ref_instance):
-        strings = [a.assignment_string() for a in enumerate_balanced(ref_instance)]
+        strings = [assignment_string(a) for a in enumerate_balanced(ref_instance)]
         assert strings == sorted(strings)
         assert strings[0] == (1, 1, 2, 2)
 
@@ -77,8 +78,8 @@ class TestEnumerateBalanced:
 class TestFullReport:
     def test_reference_flag_sets(self, ref_instance):
         report = full_report(ref_instance)
-        ef1 = {a.bundles for a in report.ef1_set()}
-        fpo = {a.bundles for a in report.fpo_set()}
+        ef1 = {r.allocation.bundles for r in report.records if r.ef1}
+        fpo = {r.allocation.bundles for r in report.records if r.fpo}
         assert ef1 == {
             alloc({2, 4}, {1, 3}).bundles,
             alloc({2, 3}, {1, 4}).bundles,
@@ -90,15 +91,15 @@ class TestFullReport:
             alloc({1, 3}, {2, 4}).bundles,
             alloc({1, 2}, {3, 4}).bundles,
         }
-        both = report.ef1_and_fpo_set()
+        both = [r.allocation for r in report.records if r.ef1 and r.fpo]
         assert len(both) == 1 and both[0].bundles == alloc({1, 3}, {2, 4}).bundles
 
     def test_reference_po_set(self, ref_instance):
         report = full_report(ref_instance)
-        po = {a.bundles for a in report.po_set()}
+        po = {r.allocation.bundles for r in report.records if r.po}
         assert alloc({1, 4}, {2, 3}).bundles in po
         assert alloc({2, 4}, {1, 3}).bundles not in po
-        assert {a.bundles for a in report.fpo_set()} <= po
+        assert {r.allocation.bundles for r in report.records if r.fpo} <= po
 
     def test_all_zero_values(self):
         inst = make_instance(2, 2, [[0, 0], [0, 0]])
@@ -114,8 +115,9 @@ class TestFullReport:
         assert max(rec.utilitarian for rec in report.records) == 44
 
     def test_nash_and_utilitarian_match_the_core_functions(self):
-        # the report reads both off each value vector; the core functions,
-        # which read every bundle again, are the reference
+        # the report reads both off each value vector; nash_product and the
+        # test reference utilitarian_value, which read every bundle again,
+        # are the references
         rng = random.Random(8)
         for _ in range(12):
             n, m = rng.choice([(2, 2), (2, 4), (3, 3)])
@@ -130,7 +132,7 @@ class TestFullReport:
         for _ in range(8):
             inst = random_bivalued_instance(rng, 2, 2)
             report = full_report(inst)
-            good = {a.bundles for a in report.ef1_and_fpo_set()}
+            good = {r.allocation.bundles for r in report.records if r.ef1 and r.fpo}
             assert good, "bivalued instances always admit an EF1 and fPO allocation"
             out = solve_bivalued(inst).allocation
             assert out.bundles in good
@@ -139,7 +141,7 @@ class TestFullReport:
             if inst.m % inst.n:
                 continue
             report = full_report(inst)
-            good = {a.bundles for a in report.ef1_and_fpo_set()}
+            good = {r.allocation.bundles for r in report.records if r.ef1 and r.fpo}
             assert good, "two-type instances always admit an EF1 and fPO allocation"
             out = solve_two_types(inst).allocation
             assert out.bundles in good
