@@ -2,20 +2,24 @@
 
 A balanced allocation maximizes a positively weighted welfare if and only
 if its exchange graph has no negative cycle; the shortest-path potentials
-then certify optimality through complementary slackness.  Everything here
-is exact rational arithmetic, so equalities are real equalities.
+then certify optimality.  No LP is solved: every balanced allocation gives
+each agent k goods, so for any dual-feasible pair (q_i + p_j >= alpha_i *
+v_ij on every pair) k*sum(q) + sum(p) bounds the weighted welfare from
+above (weak duality), and a pair whose bound equals an allocation's
+welfare proves both optimal.  Everything here is exact rational
+arithmetic, so equalities are real equalities.
 """
 
 from fractions import Fraction
 
 from fairbalance import (
     build_exchange_graph,
+    bundle_value,
     compute_potentials,
     detect_negative_cycle,
+    enumerate_balanced,
     make_allocation,
     make_instance,
-    solve_dual,
-    solve_primal,
     verify_complementary_slackness,
 )
 from fairbalance.graph import cycle_weight
@@ -23,13 +27,22 @@ from fairbalance.graph import cycle_weight
 inst = make_instance(2, 4, [[10, 10, 21, 22], [0, 1, 6, 8]])
 alpha = (Fraction(1), Fraction(1))
 
-print("maximizing total value over balanced allocations:")
-best, value = solve_primal(inst, alpha)
-print(f"  optimum {value} at {[sorted(b) for b in best.bundles]}"
-      " (the LP vertex is automatically integral)")
 
-pot = solve_dual(inst, alpha)
-print(f"  dual optimum k*sum(q) + sum(p) = {pot.objective(inst.k)} (equal by strong duality)")
+def welfare(allocation):
+    return sum(bundle_value(inst, i, allocation.bundle(i)) for i in inst.agents())
+
+
+print("maximizing total value over balanced allocations:")
+allocations = list(enumerate_balanced(inst))
+best = max(allocations, key=welfare)
+print(f"  optimum {welfare(best)} at {[sorted(b) for b in best.bundles]}"
+      f" (the best of all {len(allocations)} balanced allocations)")
+
+print("\nshortest-path potentials at the optimum:")
+pot = compute_potentials(inst, best, alpha)
+print(f"  q = {[str(v) for v in pot.q]}, p = {[str(v) for v in pot.p]}")
+print(f"  k*sum(q) + sum(p) = {inst.k * sum(pot.q) + sum(pot.p)}"
+      " = the optimum, so by weak duality both are optimal")
 print(f"  complementary slackness: {verify_complementary_slackness(inst, best, pot, alpha)}")
 
 print("\nnegative cycles witness suboptimality:")
@@ -41,8 +54,3 @@ print(f"  cycle weight {cycle_weight(graph, cycle)} < 0, so a swap along it help
 
 good_graph = build_exchange_graph(inst, best, alpha)
 print(f"  the optimal allocation has no cycle: {detect_negative_cycle(good_graph)}")
-
-print("\nshortest-path potentials at the optimum:")
-sp = compute_potentials(inst, best, alpha)
-print(f"  q = {[str(v) for v in sp.q]}, p = {[str(v) for v in sp.p]}")
-print(f"  objective {sp.objective(inst.k)}, nonnegative and dual feasible by construction")

@@ -11,7 +11,6 @@ from fairbalance import (
     is_ef1,
     make_allocation,
     make_instance,
-    nash_product,
     solve,
 )
 
@@ -45,4 +44,5 @@ print(f"  EF1: {is_ef1(inst, allocation).holds}")
 print(f"  fPO: {check_fpo(inst, allocation).is_fpo}")
 print(f"  prices: {[str(p) for p in potentials.p]}")
 print(f"  agent potentials: {[str(q) for q in potentials.q]}")
-print(f"  nash product: {int(nash_product(inst, allocation))}")
+solver_record = next(r for r in report.records if r.allocation == allocation)
+print(f"  nash product: {int(solver_record.nash)}")

@@ -17,12 +17,11 @@ from .core import (
     classify,
     make_allocation,
     make_instance,
-    nash_product,
     reduce_unconstrained,
     round_robin_by_preference,
 )
 from .graph import Potentials, build_exchange_graph, compute_potentials, detect_negative_cycle
-from .lp import check_fpo, solve_dual, solve_primal, verify_complementary_slackness
+from .lp import check_fpo, verify_complementary_slackness
 from .matching import max_weight_perfect_matching
 from .oracle import enumerate_balanced, full_report, is_po_bruteforce
 from .solver import solve
@@ -60,15 +59,12 @@ __all__ = [
     "make_allocation",
     "make_instance",
     "max_weight_perfect_matching",
-    "nash_product",
     "optimal_split",
     "reduce_unconstrained",
     "round_robin_by_preference",
     "round_robin_by_price",
     "solve",
     "solve_bivalued",
-    "solve_dual",
-    "solve_primal",
     "solve_two_types",
     "verify_complementary_slackness",
 ]

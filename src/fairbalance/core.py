@@ -1,4 +1,4 @@
-"""Problem instances, allocations and basic welfare functionals.
+"""Problem instances, allocations, bundle values and round robin.
 
 All numeric quantities are exact rationals (``fractions.Fraction``); no
 floating point is used anywhere in solver paths.  Agents and goods are
@@ -263,7 +263,7 @@ def classify(inst: Instance) -> str:
     return "general"
 
 
-# --- welfare functionals -----------------------------------------------------
+# --- bundle values and round robin ------------------------------------------
 
 def bundle_value(inst: Instance, agent: int, bundle: Iterable[int]) -> Fraction:
     """Additive value of a set of goods for one agent; empty set is 0."""
@@ -271,15 +271,6 @@ def bundle_value(inst: Instance, agent: int, bundle: Iterable[int]) -> Fraction:
     for j in bundle:
         total += inst.value(agent, j)
     return total
-
-
-def nash_product(inst: Instance, alloc: Allocation) -> Fraction:
-    """Product of the agents' bundle values (orders like the geometric mean)."""
-    check_allocation(inst, alloc)
-    prod = Fraction(1)
-    for i in inst.agents():
-        prod *= bundle_value(inst, i, alloc.bundle(i))
-    return prod
 
 
 def round_robin_by_preference(inst: Instance) -> Allocation:

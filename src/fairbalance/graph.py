@@ -73,14 +73,11 @@ class Potentials:
     """Dual pair certifying weighted-welfare optimality.
 
     Feasibility means q_i + p_j >= alpha_i * v_ij for every agent/good
-    pair; both vectors are nonnegative.
+    pair; :func:`compute_potentials` gives nonnegative vectors.
     """
 
     q: tuple
     p: tuple
-
-    def objective(self, k: int) -> Fraction:
-        return k * sum(self.q, Fraction(0)) + sum(self.p, Fraction(0))
 
     def scaled_if_feasible(self, inst: Instance, alpha: Sequence[Fraction]) -> Optional[tuple]:
         """``(qs, ps, rs, rows)``, all ints over one positive common
@@ -106,29 +103,19 @@ class Potentials:
                     return None
         return qs, ps, rs, rows
 
-    def is_feasible(self, inst: Instance, alpha: Sequence[Fraction]) -> bool:
-        return self.scaled_if_feasible(inst, alpha) is not None
-
-    def is_nonnegative(self) -> bool:
-        return all(v >= 0 for v in self.q) and all(v >= 0 for v in self.p)
-
-
-def check_alpha(inst: Instance, alpha: Sequence[Fraction]) -> None:
-    """Raise ValueError unless alpha is one positive weight per agent."""
-    if len(alpha) != inst.n:
-        raise ValueError("alpha length must equal the number of agents")
-    if any(a <= 0 for a in alpha):
-        raise ValueError("alpha must be strictly positive")
-
 
 def build_exchange_graph(inst: Instance, alloc: Allocation, alpha: Sequence[Fraction]) -> ExchangeGraph:
     """Exchange graph of a balanced allocation under weights alpha.
 
     The scale is lcm(alpha denominators) times the instance's value scale,
-    so every alpha_i * v_ij times it is an int.
+    so every alpha_i * v_ij times it is an int.  Raises ValueError unless
+    alpha is one positive weight per agent.
     """
     check_allocation(inst, alloc, balanced=True)
-    check_alpha(inst, alpha)
+    if len(alpha) != inst.n:
+        raise ValueError("alpha length must equal the number of agents")
+    if any(a <= 0 for a in alpha):
+        raise ValueError("alpha must be strictly positive")
     n, m = inst.n, inst.m
     alpha_scale, (alpha_ints,) = integer_rows((alpha,))
     value_scale, rows = inst.scaled_values

@@ -1,4 +1,5 @@
-"""Exact simplex over rationals and the allocation LPs built on it.
+"""Exact simplex over rationals, the fPO decision LP built on it, and the
+complementary-slackness check of a dual certificate.
 
 Everything is solved in standard equality form (max c.x, Ax = b, x >= 0)
 with a two-phase tableau method.  Pivoting starts with the largest-
@@ -19,9 +20,8 @@ from .core import (
     as_rational,
     bundle_value,
     check_allocation,
-    make_allocation,
 )
-from .graph import Potentials, check_alpha
+from .graph import Potentials
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class SimplexResult:
     objective: Fraction
 
 
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _eliminate(row: list, coef: Fraction, prow: list) -> list:
@@ -177,99 +177,7 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
     return SimplexResult(x=tuple(x), objective=objective)
 
 
-# --- allocation LPs ----------------------------------------------------------
-
-def _xvar(inst: Instance, i: int, j: int) -> int:
-    return (i - 1) * inst.m + (j - 1)
-
-
-def _assignment_rows(inst: Instance, width: int, balanced: bool) -> tuple:
-    """Rows over the n*m x variables (padded to ``width``): each good is
-    assigned once, then, when ``balanced``, each agent gets k goods.
-    Returns ``(rows, rhs)``."""
-    rows = []
-    b = []
-    for j in inst.goods():
-        row = [_ZERO] * width
-        for i in inst.agents():
-            row[_xvar(inst, i, j)] = Fraction(1)
-        rows.append(tuple(row))
-        b.append(Fraction(1))
-    if balanced:
-        for i in inst.agents():
-            row = [_ZERO] * width
-            for j in inst.goods():
-                row[_xvar(inst, i, j)] = Fraction(1)
-            rows.append(tuple(row))
-            b.append(Fraction(inst.k))
-    return rows, b
-
-
-def _x_matrix(inst: Instance, x: Sequence[Fraction]) -> tuple:
-    """The n x m matrix of the x variables of an LP solution, as row tuples."""
-    return tuple(tuple(x[i * inst.m:(i + 1) * inst.m]) for i in range(inst.n))
-
-
-def _primal_program(inst: Instance, alpha: Sequence[Fraction]) -> LinearProgram:
-    nv = inst.n * inst.m
-    c = [_ZERO] * nv
-    for i in inst.agents():
-        for j in inst.goods():
-            c[_xvar(inst, i, j)] = alpha[i - 1] * inst.value(i, j)
-    rows, b = _assignment_rows(inst, nv, balanced=True)
-    return LinearProgram(c=tuple(c), a=tuple(rows), b=tuple(b))
-
-
-def solve_primal(inst: Instance, alpha: Sequence[Fraction]) -> tuple:
-    """Maximize the alpha-weighted welfare over balanced fractional
-    allocations.  The returned vertex is always integral (the constraint
-    matrix is totally unimodular), so it doubles as a balanced allocation.
-
-    Returns ``(Allocation, value)``.
-    """
-    check_alpha(inst, alpha)
-    res = solve_lp(_primal_program(inst, alpha))
-    if any(v != 0 and v != 1 for v in res.x):
-        raise InternalInvariantError("transportation vertex must be integral")
-    alloc = make_allocation({j for j, v in enumerate(row, start=1) if v == 1}
-                            for row in _x_matrix(inst, res.x))
-    if not alloc.is_balanced(inst):
-        raise InternalInvariantError("transportation vertex must be a balanced allocation")
-    return alloc, res.objective
-
-
-def solve_dual(inst: Instance, alpha: Sequence[Fraction]) -> Potentials:
-    """Minimize k*sum(q) + sum(p) subject to q_i + p_j >= alpha_i v_ij.
-
-    Solved directly as an LP with q, p >= 0 (a nonnegative optimum always
-    exists), independently of the shortest-path construction in
-    :mod:`fairbalance.graph`.
-    """
-    check_alpha(inst, alpha)
-    n, m, k = inst.n, inst.m, inst.k
-    # variables: q (n), p (m), surplus s_ij (n*m)
-    nv = n + m + n * m
-    c = [_ZERO] * nv
-    for i in range(n):
-        c[i] = Fraction(-k)
-    for j in range(m):
-        c[n + j] = Fraction(-1)
-    rows = []
-    b = []
-    for i in inst.agents():
-        for j in inst.goods():
-            row = [_ZERO] * nv
-            row[i - 1] = Fraction(1)
-            row[n + j - 1] = Fraction(1)
-            row[n + m + _xvar(inst, i, j)] = Fraction(-1)
-            rows.append(tuple(row))
-            b.append(alpha[i - 1] * inst.value(i, j))
-    res = solve_lp(LinearProgram(c=tuple(c), a=tuple(rows), b=tuple(b)))
-    pot = Potentials(q=tuple(res.x[:n]), p=tuple(res.x[n:n + m]))
-    if not (pot.is_nonnegative() and pot.is_feasible(inst, alpha)):
-        raise InternalInvariantError("dual optimum must be nonnegative and feasible")
-    return pot
-
+# --- the fPO decision LP and the slackness check ----------------------------
 
 @dataclass(frozen=True)
 class FpoResult:
@@ -297,26 +205,29 @@ def check_fpo(inst: Instance, alloc: Allocation, mode: str = "balanced") -> FpoR
     if inst.n == 1:  # one agent owns every good, so nothing can be moved
         return FpoResult(is_fpo=True, dominating=None, improvement=_ZERO)
     n, m = inst.n, inst.m
-    nv = n * m + n  # x variables then z variables
-    c = [_ZERO] * nv
-    for i in range(n):
-        c[n * m + i] = Fraction(1)
+    nv = n * m + n  # x_ij at (i - 1) * m + (j - 1), then z_i at n * m + (i - 1)
+    c = [_ZERO] * (n * m) + [_ONE] * n
     rows = []
     b = []
-    for i in inst.agents():  # utility bookkeeping: v_i . x_i - z_i = v_i(A_i)
+    for i, values in enumerate(inst.values):  # utility bookkeeping: v_i . x_i - z_i = v_i(A_i)
         row = [_ZERO] * nv
-        for j in inst.goods():
-            row[_xvar(inst, i, j)] = inst.value(i, j)
-        row[n * m + i - 1] = Fraction(-1)
-        rows.append(tuple(row))
-        b.append(bundle_value(inst, i, alloc.bundle(i)))
-    assign_rows, assign_b = _assignment_rows(inst, nv, balanced)
-    res = solve_lp(LinearProgram(c=tuple(c), a=tuple(rows + assign_rows), b=tuple(b + assign_b)))
+        row[i * m:(i + 1) * m] = values
+        row[n * m + i] = -_ONE
+        rows.append(row)
+        b.append(bundle_value(inst, i + 1, alloc.bundle(i + 1)))
+    # each good is assigned once, then, when balanced, each agent gets k goods
+    rows += [[_ONE if v < n * m and v % m == j else _ZERO for v in range(nv)] for j in range(m)]
+    b += [_ONE] * m
+    if balanced:
+        rows += [[_ONE if i * m <= v < (i + 1) * m else _ZERO for v in range(nv)] for i in range(n)]
+        b += [Fraction(inst.k)] * n
+    res = solve_lp(LinearProgram(c=c, a=rows, b=b))
     if res.objective < 0:
         raise InternalInvariantError("the current allocation is feasible, so the surplus is >= 0")
     if res.objective == 0:
         return FpoResult(is_fpo=True, dominating=None, improvement=_ZERO)
-    return FpoResult(is_fpo=False, dominating=_x_matrix(inst, res.x), improvement=res.objective)
+    dominating = tuple(res.x[i * m:(i + 1) * m] for i in range(n))  # agent rows of x
+    return FpoResult(is_fpo=False, dominating=dominating, improvement=res.objective)
 
 
 def verify_complementary_slackness(

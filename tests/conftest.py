@@ -6,9 +6,10 @@ hand: its six balanced allocations have value vectors (20,14), (31,9),
 fPO, and only ({1,3},{2,4}) is both.  Frozen expected values in the test
 modules are recomputed from the enumeration oracles wherever stated.
 
-The references below (welfare sums, the slot rule entry by entry, the
-labelled arc view, the old Hungarian loop, ...) are code the package
-itself never runs; tests compare the package's results with them.
+The references below (welfare sums, the LP welfare primal and dual, the
+slot rule entry by entry, the labelled arc view, the old Hungarian loop,
+...) are code the package itself never runs; tests compare the package's
+results with them.
 """
 
 import itertools
@@ -18,15 +19,18 @@ from fractions import Fraction
 
 import pytest
 
+from fairbalance import lp
 from fairbalance.core import (
     Allocation,
     Instance,
+    InternalInvariantError,
     as_rational,
     bundle_value,
+    check_allocation,
     make_allocation,
     make_instance,
 )
-from fairbalance.graph import ExchangeGraph
+from fairbalance.graph import ExchangeGraph, Potentials
 from fairbalance.matching import BipartiteWeights, MatchingResult, check_certificate
 
 REF_VALUES = [[10, 10, 21, 22], [0, 1, 6, 8]]
@@ -54,6 +58,81 @@ def utilitarian_value(inst: Instance, allocation: Allocation, alpha=None) -> Fra
         w = alpha[i - 1] if alpha is not None else Fraction(1)
         total += w * bundle_value(inst, i, allocation.bundle(i))
     return total
+
+
+def nash_product(inst: Instance, allocation: Allocation) -> Fraction:
+    """Product of the agents' bundle values (orders like the geometric mean)."""
+    check_allocation(inst, allocation)
+    prod = Fraction(1)
+    for i in inst.agents():
+        prod *= bundle_value(inst, i, allocation.bundle(i))
+    return prod
+
+
+def dual_objective(pot: Potentials, k: int) -> Fraction:
+    """k * sum(q) + sum(p): the welfare dual's objective."""
+    return k * sum(pot.q, Fraction(0)) + sum(pot.p, Fraction(0))
+
+
+def is_dual_feasible(inst: Instance, pot: Potentials, alpha) -> bool:
+    """q_i + p_j >= alpha_i * v_ij on every pair, in Fractions."""
+    return all(q + p >= a * v
+               for q, a, row in zip(pot.q, alpha, inst.values)
+               for p, v in zip(pot.p, row))
+
+
+def is_nonnegative(pot: Potentials) -> bool:
+    return all(v >= 0 for v in pot.q + pot.p)
+
+
+def solve_primal(inst: Instance, alpha) -> tuple:
+    """Maximize the alpha-weighted welfare over balanced fractional
+    allocations with the simplex: each good is assigned once (m rows), then
+    each agent gets k goods (n rows), over x_ij at (i - 1) * m + (j - 1).
+    The returned vertex is always integral (the constraint matrix is
+    totally unimodular), so it doubles as a balanced allocation.
+
+    Returns ``(Allocation, value)``.
+    """
+    n, m = inst.n, inst.m
+    c = [a * v for a, row in zip(alpha, inst.values) for v in row]
+    rows = [[int(v % m == j) for v in range(n * m)] for j in range(m)]
+    rows += [[int(v // m == i) for v in range(n * m)] for i in range(n)]
+    res = lp.solve_lp(lp.LinearProgram(c=c, a=rows, b=[1] * m + [inst.k] * n))
+    if any(v != 0 and v != 1 for v in res.x):
+        raise InternalInvariantError("transportation vertex must be integral")
+    allocation = make_allocation({j + 1 for j in range(m) if res.x[i * m + j] == 1}
+                                 for i in range(n))
+    if not allocation.is_balanced(inst):
+        raise InternalInvariantError("transportation vertex must be a balanced allocation")
+    return allocation, res.objective
+
+
+def solve_dual(inst: Instance, alpha) -> Potentials:
+    """Minimize k*sum(q) + sum(p) subject to q_i + p_j >= alpha_i v_ij.
+
+    Solved directly as an LP with q, p >= 0 (a nonnegative optimum always
+    exists), independently of the shortest-path construction in
+    :mod:`fairbalance.graph`.
+    """
+    n, m, k = inst.n, inst.m, inst.k
+    # variables: q (n), p (m), surplus s_ij (n*m) at n + m + (i - 1) * m + (j - 1)
+    nv = n + m + n * m
+    c = [-k] * n + [-1] * m + [0] * (n * m)
+    rows = []
+    b = []
+    for i in range(n):
+        for j in range(m):
+            row = [0] * nv
+            row[i] = row[n + j] = 1
+            row[n + m + i * m + j] = -1
+            rows.append(row)
+            b.append(alpha[i] * inst.values[i][j])
+    res = lp.solve_lp(lp.LinearProgram(c=c, a=rows, b=b))
+    pot = Potentials(q=tuple(res.x[:n]), p=tuple(res.x[n:n + m]))
+    if not (is_nonnegative(pot) and is_dual_feasible(inst, pot, alpha)):
+        raise InternalInvariantError("dual optimum must be nonnegative and feasible")
+    return pot
 
 
 def strip_dummies(allocation: Allocation, dummies: frozenset) -> Allocation:

@@ -10,24 +10,26 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 import fairbalance.twotypes as twotypes_mod
 from fairbalance.bivalued import bivalued_pairs, certificate_alpha, solve_bivalued
 from fairbalance.cli import main
 from fairbalance.core import make_instance, reduce_unconstrained
 from fairbalance.graph import build_exchange_graph, compute_potentials, detect_negative_cycle
-from fairbalance.lp import check_fpo, solve_dual, solve_primal, verify_complementary_slackness
+from fairbalance.lp import check_fpo, verify_complementary_slackness
 from fairbalance.oracle import enumerate_balanced, full_report
 from fairbalance.twotypes import round_robin_by_price, solve_two_types
 from fairbalance.verify import certify_fpo, is_ef1, is_p_ef1, price_drop_top
 
 from conftest import (
     REF_VALUES,
-    alloc,
     balanced_allocation_count,
+    dual_objective,
     high_counts,
+    is_dual_feasible,
+    is_nonnegative,
     random_alpha,
+    solve_dual,
+    solve_primal,
     strip_dummies,
     utilitarian_value,
 )
@@ -168,7 +170,7 @@ def test_criterion_4_duality_suite():
         alpha = random_alpha(rng, n)
         best, primal_value = solve_primal(inst, alpha)
         dual_pot = solve_dual(inst, alpha)
-        assert dual_pot.objective(k) == primal_value
+        assert dual_objective(dual_pot, k) == primal_value
         assert verify_complementary_slackness(inst, best, dual_pot, alpha)
 
         optimal = [
@@ -178,8 +180,8 @@ def test_criterion_4_duality_suite():
         assert optimal
         pots = [compute_potentials(inst, a, alpha) for a in optimal]
         for pot in pots:
-            assert pot.objective(k) == primal_value
-            assert pot.is_feasible(inst, alpha) and pot.is_nonnegative()
+            assert dual_objective(pot, k) == primal_value
+            assert is_dual_feasible(inst, pot, alpha) and is_nonnegative(pot)
         assert all(p == pots[0] for p in pots[1:])
     report(4, "200 primal/dual/potential triples agree exactly")
 

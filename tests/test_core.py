@@ -13,7 +13,6 @@ from fairbalance.core import (
     bundle_value,
     classify,
     make_instance,
-    nash_product,
     reduce_unconstrained,
     round_robin_by_preference,
     two_type_view,
@@ -24,6 +23,7 @@ from fairbalance.verify import is_ef1
 from conftest import (
     alloc,
     assignment_string,
+    nash_product,
     permutation_enumerate,
     random_bivalued_instance,
     random_two_type_instance,

@@ -23,6 +23,9 @@ from fairbalance.verify import certify_fpo
 from conftest import (
     alloc,
     brute_max_welfare,
+    dual_objective,
+    is_dual_feasible,
+    is_nonnegative,
     labelled_arcs,
     permutation_enumerate,
     random_alpha,
@@ -140,7 +143,7 @@ class TestComputePotentials:
 
     def test_strong_duality_on_reference(self, ref_instance):
         pot = compute_potentials(ref_instance, alloc({3, 4}, {1, 2}), ONE)
-        assert pot.objective(ref_instance.k) == 44
+        assert dual_objective(pot, ref_instance.k) == 44
 
     def test_raises_on_suboptimal_allocation(self, ref_instance):
         with pytest.raises(NegativeCycleError):
@@ -184,9 +187,9 @@ class TestComputePotentials:
             ]
             pots = [compute_potentials(inst, a, alpha) for a in optima]
             for pot in pots:
-                assert pot.is_feasible(inst, alpha)
-                assert pot.is_nonnegative()
-                assert pot.objective(inst.k) == best
+                assert is_dual_feasible(inst, pot, alpha)
+                assert is_nonnegative(pot)
+                assert dual_objective(pot, inst.k) == best
             # independence from the choice of optimal allocation
             assert all(p == pots[0] for p in pots[1:])
 
@@ -218,14 +221,14 @@ class TestPotentialsFeasibility:
     def test_wrong_shape_raises(self, ref_instance, q, p):
         big = Potentials(q=tuple(Fraction(x + 50) for x in q), p=tuple(Fraction(x) for x in p))
         with pytest.raises(ValueError, match="2 agent and 4 good entries"):
-            big.is_feasible(ref_instance, ONE)
+            big.scaled_if_feasible(ref_instance, ONE)
         with pytest.raises(ValueError, match="2 agent and 4 good entries"):
             verify_complementary_slackness(ref_instance, alloc({3, 4}, {1, 2}), big, ONE)
 
     def test_wrong_alpha_length_raises(self, ref_instance):
         pot = compute_potentials(ref_instance, alloc({3, 4}, {1, 2}), ONE)
         with pytest.raises(ValueError, match="entries"):
-            pot.is_feasible(ref_instance, (Fraction(1),))
+            pot.scaled_if_feasible(ref_instance, (Fraction(1),))
 
     def test_tight_boundary_over_large_mixed_denominator(self):
         v1, v2 = Fraction(10 ** 12 + 39, 999983), Fraction(7, 1000003)
@@ -233,14 +236,14 @@ class TestPotentialsFeasibility:
         alpha = (Fraction(13, 17),)
         q = Fraction(5, 19)
         tight = Potentials(q=(q,), p=(alpha[0] * v1 - q, alpha[0] * v2 - q + Fraction(1, 23)))
-        assert tight.is_feasible(inst, alpha)
+        assert tight.scaled_if_feasible(inst, alpha) is not None
         # good 1 is tight and good 2 slack: feasible but not complementary-slack
         assert not verify_complementary_slackness(inst, alloc({1, 2}), tight, alpha)
         unit = Fraction(1, 17 * 999983 * 19)  # one unit over p_1's denominator
         assert tight.p[0].denominator == unit.denominator
         for shift, feasible in ((-unit, False), (unit, True)):
             moved = Potentials(q=tight.q, p=(tight.p[0] + shift, tight.p[1]))
-            assert moved.is_feasible(inst, alpha) is feasible
+            assert (moved.scaled_if_feasible(inst, alpha) is not None) is feasible
         below = Potentials(q=tight.q, p=(tight.p[0] - unit, tight.p[1]))
         assert not verify_complementary_slackness(inst, alloc({1, 2}), below, alpha)
 

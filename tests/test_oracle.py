@@ -4,11 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fairbalance.bivalued import solve_bivalued
-from fairbalance.core import (
-    TooLargeError,
-    make_instance,
-    nash_product,
-)
+from fairbalance.core import TooLargeError, make_instance
 from fairbalance.oracle import enumerate_balanced, full_report
 from fairbalance.twotypes import solve_two_types
 
@@ -16,6 +12,7 @@ from conftest import (
     alloc,
     assignment_string,
     balanced_allocation_count,
+    nash_product,
     permutation_enumerate,
     random_bivalued_instance,
     random_two_type_instance,

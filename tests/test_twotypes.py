@@ -13,7 +13,7 @@ from fairbalance.core import (
     two_type_view,
 )
 from fairbalance.graph import Potentials
-from fairbalance.lp import check_fpo, solve_primal, verify_complementary_slackness
+from fairbalance.lp import check_fpo, verify_complementary_slackness
 from fairbalance.twotypes import (
     AllValuesEqual,
     _PriceModel,
@@ -31,7 +31,7 @@ from fairbalance.twotypes import (
 )
 from fairbalance.verify import is_ef1, price_drop_top
 
-from conftest import alloc, random_two_type_instance
+from conftest import random_two_type_instance, solve_primal
 
 SWEEP_GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "case1_sweep_golden.json").read_text(encoding="utf-8")

@@ -5,7 +5,7 @@ import pytest
 
 from fairbalance.core import TooLargeError, make_instance
 from fairbalance.graph import compute_potentials
-from fairbalance.lp import check_fpo, solve_primal
+from fairbalance.lp import check_fpo
 from fairbalance.oracle import is_po_bruteforce
 from fairbalance.verify import certify_fpo, is_ef1, is_p_ef1
 
@@ -15,6 +15,7 @@ from conftest import (
     random_alpha,
     random_instance,
     random_two_type_instance,
+    solve_primal,
 )
 
 ONE = (Fraction(1), Fraction(1))
