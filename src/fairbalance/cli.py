@@ -74,17 +74,25 @@ def rational_to_json(x: Fraction):
 
 
 def rational_from_json(obj) -> Fraction:
+    if _is_int(obj):
+        if -_DIGIT_BOUND < obj < _DIGIT_BOUND:
+            return Fraction(obj)
+        raise InputError(f"rational {obj!r} has more than {MAX_DIGITS} digits")
     if isinstance(obj, bool):
         raise InputError(f"not a rational: {obj!r}")
-    if isinstance(obj, int):
-        x = Fraction(obj)
-    elif isinstance(obj, str):
+    if isinstance(obj, str):
         try:
-            # "1e5000" would build a 5001-digit integer: bound the exponent first
-            exponent = _EXPONENT.search(obj)
-            if exponent and abs(int(exponent.group(1))) > MAX_DIGITS:
-                raise InputError(f"rational {obj!r} has more than {MAX_DIGITS} digits")
-            x = Fraction(obj)
+            p, slash, q = obj.partition("/")
+            if slash and obj.isascii() and p.isdigit() and q.isdigit():
+                # the "p/q" that rational_to_json writes: two ints, without
+                # Fraction's string parser
+                x = Fraction(int(p), int(q))
+            else:
+                # "1e5000" would build a 5001-digit integer: bound the exponent first
+                exponent = _EXPONENT.search(obj)
+                if exponent and abs(int(exponent.group(1))) > MAX_DIGITS:
+                    raise InputError(f"rational {obj!r} has more than {MAX_DIGITS} digits")
+                x = Fraction(obj)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational {obj!r}") from exc
     elif isinstance(obj, float):
@@ -137,7 +145,7 @@ def parse_instance(data: dict, require_balanced_shape: bool = True) -> Instance:
     if n < 1 or m < 1:
         raise InputError("need at least one agent and one good")
     values = [[rational_from_json(v) for v in row] for row in rows]
-    if any(v < 0 for row in values for v in row):
+    if any(v.numerator < 0 for row in values for v in row):
         raise InputError("valuations must be nonnegative")
     if require_balanced_shape and m % n != 0:
         raise InputError(f"m={m} is not a multiple of n={n} (use the reduce command)")
@@ -302,6 +310,8 @@ def cmd_check(args) -> int:
         prices = [rational_from_json(v) for v in data["prices"]]
         if len(prices) != inst.m:
             raise InputError(f"need {inst.m} prices")
+        if any(v.numerator < 0 for v in prices):
+            raise InputError("prices must be nonnegative")
         v = verify_mod.is_p_ef1(prices, alloc)
         _print_verdict("pef1", v, args.quiet)
         all_hold &= v.holds

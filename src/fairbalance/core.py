@@ -81,7 +81,7 @@ class Instance:
             for v in row:
                 if not isinstance(v, Fraction):
                     raise TypeError("values must be Fractions; use make_instance")
-                if v < 0:
+                if v.numerator < 0:
                     raise ValueError("values must be nonnegative")
 
     @property

@@ -222,10 +222,12 @@ def _interval_split(inst: Instance, view: TwoType, grid: GammaGrid, ell: int) ->
 
 def _deal(inst: Instance, view: TwoType, split: Split) -> Allocation:
     """Deal each type's goods round-robin in descending value of that type,
-    the richest bundle to the type's first member."""
+    the richest bundle to the type's first member.  Each type is dealt by
+    its int row, whose one positive scale keeps the values' order."""
+    rows = inst.scaled_values[1]
     bundles = [None] * inst.n
-    for goods, values, members in ((split.s, view.u1, view.members1),
-                                   (split.t, view.u2, view.members2)):
+    for goods, members in ((split.s, view.members1), (split.t, view.members2)):
+        values = rows[members[0] - 1]
         for agent, bundle in zip(members, round_robin_by_price(goods, values, len(members), inst.k)):
             bundles[agent - 1] = bundle
     return Allocation(tuple(bundles))
@@ -335,7 +337,7 @@ def _solution(inst: Instance, view: TwoType, alloc: Allocation, gamma: Fraction,
 
 def _trivial_solution(inst: Instance, view: TwoType) -> Solution:
     """Single-type or constant-row case: deal by descending value."""
-    bundles = round_robin_by_price(inst.goods(), list(view.u1), inst.n, inst.k)
+    bundles = round_robin_by_price(inst.goods(), inst.scaled_values[1][0], inst.n, inst.k)
     alloc = make_allocation(bundles)
     pot = _potentials_of(inst, view, alloc, Fraction(1))
     return _solution(inst, view, alloc, Fraction(1), pot)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,43 @@ class TestRationalCodec:
         with pytest.raises(InputError):
             rational_from_json(0.3)
         assert rational_from_json(2.0) == 2
+
+    @pytest.mark.parametrize("text", ["6/4", "007/2", "0/5", " 3/4", "+1/2", "1_0/3", "1.5", "3e2",
+                                      "٣/4"])
+    def test_strings_parse_as_fraction_does(self, text):
+        # ASCII-digit "p/q" is split into two ints; every other string,
+        # non-ASCII digits included, goes through Fraction(str)
+        x = rational_from_json(text)
+        assert type(x) is Fraction and x == Fraction(text)
+
+    def test_json_ints_are_bounded_as_ints(self):
+        top = 10 ** cli.MAX_DIGITS - 1
+        for value in (0, 7, top, -top):
+            x = rational_from_json(value)
+            assert type(x) is Fraction and x == value
+        # JSON yields a longer int only with the int-to-str limit off, and
+        # the message prints it
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for value in (top + 1, -top - 1):
+                with pytest.raises(cli.InputError, match=f"has more than {cli.MAX_DIGITS} digits$"):
+                    rational_from_json(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1/0", "cannot parse rational '1/0'"),
+        # under the int-to-str limit int() refuses the numerator, as
+        # Fraction(str) does; without it the digit bound refuses the value
+        ("1" * (cli.MAX_DIGITS + 1) + "/7",
+         "cannot parse rational '{}'" if sys.get_int_max_str_digits()
+         else f"rational '{{}}' has more than {cli.MAX_DIGITS} digits"),
+    ], ids=["zero-denominator", "long-numerator"])
+    def test_bad_fractions_exit_2(self, tmp_path, capsys, text, message):
+        path = write_json(tmp_path / "inst.json", _with_value(text))
+        assert main(["solve", path]) == 2
+        assert capsys.readouterr() == ("", f"error: {message.format(text)}\n")
 
 
 class TestSolve:
@@ -279,10 +317,14 @@ def _with_value(value):
     (["check", "{inst}", "{alloc}", "--pef1", "{prices}"],
      {"inst": REF_FILE, "alloc": {"allocation": [[1, 3], [2, 4]]}, "prices": {"prices": [4, 3]}},
      "need 4 prices"),
+    (["check", "{inst}", "{alloc}", "--pef1", "{prices}"],
+     {"inst": REF_FILE, "alloc": {"allocation": [[1, 3], [2, 4]]}, "prices": {"prices": [4, 3, "-1/2", 1]}},
+     "prices must be nonnegative"),
     (["gen", "--n", "2", "--m", "4", "--max-value", "0"], {}, "max-value must be at least 1"),
     (["gen", "--class", "two-types", "--n", "1", "--m", "4"], {}, "two-types generation needs n >= 2"),
 ], ids=["value-true", "value-list", "value-too-long", "array-file", "no-m-key", "ragged-rows",
         "negative-value", "no-allocation-key", "too-few-bundles", "too-few-prices",
+        "negative-price",
         "gen-max-value-0", "gen-two-types-n-1"])
 def test_malformed_input_exits_2(argv, files, message, tmp_path, capsys):
     """Malformed input is an input error with its own message, never a
