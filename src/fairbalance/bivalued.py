@@ -53,10 +53,9 @@ def slot_rows(inst: Instance, pairs: Sequence[tuple]) -> tuple:
     """
     k = inst.k
     scale = inst.n * k * (k + 1)
-    value_scale, values = inst.scaled_values
     rows = []
-    for (a, _), row in zip(pairs, values):
-        high = a.numerator * (value_scale // a.denominator)
+    for (a, _), row in zip(pairs, inst.rows):
+        high = a.numerator * (inst.scale // a.denominator)
         rows += [tuple(scale + s if v == high else 0 for v in row) for s in range(1, k + 1)]
     return tuple(rows)
 

@@ -17,6 +17,7 @@ import csv
 import functools
 import io
 import json
+import math
 import random
 import re
 import sys
@@ -34,7 +35,6 @@ from .core import (
     Solution,
     TooLargeError,
     make_allocation,
-    make_instance,
     reduce_unconstrained,
 )
 # bench/test_bench.py checks that the tracer rebinds compute_potentials here
@@ -61,12 +61,21 @@ _DIGIT_BOUND = 10 ** MAX_DIGITS
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
-def _fits(x: Fraction) -> bool:
-    return -_DIGIT_BOUND < x.numerator < _DIGIT_BOUND and x.denominator < _DIGIT_BOUND
+def _fits(numerator: int, denominator: int) -> bool:
+    return -_DIGIT_BOUND < numerator < _DIGIT_BOUND and denominator < _DIGIT_BOUND
+
+
+def _shown(obj) -> str:
+    """repr(obj), or a stand-in when obj holds an int too long for repr
+    under Python's int-to-str limit (a library caller's, never JSON's)."""
+    try:
+        return repr(obj)
+    except ValueError:
+        return "<an integer too long to print>"
 
 
 def rational_to_json(x: Fraction):
-    if not _fits(x):
+    if not _fits(x.numerator, x.denominator):
         raise TooLargeError(f"a result number has more than {MAX_DIGITS} digits and cannot be printed")
     if x.denominator == 1:
         return int(x)
@@ -74,36 +83,48 @@ def rational_to_json(x: Fraction):
 
 
 def rational_from_json(obj) -> Fraction:
-    if _is_int(obj):
+    return Fraction(*_read_rational(obj))
+
+
+def _read_rational(obj) -> tuple:
+    """A JSON value as a reduced (numerator, denominator) pair, with a
+    positive denominator; InputError when it is no rational or has more
+    than MAX_DIGITS digits."""
+    if isinstance(obj, int):
+        if isinstance(obj, bool):
+            raise InputError(f"not a rational: {obj!r}")
         if -_DIGIT_BOUND < obj < _DIGIT_BOUND:
-            return Fraction(obj)
-        raise InputError(f"rational {obj!r} has more than {MAX_DIGITS} digits")
-    if isinstance(obj, bool):
-        raise InputError(f"not a rational: {obj!r}")
+            return obj, 1
+        raise InputError(f"rational {_shown(obj)} has more than {MAX_DIGITS} digits")
     if isinstance(obj, str):
         try:
             p, slash, q = obj.partition("/")
             if slash and obj.isascii() and p.isdigit() and q.isdigit():
                 # the "p/q" that rational_to_json writes: two ints, without
                 # Fraction's string parser
-                x = Fraction(int(p), int(q))
+                num, den = int(p), int(q)
+                if not den:
+                    raise ZeroDivisionError(obj)
+                g = math.gcd(num, den)
+                num, den = num // g, den // g
             else:
                 # "1e5000" would build a 5001-digit integer: bound the exponent first
                 exponent = _EXPONENT.search(obj)
                 if exponent and abs(int(exponent.group(1))) > MAX_DIGITS:
                     raise InputError(f"rational {obj!r} has more than {MAX_DIGITS} digits")
                 x = Fraction(obj)
+                num, den = x.numerator, x.denominator
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational {obj!r}") from exc
     elif isinstance(obj, float):
         if not obj.is_integer():
             raise InputError(f"refusing inexact float {obj!r}; use a 'p/q' string")
-        x = Fraction(int(obj))
+        num, den = int(obj), 1
     else:
-        raise InputError(f"not a rational: {obj!r}")
-    if not _fits(x):
+        raise InputError(f"not a rational: {_shown(obj)}")
+    if not _fits(num, den):
         raise InputError(f"rational {obj!r} has more than {MAX_DIGITS} digits")
-    return x
+    return num, den
 
 
 def _is_int(obj) -> bool:
@@ -144,12 +165,13 @@ def parse_instance(data: dict, require_balanced_shape: bool = True) -> Instance:
         raise InputError("valuations must be an n x m array")
     if n < 1 or m < 1:
         raise InputError("need at least one agent and one good")
-    values = [[rational_from_json(v) for v in row] for row in rows]
-    if any(v.numerator < 0 for row in values for v in row):
+    pairs = [[_read_rational(v) for v in row] for row in rows]
+    if any(num < 0 for row in pairs for num, _ in row):
         raise InputError("valuations must be nonnegative")
     if require_balanced_shape and m % n != 0:
         raise InputError(f"m={m} is not a multiple of n={n} (use the reduce command)")
-    return make_instance(n, m, values)
+    scale = math.lcm(*(den for row in pairs for _, den in row))
+    return Instance(n, m, scale, tuple(tuple(num * (scale // den) for num, den in row) for row in pairs))
 
 
 def instance_to_json(inst: Instance) -> dict:

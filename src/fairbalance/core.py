@@ -1,7 +1,10 @@
 """Problem instances, allocations, bundle values and round robin.
 
-All numeric quantities are exact rationals (``fractions.Fraction``); no
-floating point is used anywhere in solver paths.  Agents and goods are
+All numeric quantities are exact.  An instance stores its values as ints
+over one common denominator, the least one, so the solvers compare and add
+ints; results, certificates and the Fraction view of the values
+(``Instance.values``, built on first read) are ``fractions.Fraction``s.
+No floating point is used anywhere in solver paths.  Agents and goods are
 1-based in every public interface.
 """
 
@@ -62,27 +65,34 @@ def as_rational(x: RationalLike) -> Fraction:
 class Instance:
     """An allocation problem: ``n`` agents, ``m`` goods, additive values.
 
-    ``values[i-1][j-1]`` is agent ``i``'s value for good ``j``.  Balanced
+    ``rows[i-1][j-1]`` is ``scale`` times agent ``i``'s value for good
+    ``j``: nonnegative ints over ``scale``, the least common denominator of
+    the values, so equal value matrices give equal instances.  Balanced
     allocations give every agent exactly ``k = m/n`` goods; ``m`` may be a
     non-multiple of ``n`` only for inputs to the unconstrained-to-balanced
-    reduction, and accessing ``k`` then raises.
+    reduction, and accessing ``k`` then raises.  :func:`make_instance`
+    builds one from Fractions.
     """
 
     n: int
     m: int
-    values: tuple
+    scale: int
+    rows: tuple
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("need at least one agent and one good")
-        if len(self.values) != self.n or any(len(r) != self.m for r in self.values):
+        if len(self.rows) != self.n or any(len(r) != self.m for r in self.rows):
             raise ValueError("value matrix shape does not match (n, m)")
-        for row in self.values:
-            for v in row:
-                if not isinstance(v, Fraction):
-                    raise TypeError("values must be Fractions; use make_instance")
-                if v.numerator < 0:
-                    raise ValueError("values must be nonnegative")
+        entries = [v for row in self.rows for v in row]
+        if type(self.scale) is not int or not all(type(v) is int for v in entries):
+            raise TypeError("scale and rows must be ints; use make_instance")
+        if self.scale < 1:
+            raise ValueError("scale must be positive")
+        if min(entries) < 0:
+            raise ValueError("values must be nonnegative")
+        if math.gcd(self.scale, *entries) != 1:
+            raise ValueError(f"scale {self.scale} is not the least common denominator of the values")
 
     @property
     def k(self) -> int:
@@ -90,46 +100,45 @@ class Instance:
             raise ValueError(f"m={self.m} is not a multiple of n={self.n}")
         return self.m // self.n
 
-    def value(self, agent: int, good: int) -> Fraction:
-        """Value of ``good`` for ``agent`` (both 1-based)."""
+    def _check_index(self, agent: int, good: int) -> None:
         if not 1 <= agent <= self.n:
             raise IndexError(f"agent {agent} out of range 1..{self.n}")
         if not 1 <= good <= self.m:
             raise IndexError(f"good {good} out of range 1..{self.m}")
+
+    def value(self, agent: int, good: int) -> Fraction:
+        """Value of ``good`` for ``agent`` (both 1-based)."""
+        self._check_index(agent, good)
         return self.values[agent - 1][good - 1]
 
     @cached_property
-    def scaled_values(self) -> tuple:
-        """:func:`integer_rows` of the values: ``rows[i-1][j-1]`` is
-        ``scale`` times agent ``i``'s value for good ``j``.  Computed once
-        per instance and not a field, so equality, hashing and repr ignore
-        it."""
-        return integer_rows(self.values)
+    def values(self) -> tuple:
+        """The value matrix as Fraction rows, built on first read: the
+        solvers compare and add the int rows and never read it."""
+        scale = self.scale
+        return tuple(tuple(Fraction(v, scale) for v in row) for row in self.rows)
 
     @cached_property
     def types(self) -> tuple:
-        """The distinct valuation rows in first-appearance order, each with
-        the agents (1-based, ascending) that hold it.  Rows are grouped by
-        their int rows, which one common scale keeps distinct exactly when
-        the Fraction rows are."""
+        """The distinct int rows in first-appearance order, each with the
+        agents (1-based, ascending) that hold it."""
         members = {}
-        for i, row in enumerate(self.scaled_values[1], start=1):
+        for i, row in enumerate(self.rows, start=1):
             members.setdefault(row, []).append(i)
-        return tuple((self.values[agents[0] - 1], tuple(agents)) for agents in members.values())
+        return tuple((row, tuple(agents)) for row, agents in members.items())
 
     @cached_property
     def value_pairs(self) -> Optional[tuple]:
         """Per-agent (a_i, b_i) with a_i > b_i, or None when some row uses
         more than two distinct values.  A constant row v counts every good
         as low: (v + 1, v)."""
-        scale, rows = self.scaled_values
         pairs = [None] * self.n
-        for _, members in self.types:
-            values = sorted(set(rows[members[0] - 1]))
+        for row, members in self.types:
+            values = sorted(set(row))
             if len(values) > 2:
                 return None
-            low = Fraction(values[0], scale)
-            pair = (Fraction(values[1], scale), low) if len(values) == 2 else (low + 1, low)
+            low = Fraction(values[0], self.scale)
+            pair = (Fraction(values[1], self.scale), low) if len(values) == 2 else (low + 1, low)
             for i in members:
                 pairs[i - 1] = pair
         return tuple(pairs)
@@ -150,8 +159,8 @@ def integer_rows(rows: Sequence[Sequence[RationalLike]]) -> tuple:
 
 def make_instance(n: int, m: int, values: Sequence[Sequence[RationalLike]]) -> Instance:
     """Build an :class:`Instance` from any int/Fraction matrix."""
-    rows = tuple(tuple(as_rational(v) for v in row) for row in values)
-    return Instance(n=n, m=m, values=rows)
+    scale, rows = integer_rows([[as_rational(v) for v in row] for row in values])
+    return Instance(n=n, m=m, scale=scale, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -226,10 +235,12 @@ class Solution:
 @dataclass(frozen=True)
 class TwoType:
     """At most two distinct valuation rows; type 1 is the type of agent 1.
-    A single-row instance has u2 = members2 = ()."""
+    ``row1`` and ``row2`` are the types' int rows over the instance's
+    ``scale``; a single-row instance has row2 = members2 = ()."""
 
-    u1: tuple
-    u2: tuple
+    scale: int
+    row1: tuple
+    row2: tuple
     members1: tuple
     members2: tuple
 
@@ -241,14 +252,24 @@ class TwoType:
     def n2(self) -> int:
         return len(self.members2)
 
+    @cached_property
+    def u1(self) -> tuple:
+        """Type 1's values as Fractions, built on first read."""
+        return tuple(Fraction(v, self.scale) for v in self.row1)
+
+    @cached_property
+    def u2(self) -> tuple:
+        """Type 2's values as Fractions, built on first read."""
+        return tuple(Fraction(v, self.scale) for v in self.row2)
+
 
 def two_type_view(inst: Instance) -> TwoType:
     """The instance read as at most two types; MoreThanTwoTypes otherwise."""
     rows = inst.types
     if len(rows) > 2:
         raise MoreThanTwoTypes(f"{len(rows)} distinct valuation rows")
-    (u1, members1), (u2, members2) = rows if len(rows) == 2 else (rows[0], ((), ()))
-    return TwoType(u1, u2, members1, members2)
+    (row1, members1), (row2, members2) = rows if len(rows) == 2 else (rows[0], ((), ()))
+    return TwoType(inst.scale, row1, row2, members1, members2)
 
 
 def classify(inst: Instance) -> str:
@@ -266,11 +287,13 @@ def classify(inst: Instance) -> str:
 # --- bundle values and round robin ------------------------------------------
 
 def bundle_value(inst: Instance, agent: int, bundle: Iterable[int]) -> Fraction:
-    """Additive value of a set of goods for one agent; empty set is 0."""
-    total = Fraction(0)
+    """Additive value of a set of goods for one agent; empty set is 0.
+    Sums the agent's int row and divides by the scale once."""
+    total = 0
     for j in bundle:
-        total += inst.value(agent, j)
-    return total
+        inst._check_index(agent, j)
+        total += inst.rows[agent - 1][j - 1]
+    return Fraction(total, inst.scale)
 
 
 def round_robin_by_preference(inst: Instance) -> Allocation:
@@ -279,9 +302,9 @@ def round_robin_by_preference(inst: Instance) -> Allocation:
     remaining = set(inst.goods())
     bundles = [set() for _ in range(inst.n)]
     for _ in range(inst.k):
-        for i in inst.agents():
-            best = max(remaining, key=lambda j: (inst.value(i, j), -j))
-            bundles[i - 1].add(best)
+        for bundle, row in zip(bundles, inst.rows):
+            best = max(remaining, key=lambda j: (row[j - 1], -j))
+            bundle.add(best)
             remaining.remove(best)
     return make_allocation(bundles)
 
@@ -299,6 +322,6 @@ def reduce_unconstrained(inst: Instance) -> tuple:
     if dummies == 0:
         return inst, frozenset()
     new_m = inst.m + dummies
-    rows = tuple(row + (Fraction(0),) * dummies for row in inst.values)
-    reduced = Instance(n=inst.n, m=new_m, values=rows)
+    rows = tuple(row + (0,) * dummies for row in inst.rows)
+    reduced = Instance(n=inst.n, m=new_m, scale=inst.scale, rows=rows)
     return reduced, frozenset(range(inst.m + 1, new_m + 1))

@@ -90,18 +90,17 @@ class Potentials:
         if len(self.q) != inst.n or len(self.p) != inst.m or len(alpha) != inst.n:
             raise ValueError(f"potentials and alpha must have {inst.n} agent "
                              f"and {inst.m} good entries")
-        value_scale, rows = inst.scaled_values
         dual_scale, (qs, ps) = integer_rows((self.q, self.p))
         alpha_scale, (alpha_ints,) = integer_rows((alpha,))
-        # everything times dual_scale * alpha_scale * value_scale
-        left = alpha_scale * value_scale
+        # everything times dual_scale * alpha_scale * inst.scale
+        left = alpha_scale * inst.scale
         qs, ps = [q * left for q in qs], [p * left for p in ps]
         rs = [a * dual_scale for a in alpha_ints]
-        for q, r, row in zip(qs, rs, rows):
+        for q, r, row in zip(qs, rs, inst.rows):
             for p, w in zip(ps, row):
                 if q + p < r * w:
                     return None
-        return qs, ps, rs, rows
+        return qs, ps, rs, inst.rows
 
 
 def build_exchange_graph(inst: Instance, alloc: Allocation, alpha: Sequence[Fraction]) -> ExchangeGraph:
@@ -118,14 +117,13 @@ def build_exchange_graph(inst: Instance, alloc: Allocation, alpha: Sequence[Frac
         raise ValueError("alpha must be strictly positive")
     n, m = inst.n, inst.m
     alpha_scale, (alpha_ints,) = integer_rows((alpha,))
-    value_scale, rows = inst.scaled_values
-    weights = [[a * v for v in row] for a, row in zip(alpha_ints, rows)]
+    weights = [[a * v for v in row] for a, row in zip(alpha_ints, inst.rows)]
     arcs = [(0, n + j, 0) for j in inst.goods()]
     for i, row in enumerate(weights, start=1):
         arcs += [(i, n + j, -w) for j, w in enumerate(row, start=1)]
     owner = alloc.owner_map()
     arcs += [(n + j, owner[j], weights[owner[j] - 1][j - 1]) for j in inst.goods()]
-    return ExchangeGraph(n=n, m=m, scale=alpha_scale * value_scale, int_arcs=tuple(arcs))
+    return ExchangeGraph(n=n, m=m, scale=alpha_scale * inst.scale, int_arcs=tuple(arcs))
 
 
 def _bellman_ford(g: ExchangeGraph):

@@ -187,8 +187,9 @@ def round_robin_by_price(goods, prices: Sequence, agents: int, k: int) -> tuple:
 
 def _condition_gaps(view: TwoType, alloc: Allocation, p: Sequence) -> tuple:
     """How far conditions (a) and (b) hold for a dealt allocation at prices
-    p: each is satisfied exactly when its gap is nonnegative.  A type's
-    first member holds its richest bundle and its last member its poorest."""
+    p (Fractions, or ints over one scale): each is satisfied exactly when
+    its gap is nonnegative.  A type's first member holds its richest bundle
+    and its last member its poorest."""
     price, drop = verify_mod.price_sum, verify_mod.price_drop_top
     x, y = view.members1, view.members2
     return (price(p, alloc.bundle(x[-1])) - drop(p, alloc.bundle(y[0])),
@@ -198,8 +199,10 @@ def _condition_gaps(view: TwoType, alloc: Allocation, p: Sequence) -> tuple:
 def conditions_ab(view: TwoType, alloc: Allocation, p: Sequence) -> tuple:
     """Condition (a): the poorest type-1 bundle still prices at least the
     richest type-2 bundle minus its best good; (b) is the mirror image.
-    At least one always holds."""
-    a_holds, b_holds = (gap >= 0 for gap in _condition_gaps(view, alloc, p))
+    At least one always holds.  The signs are decided on the prices as
+    ints over their common denominator."""
+    _, (prices,) = integer_rows((p,))
+    a_holds, b_holds = (gap >= 0 for gap in _condition_gaps(view, alloc, prices))
     if not (a_holds or b_holds):
         raise InternalInvariantError("both price conditions failed at once")
     return a_holds, b_holds
@@ -224,11 +227,10 @@ def _deal(inst: Instance, view: TwoType, split: Split) -> Allocation:
     """Deal each type's goods round-robin in descending value of that type,
     the richest bundle to the type's first member.  Each type is dealt by
     its int row, whose one positive scale keeps the values' order."""
-    rows = inst.scaled_values[1]
     bundles = [None] * inst.n
-    for goods, members in ((split.s, view.members1), (split.t, view.members2)):
-        values = rows[members[0] - 1]
-        for agent, bundle in zip(members, round_robin_by_price(goods, values, len(members), inst.k)):
+    for goods, members, row in ((split.s, view.members1, view.row1),
+                                (split.t, view.members2, view.row2)):
+        for agent, bundle in zip(members, round_robin_by_price(goods, row, len(members), inst.k)):
             bundles[agent - 1] = bundle
     return Allocation(tuple(bundles))
 
@@ -337,7 +339,7 @@ def _solution(inst: Instance, view: TwoType, alloc: Allocation, gamma: Fraction,
 
 def _trivial_solution(inst: Instance, view: TwoType) -> Solution:
     """Single-type or constant-row case: deal by descending value."""
-    bundles = round_robin_by_price(inst.goods(), inst.scaled_values[1][0], inst.n, inst.k)
+    bundles = round_robin_by_price(inst.goods(), view.row1, inst.n, inst.k)
     alloc = make_allocation(bundles)
     pot = _potentials_of(inst, view, alloc, Fraction(1))
     return _solution(inst, view, alloc, Fraction(1), pot)
@@ -355,10 +357,9 @@ def solve_two_types(inst: Instance) -> Solution:
 
     if view.n2 == 0:
         return _trivial_solution(inst, view)
-    scale, rows = inst.scaled_values
-    a1, a2 = rows[view.members1[0] - 1], rows[view.members2[0] - 1]
+    a1, a2 = view.row1, view.row2
     try:
-        delta = _delta(scale, (a1, a2))
+        delta = _delta(view.scale, (a1, a2))
     except AllValuesEqual:
         return _trivial_solution(inst, view)
 

@@ -33,8 +33,7 @@ def is_ef1(inst: Instance, alloc: Allocation) -> Verdict:
     i's view of the other bundle: v_i(A_i) >= v_i(A_i') - max_j v_ij.
     """
     check_allocation(inst, alloc)
-    scale, rows = inst.scaled_values  # compare ints; Fractions only in a witness
-    for i, row in enumerate(rows, start=1):
+    for i, row in enumerate(inst.rows, start=1):  # compare ints; Fractions only in a witness
         own = sum(row[j - 1] for j in alloc.bundle(i))
         for other in inst.agents():
             if other == i:
@@ -49,16 +48,17 @@ def is_ef1(inst: Instance, alloc: Allocation) -> Verdict:
                     witness={
                         "envier": i,
                         "envied": other,
-                        "own_value": Fraction(own, scale),
-                        "their_value_minus_best": Fraction(rest, scale),
+                        "own_value": Fraction(own, inst.scale),
+                        "their_value_minus_best": Fraction(rest, inst.scale),
                     },
                 )
     return Verdict(holds=True)
 
 
 def price_sum(prices: Sequence[Fraction], bundle) -> Fraction:
-    """p(A): the total price of a bundle."""
-    return sum((prices[j - 1] for j in bundle), Fraction(0))
+    """p(A): the total price of a bundle, summed in the prices' own type
+    (Fractions, or ints over one scale); an empty bundle prices 0."""
+    return sum(prices[j - 1] for j in bundle)
 
 
 def price_drop_top(prices: Sequence[Fraction], bundle) -> Fraction:

@@ -197,10 +197,9 @@ def random_bivalued_instance(rng: random.Random, n: int, k: int, top: int = 9) -
 def high_counts(inst: Instance, alloc, viewer: int) -> list:
     """Per-agent count of goods the viewer values at their high value, on
     the instance's int rows (bivalued instances only)."""
-    scale, rows = inst.scaled_values
     a = inst.value_pairs[viewer - 1][0]
-    high = a.numerator * (scale // a.denominator)
-    row = rows[viewer - 1]
+    high = a.numerator * (inst.scale // a.denominator)
+    row = inst.rows[viewer - 1]
     return [sum(row[j - 1] == high for j in alloc.bundle(i)) for i in inst.agents()]
 
 

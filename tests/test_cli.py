@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import pathlib
+import random
 import sys
 from fractions import Fraction
 
@@ -72,13 +73,19 @@ class TestRationalCodec:
             x = rational_from_json(value)
             assert type(x) is Fraction and x == value
         # JSON yields a longer int only with the int-to-str limit off, and
-        # the message prints it
+        # the message prints it; with the limit on (a library caller), the
+        # int cannot be printed and the message says so
         limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
+        messages = {0: "rational {value} has more than {digits} digits",
+                    cli.MAX_DIGITS: "rational <an integer too long to print> has more than {digits} digits"}
         try:
-            for value in (top + 1, -top - 1):
-                with pytest.raises(cli.InputError, match=f"has more than {cli.MAX_DIGITS} digits$"):
-                    rational_from_json(value)
+            for setting, message in messages.items():
+                sys.set_int_max_str_digits(setting)
+                for value in (top + 1, -top - 1):
+                    with pytest.raises(cli.InputError) as info:
+                        rational_from_json(value)
+                    expected = message.format(value=value if not setting else None, digits=cli.MAX_DIGITS)
+                    assert str(info.value) == expected
         finally:
             sys.set_int_max_str_digits(limit)
 
@@ -94,6 +101,51 @@ class TestRationalCodec:
         path = write_json(tmp_path / "inst.json", _with_value(text))
         assert main(["solve", path]) == 2
         assert capsys.readouterr() == ("", f"error: {message.format(text)}\n")
+
+
+class TestParseInstance:
+    """parse_instance reads each value once into ints over the least common
+    denominator: the same instance as make_instance on the Fraction matrix."""
+
+    @staticmethod
+    def assert_same(inst, other):
+        assert inst == other and hash(inst) == hash(other)
+        assert (inst.scale, inst.rows) == (other.scale, other.rows)
+        assert all(type(v) is int for row in inst.rows for v in row)
+        assert inst.values == other.values
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_ints_and_rationals(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            n, m = rng.randint(1, 4), rng.randint(1, 6)
+            rows = [[rng.randint(0, 30) for _ in range(m)] for _ in range(n)]
+            data = {"n": n, "m": m, "valuations": rows}
+            self.assert_same(parse_instance(data, require_balanced_shape=False), make_instance(n, m, rows))
+            fractions = [[Fraction(v, rng.randint(1, 12)) for v in row] for row in rows]
+            data["valuations"] = [[rational_to_json(v) for v in row] for row in fractions]
+            self.assert_same(parse_instance(data, require_balanced_shape=False),
+                             make_instance(n, m, fractions))
+
+    def test_non_canonical_strings(self):
+        texts = ["6/4", "007/2", "1.5", "3e2"]
+        inst = parse_instance({"n": 1, "m": 4, "valuations": [texts]})
+        self.assert_same(inst, make_instance(1, 4, [[Fraction(t) for t in texts]]))
+        assert (inst.scale, inst.rows) == (2, ((3, 7, 3, 600),))
+
+    @pytest.mark.parametrize("rows, solver", [
+        ([[5, 2, 5, 2], [1, 0, 0, 1]], "bivalued"),
+        ([["5/2", 1, "5/2", 1], ["1/3", 0, 0, "1/3"]], "bivalued"),
+        ([[10, 10, 21, 22], [0, 1, 6, 8]], "two-types"),
+        ([["10/3", "10/3", 7, "22/3"], [0, "1/2", 3, 4]], "two-types"),
+        ([["4/3", 1, "2/3", "1/3"]] * 2, "two-types"),
+    ], ids=["bivalued-int", "bivalued-pq", "two-types-int", "two-types-pq", "one-type-pq"])
+    def test_solve_builds_no_fraction_matrix(self, rows, solver):
+        inst = parse_instance({"n": 2, "m": 4, "valuations": rows})
+        assert classify(inst) == solver
+        sol = solve(inst)
+        assert sol.alpha is not None and "values" not in inst.__dict__
+        assert sol == solve(make_instance(2, 4, [[Fraction(v) for v in row] for row in rows]))
 
 
 class TestSolve:

@@ -70,13 +70,17 @@ class TestInstance:
 
 
 class TestScaledValues:
+    """An instance stores ints over the least common denominator of its
+    values; the Fraction matrix is built only when read."""
+
     def test_rows_are_values_times_least_common_denominator(self):
         inst = make_instance(2, 3, [[0, Fraction(1, 2), Fraction(2, 3)], [0, 0, 0]])
-        assert inst.scaled_values == (6, ((0, 3, 4), (0, 0, 0)))
+        assert (inst.scale, inst.rows) == (6, ((0, 3, 4), (0, 0, 0)))
 
     def test_integer_and_all_zero_values_keep_scale_one(self, ref_instance):
-        assert ref_instance.scaled_values == (1, ((10, 10, 21, 22), (0, 1, 6, 8)))
-        assert make_instance(1, 2, [[0, 0]]).scaled_values == (1, ((0, 0),))
+        assert (ref_instance.scale, ref_instance.rows) == (1, ((10, 10, 21, 22), (0, 1, 6, 8)))
+        inst = make_instance(1, 2, [[0, 0]])
+        assert (inst.scale, inst.rows) == (1, ((0, 0),))
 
     def test_randomized_rationals(self):
         rng = random.Random(17)
@@ -84,33 +88,68 @@ class TestScaledValues:
             n, m = rng.randint(1, 4), rng.randint(1, 6)
             values = [[Fraction(rng.randint(0, 12), rng.randint(1, 9)) for _ in range(m)]
                       for _ in range(n)]
-            scale, rows = make_instance(n, m, values).scaled_values
+            inst = make_instance(n, m, values)
+            scale, rows = inst.scale, inst.rows
             assert scale == math.lcm(*(v.denominator for row in values for v in row))
+            assert type(scale) is int and type(rows) is tuple
             for row, scaled in zip(values, rows):
-                assert all(type(w) is int for w in scaled)
+                assert type(scaled) is tuple and all(type(w) is int for w in scaled)
                 assert [Fraction(w, scale) for w in scaled] == row
+            assert inst.values == tuple(map(tuple, values))
+            assert all(type(v) is Fraction for row in inst.values for v in row)
 
     def test_computed_once_per_instance(self, ref_instance, monkeypatch):
         calls = []
         lcm = math.lcm
         monkeypatch.setattr(core.math, "lcm", lambda *args: calls.append(args) or lcm(*args))
-        view = ref_instance.scaled_values
-        assert ref_instance.scaled_values is view
-        assert len(calls) == 1
-        # an equal instance has its own view
-        twin = make_instance(2, 4, [list(row) for row in ref_instance.values])
-        assert twin.scaled_values == view
-        assert len(calls) == 2
+        body = Instance.values.func
+        built = []
+        spy = functools.cached_property(lambda inst: built.append(inst) or body(inst))
+        spy.__set_name__(Instance, "values")
+        monkeypatch.setattr(Instance, "values", spy)
+        twin = make_instance(2, 4, [list(row) for row in ref_instance.rows])
+        assert len(calls) == 1  # the scale, once, when the instance is made
+        assert "values" not in twin.__dict__
+        view = twin.values
+        assert twin.values is view and twin.value(1, 4) is view[0][3]
+        assert view == tuple(tuple(map(Fraction, row)) for row in ref_instance.rows)
+        assert built == [twin] and len(calls) == 1
+        # an equal instance builds its own matrix
+        assert ref_instance.values == view and ref_instance.values is not view
+        assert len(built) == 2
 
     def test_not_a_field(self, ref_instance):
-        assert [f.name for f in dataclasses.fields(Instance)] == ["n", "m", "values"]
-        fresh = make_instance(2, 4, [list(row) for row in ref_instance.values])
+        assert [f.name for f in dataclasses.fields(Instance)] == ["n", "m", "scale", "rows"]
+        fresh = make_instance(2, 4, [list(row) for row in ref_instance.rows])
         before = (repr(fresh), hash(fresh))
-        ref_instance.scaled_values, ref_instance.types, ref_instance.value_pairs
+        assert "values" not in fresh.__dict__
+        ref_instance.values, ref_instance.types, ref_instance.value_pairs
         assert ref_instance == fresh
         assert (repr(ref_instance), hash(ref_instance)) == before
-        for name in ("scaled", "types", "pairs"):
+        for name in ("values", "types", "pairs", "Fraction"):
             assert name not in repr(ref_instance)
+
+    def test_equal_matrices_give_equal_instances(self):
+        halves = make_instance(1, 2, [[Fraction(1, 2), 1]])
+        assert halves == Instance(1, 2, 2, ((1, 2),))
+        assert hash(halves) == hash(Instance(1, 2, 2, ((1, 2),)))
+        assert make_instance(1, 2, [[Fraction(4, 2), 6]]) == Instance(1, 2, 1, ((2, 6),))
+
+    @pytest.mark.parametrize("scale, rows, error", [
+        (2, ((2, 4),), ValueError),  # not the least common denominator
+        (3, ((0, 0),), ValueError),  # all zero: the scale is 1
+        (1, ((True, 1),), TypeError),
+        (1, ((1.0, 1),), TypeError),
+        (1, ((Fraction(1), 1),), TypeError),
+        (1, ((1, -1),), ValueError),
+        (True, ((1, 1),), TypeError),
+        (0, ((1, 1),), ValueError),
+        (1, ((1,),), ValueError),  # shape
+    ], ids=["non-minimal-scale", "zero-rows-scale-3", "bool", "float", "fraction", "negative",
+            "bool-scale", "zero-scale", "shape"])
+    def test_rejects_bad_rows(self, scale, rows, error):
+        with pytest.raises(error):
+            Instance(1, 2, scale, rows)
 
 
 class TestBundleValue:
@@ -137,7 +176,9 @@ class TestClassify:
     def test_identical_rows(self):
         inst = make_instance(3, 3, [[1, 2, 3]] * 3)
         assert classify(inst) == "two-types"
-        assert two_type_view(inst) == TwoType((1, 2, 3), (), (1, 2, 3), ())
+        view = two_type_view(inst)
+        assert view == TwoType(scale=1, row1=(1, 2, 3), row2=(), members1=(1, 2, 3), members2=())
+        assert (view.u1, view.u2) == ((1, 2, 3), ())
 
     def test_bivalued_scan(self):
         inst = make_instance(3, 3, [[2, 1, 2], [0, 3, 3], [5, 5, 0]])
@@ -207,16 +248,24 @@ def _reference_classify(inst):
 
 
 def _reference_two_type_view(inst):
+    """(u1, u2, members1, members2) from the Fraction rows."""
     rows = _reference_distinct_rows(inst)
     if len(rows) == 1:
-        return TwoType(rows[0][0], (), rows[0][1], ())
+        return rows[0][0], (), rows[0][1], ()
     (u1, members1), (u2, members2) = rows
-    return TwoType(u1, u2, members1, members2)
+    return u1, u2, members1, members2
+
+
+def _scaled(row, scale):
+    """A Fraction row times ``scale``, checked to be ints."""
+    out = tuple(v * scale for v in row)
+    assert all(v.denominator == 1 for v in out)
+    return tuple(map(int, out))
 
 
 class TestRowReading:
-    """`Instance.types` and `Instance.value_pairs` group int rows; the
-    references above read the Fraction rows directly."""
+    """`Instance.types`, `Instance.value_pairs` and `two_type_view` read
+    the int rows; the references above read the Fraction rows directly."""
 
     @staticmethod
     def _row(rng, kind, m):
@@ -236,12 +285,20 @@ class TestRowReading:
             rows = base + [rng.choice(base) for _ in range(rng.randint(0, 3))]
             rng.shuffle(rows)
             inst = make_instance(len(rows), m, rows)
-            assert inst.types == _reference_distinct_rows(inst)
+            scale = inst.scale
+            assert inst.types == tuple((_scaled(row, scale), members)
+                                       for row, members in _reference_distinct_rows(inst))
+            assert all(type(v) is int for row, _ in inst.types for v in row)
             assert inst.value_pairs == _reference_value_pairs(inst)
             name = classify(inst)
             assert name == _reference_classify(inst)
             if len(inst.types) <= 2:
-                assert two_type_view(inst) == _reference_two_type_view(inst)
+                u1, u2, members1, members2 = _reference_two_type_view(inst)
+                view = two_type_view(inst)
+                assert view == TwoType(scale=scale, row1=_scaled(u1, scale), row2=_scaled(u2, scale),
+                                       members1=members1, members2=members2)
+                assert (view.u1, view.u2) == (u1, u2)
+                assert all(type(v) is Fraction for v in view.u1 + view.u2)
             seen.add((name, len(inst.types)))
             seen |= {"rational" for row in rows for v in row if v.denominator > 1}
             seen |= {"constant" for row in rows if len(set(row)) == 1}

@@ -76,8 +76,7 @@ def scan_solve(inst):
 
 
 def walk_runs(inst, view):
-    scale, rows = inst.scaled_values
-    a1, a2 = rows[view.members1[0] - 1], rows[view.members2[0] - 1]
+    a1, a2 = inst.rows[view.members1[0] - 1], inst.rows[view.members2[0] - 1]
     return list(_split_runs(a1, a2, compute_delta(view.u1, view.u2), view.n1 * inst.k))
 
 
@@ -150,27 +149,33 @@ def test_walk_matches_scan_on_exchange_fixtures(case):
     assert_walk_matches_scan(exchange_instance(case))
 
 
-def test_solve_skips_the_grid_and_scales_the_rows_once(monkeypatch):
+def test_solve_skips_the_grid_and_scales_no_value_row(monkeypatch):
+    # the instance holds its int rows from the start: the walk passes none
+    # of them to integer_rows and builds no Fraction view of them (prices
+    # may equal a value row, so rows are matched by identity)
     inst = exchange_instance(EXCHANGE_CASES[0])
-    value_rows = set(map(tuple, inst.values))  # before scaled_values is read
     scalings = []
     real = core.integer_rows
 
     def spy(rows):
-        if all(tuple(row) in value_rows for row in rows):
+        if any(row is value_row for row in rows for value_row in inst.rows):
             scalings.append(rows)
         return real(rows)
 
     def unreachable(*args):
-        raise AssertionError("the solver built the grid")
+        raise AssertionError("the solver built the grid or a Fraction value row")
 
     for module in (core, graph, twotypes):
         monkeypatch.setattr(module, "integer_rows", spy)
     monkeypatch.setattr(twotypes, "critical_values", unreachable)
     monkeypatch.setattr(twotypes, "optimal_split", unreachable)
+    for name in ("u1", "u2"):
+        monkeypatch.setattr(core.TwoType, name, property(unreachable))
     sol = solve(inst)
+    assert "values" not in inst.__dict__
+    assert scalings == []
     assert is_ef1(inst, sol.allocation).holds
-    assert len(scalings) == 1
+    assert twotypes.solve_two_types(inst) == sol
 
 
 def test_walk_matches_scan_at_scale():
