@@ -74,12 +74,18 @@ def _shown(obj) -> str:
         return "<an integer too long to print>"
 
 
-def rational_to_json(x: Fraction):
-    if not _fits(x.numerator, x.denominator):
+def _pair_to_json(numerator: int, denominator: int):
+    """A reduced pair with a positive denominator as JSON: an int when the
+    denominator is 1, else "p/q"; TooLargeError past MAX_DIGITS digits."""
+    if not _fits(numerator, denominator):
         raise TooLargeError(f"a result number has more than {MAX_DIGITS} digits and cannot be printed")
-    if x.denominator == 1:
-        return int(x)
-    return f"{x.numerator}/{x.denominator}"
+    if denominator == 1:
+        return numerator
+    return f"{numerator}/{denominator}"
+
+
+def rational_to_json(x: Fraction):
+    return _pair_to_json(x.numerator, x.denominator)
 
 
 def rational_from_json(obj) -> Fraction:
@@ -222,11 +228,17 @@ def dump_json(obj, path: str | None) -> None:
 def _certificate(sol: Solution) -> dict | None:
     if sol.alpha is None:
         return None
+    scale = sol.potentials.scale
+
+    def over_scale(v: int):
+        common = math.gcd(v, scale)
+        return _pair_to_json(v // common, scale // common)
+
     return {
         "alpha": [rational_to_json(a) for a in sol.alpha],
         "gamma": rational_to_json(sol.gamma) if sol.gamma is not None else None,
-        "q": [rational_to_json(v) for v in sol.potentials.q],
-        "p": [rational_to_json(v) for v in sol.potentials.p],
+        "q": [over_scale(v) for v in sol.potentials.qs],
+        "p": [over_scale(v) for v in sol.potentials.ps],
     }
 
 

@@ -7,14 +7,17 @@ that case shortest-path distances from the root yield optimal dual
 potentials (q per agent, p per good).
 
 All weights are kept as ints over one positive common denominator, so the
-single Bellman-Ford loop adds and compares Python ints only; potentials
-and cycle weights divide by it to give exact Fractions.
+single Bellman-Ford loop adds and compares Python ints only.  Potentials
+stay ints over one scale (their Fraction views are built on first read);
+a cycle weight divides by the graph's scale to give an exact Fraction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .core import (
@@ -70,14 +73,38 @@ class ExchangeGraph:
 
 @dataclass(frozen=True)
 class Potentials:
-    """Dual pair certifying weighted-welfare optimality.
+    """Dual pair certifying weighted-welfare optimality, as ints over one
+    scale: q_i is ``qs[i-1] / scale`` and p_j is ``ps[j-1] / scale``.
 
-    Feasibility means q_i + p_j >= alpha_i * v_ij for every agent/good
-    pair; :func:`compute_potentials` gives nonnegative vectors.
+    ``scale`` is positive and ``gcd(scale, *qs, *ps) == 1``, so equal
+    potentials give equal, equally hashed objects.  Feasibility means
+    q_i + p_j >= alpha_i * v_ij for every agent/good pair;
+    :func:`compute_potentials` gives nonnegative vectors.  The Fraction
+    views ``q`` and ``p`` are built on first read.
     """
 
-    q: tuple
-    p: tuple
+    scale: int
+    qs: tuple
+    ps: tuple
+
+    def __post_init__(self):
+        entries = (*self.qs, *self.ps)
+        if type(self.scale) is not int or not all(type(v) is int for v in entries):
+            raise TypeError("scale, qs and ps must be ints")
+        if self.scale < 1:
+            raise ValueError("scale must be positive")
+        if math.gcd(self.scale, *entries) != 1:
+            raise ValueError(f"scale {self.scale} is not the least common denominator of the potentials")
+
+    @cached_property
+    def q(self) -> tuple:
+        """The agent potentials as Fractions."""
+        return tuple(Fraction(v, self.scale) for v in self.qs)
+
+    @cached_property
+    def p(self) -> tuple:
+        """The good potentials (prices) as Fractions."""
+        return tuple(Fraction(v, self.scale) for v in self.ps)
 
     def scaled_if_feasible(self, inst: Instance, alpha: Sequence[Fraction]) -> Optional[tuple]:
         """``(qs, ps, rs, rows)``, all ints over one positive common
@@ -87,15 +114,14 @@ class Potentials:
 
         Raises ValueError unless there are n q's, m p's and n alphas.
         """
-        if len(self.q) != inst.n or len(self.p) != inst.m or len(alpha) != inst.n:
+        if len(self.qs) != inst.n or len(self.ps) != inst.m or len(alpha) != inst.n:
             raise ValueError(f"potentials and alpha must have {inst.n} agent "
                              f"and {inst.m} good entries")
-        dual_scale, (qs, ps) = integer_rows((self.q, self.p))
         alpha_scale, (alpha_ints,) = integer_rows((alpha,))
-        # everything times dual_scale * alpha_scale * inst.scale
+        # everything times self.scale * alpha_scale * inst.scale
         left = alpha_scale * inst.scale
-        qs, ps = [q * left for q in qs], [p * left for p in ps]
-        rs = [a * dual_scale for a in alpha_ints]
+        qs, ps = [q * left for q in self.qs], [p * left for p in self.ps]
+        rs = [a * self.scale for a in alpha_ints]
         for q, r, row in zip(qs, rs, inst.rows):
             for p, w in zip(ps, row):
                 if q + p < r * w:
@@ -191,7 +217,8 @@ def cycle_weight(g: ExchangeGraph, cycle: list) -> Fraction:
 
 
 def compute_potentials(inst: Instance, alloc: Allocation, alpha: Sequence[Fraction]) -> Potentials:
-    """Potentials from shortest root-to-node distances, as exact Fractions.
+    """Potentials from shortest root-to-node distances, as ints over the
+    graph's scale divided by their common factor.
 
     Requires ``alloc`` to maximize the alpha-weighted welfare over balanced
     allocations; otherwise the graph has a negative cycle and
@@ -211,7 +238,9 @@ def compute_potentials(inst: Instance, alloc: Allocation, alpha: Sequence[Fracti
     # the good -> owner arcs carry alpha_i * v_ij of exactly the owned pairs
     if any(dist[i] - dist[j] != w for j, i, w in g.int_arcs[-inst.m:]):
         raise InternalInvariantError("owned pairs must be tight")
+    common = math.gcd(g.scale, *dist)
     return Potentials(
-        q=tuple(Fraction(d, g.scale) for d in dist[1:n + 1]),
-        p=tuple(Fraction(-d, g.scale) for d in dist[n + 1:]),
+        scale=g.scale // common,
+        qs=tuple(d // common for d in dist[1:n + 1]),
+        ps=tuple(-d // common for d in dist[n + 1:]),
     )

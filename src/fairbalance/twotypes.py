@@ -199,10 +199,10 @@ def _condition_gaps(view: TwoType, alloc: Allocation, p: Sequence) -> tuple:
 def conditions_ab(view: TwoType, alloc: Allocation, p: Sequence) -> tuple:
     """Condition (a): the poorest type-1 bundle still prices at least the
     richest type-2 bundle minus its best good; (b) is the mirror image.
-    At least one always holds.  The signs are decided on the prices as
-    ints over their common denominator."""
-    _, (prices,) = integer_rows((p,))
-    a_holds, b_holds = (gap >= 0 for gap in _condition_gaps(view, alloc, prices))
+    At least one always holds.  ``p`` is the prices as Fractions or as
+    ints over one positive scale (``Potentials.ps``), which keeps every
+    sign."""
+    a_holds, b_holds = (gap >= 0 for gap in _condition_gaps(view, alloc, p))
     if not (a_holds or b_holds):
         raise InternalInvariantError("both price conditions failed at once")
     return a_holds, b_holds
@@ -303,7 +303,7 @@ def case1_sweep(inst: Instance, grid: GammaGrid, ell: int) -> tuple:
                 candidates.add(left + (right - left) * g_left / (g_left - g_right))
     for gamma in sorted(candidates):
         pot = pots[gamma] if gamma in pots else _potentials_of(inst, view, alloc, gamma)
-        if all(conditions_ab(view, alloc, pot.p)):
+        if all(conditions_ab(view, alloc, pot.ps)):
             return gamma, alloc, pot
     raise InternalInvariantError(f"interval {ell} had no point satisfying both conditions")
 
@@ -373,7 +373,7 @@ def solve_two_types(inst: Instance) -> Solution:
         alloc = _deal(inst, view, split)
         if verify_mod.is_ef1(inst, alloc).holds:
             pot = _potentials_of(inst, view, alloc, lo)
-            conditions_ab(view, alloc, pot.p)  # raises if both fail
+            conditions_ab(view, alloc, pot.ps)  # raises if both fail
             return _solution(inst, view, alloc, lo, pot)
         runs.append((split, alloc, lo))
 
@@ -386,7 +386,7 @@ def solve_two_types(inst: Instance) -> Solution:
     # price-EF1, hence EF1, and the scan would have returned it.
     for (left, left_alloc, _), (right, right_alloc, shared) in zip(runs, runs[1:]):
         pot = _potentials_of(inst, view, left_alloc, shared)  # one Bellman-Ford run per boundary
-        if conditions_ab(view, left_alloc, pot.p)[0] and conditions_ab(view, right_alloc, pot.p)[1]:
+        if conditions_ab(view, left_alloc, pot.ps)[0] and conditions_ab(view, right_alloc, pot.ps)[1]:
             alloc = case2_exchange(inst, view, left, right, shared, pot)
             return _solution(inst, view, alloc, shared, pot)
     raise InternalInvariantError("neither sweep nor exchange case occurred")

@@ -27,6 +27,7 @@ from fairbalance.core import (
     as_rational,
     bundle_value,
     check_allocation,
+    integer_rows,
     make_allocation,
     make_instance,
 )
@@ -67,6 +68,13 @@ def nash_product(inst: Instance, allocation: Allocation) -> Fraction:
     for i in inst.agents():
         prod *= bundle_value(inst, i, allocation.bundle(i))
     return prod
+
+
+def potentials_from_fractions(q, p) -> Potentials:
+    """Potentials holding the Fraction (or int) vectors q and p, as ints
+    over their least common denominator."""
+    scale, (qs, ps) = integer_rows((q, p))
+    return Potentials(scale=scale, qs=qs, ps=ps)
 
 
 def dual_objective(pot: Potentials, k: int) -> Fraction:
@@ -129,7 +137,7 @@ def solve_dual(inst: Instance, alpha) -> Potentials:
             rows.append(row)
             b.append(alpha[i] * inst.values[i][j])
     res = lp.solve_lp(lp.LinearProgram(c=c, a=rows, b=b))
-    pot = Potentials(q=tuple(res.x[:n]), p=tuple(res.x[n:n + m]))
+    pot = potentials_from_fractions(res.x[:n], res.x[n:n + m])
     if not (is_nonnegative(pot) and is_dual_feasible(inst, pot, alpha)):
         raise InternalInvariantError("dual optimum must be nonnegative and feasible")
     return pot

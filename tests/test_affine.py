@@ -19,10 +19,10 @@ import random
 from fractions import Fraction
 
 from fairbalance import certify_fpo, check_fpo, make_allocation, make_instance, solve
-from fairbalance.graph import Potentials
 from fairbalance.lp import verify_complementary_slackness
 
 from conftest import (
+    potentials_from_fractions,
     random_alpha,
     random_bivalued_instance,
     random_instance,
@@ -112,7 +112,7 @@ def mapped_certificate(sol, maps) -> tuple:
     """(alpha_i / s_i, the potentials q_i + alpha_i * c_i / s_i and p)."""
     alpha = tuple(a / s for a, (s, _) in zip(sol.alpha, maps))
     q = tuple(q + a * c / s for q, a, (s, c) in zip(sol.potentials.q, sol.alpha, maps))
-    return alpha, Potentials(q=q, p=sol.potentials.p)
+    return alpha, potentials_from_fractions(q, sol.potentials.p)
 
 
 # bivalued shapes up to 8 x 64 (k = 8); two-type shapes up to 6 x 36

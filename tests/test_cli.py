@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairbalance import cli, lp, solve
+from fairbalance import cli, graph, lp, solve, twotypes
 from fairbalance.cli import (
     main,
     parse_instance,
@@ -18,13 +18,14 @@ from fairbalance.cli import (
 from fairbalance.core import (
     InternalInvariantError,
     Solution,
+    TooLargeError,
     classify,
     make_allocation,
     make_instance,
 )
-from fairbalance.graph import compute_potentials
+from fairbalance.graph import Potentials, compute_potentials
 
-from conftest import REF_VALUES
+from conftest import REF_VALUES, potentials_from_fractions, random_bivalued_instance, random_two_type_instance
 
 REF_FILE = {"n": 2, "m": 4, "valuations": REF_VALUES}
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -103,6 +104,15 @@ class TestRationalCodec:
         assert capsys.readouterr() == ("", f"error: {message.format(text)}\n")
 
 
+SOLVER_ROWS = pytest.mark.parametrize("rows, solver", [
+    ([[5, 2, 5, 2], [1, 0, 0, 1]], "bivalued"),
+    ([["5/2", 1, "5/2", 1], ["1/3", 0, 0, "1/3"]], "bivalued"),
+    ([[10, 10, 21, 22], [0, 1, 6, 8]], "two-types"),
+    ([["10/3", "10/3", 7, "22/3"], [0, "1/2", 3, 4]], "two-types"),
+    ([["4/3", 1, "2/3", "1/3"]] * 2, "two-types"),
+], ids=["bivalued-int", "bivalued-pq", "two-types-int", "two-types-pq", "one-type-pq"])
+
+
 class TestParseInstance:
     """parse_instance reads each value once into ints over the least common
     denominator: the same instance as make_instance on the Fraction matrix."""
@@ -133,13 +143,7 @@ class TestParseInstance:
         self.assert_same(inst, make_instance(1, 4, [[Fraction(t) for t in texts]]))
         assert (inst.scale, inst.rows) == (2, ((3, 7, 3, 600),))
 
-    @pytest.mark.parametrize("rows, solver", [
-        ([[5, 2, 5, 2], [1, 0, 0, 1]], "bivalued"),
-        ([["5/2", 1, "5/2", 1], ["1/3", 0, 0, "1/3"]], "bivalued"),
-        ([[10, 10, 21, 22], [0, 1, 6, 8]], "two-types"),
-        ([["10/3", "10/3", 7, "22/3"], [0, "1/2", 3, 4]], "two-types"),
-        ([["4/3", 1, "2/3", "1/3"]] * 2, "two-types"),
-    ], ids=["bivalued-int", "bivalued-pq", "two-types-int", "two-types-pq", "one-type-pq"])
+    @SOLVER_ROWS
     def test_solve_builds_no_fraction_matrix(self, rows, solver):
         inst = parse_instance({"n": 2, "m": 4, "valuations": rows})
         assert classify(inst) == solver
@@ -290,7 +294,7 @@ class TestCertificateGate:
         def lower_price(sol):
             p = list(sol.potentials.p)
             p[2] -= 1
-            return dataclasses.replace(sol, potentials=dataclasses.replace(sol.potentials, p=tuple(p)))
+            return dataclasses.replace(sol, potentials=potentials_from_fractions(sol.potentials.q, p))
 
         self.run_with(monkeypatch, tmp_path, capsys, ref_path, lower_price)
 
@@ -300,7 +304,7 @@ class TestCertificateGate:
         def raise_q(sol):
             q = list(sol.potentials.q)
             q[0] += 1
-            return dataclasses.replace(sol, potentials=dataclasses.replace(sol.potentials, q=tuple(q)))
+            return dataclasses.replace(sol, potentials=potentials_from_fractions(q, sol.potentials.p))
 
         self.run_with(monkeypatch, tmp_path, capsys, ref_path, raise_q)
 
@@ -310,6 +314,94 @@ class TestCertificateGate:
             return dataclasses.replace(sol, alpha=(sol.alpha[0], Fraction(0)) + sol.alpha[2:])
 
         self.run_with(monkeypatch, tmp_path, capsys, ref_path, zero_weight)
+
+
+class TestCertificateInts:
+    """The potentials stay ints over one scale from Bellman-Ford to the
+    printed certificate, which reads back as the same Potentials."""
+
+    @staticmethod
+    def solve_capturing(monkeypatch, capsys, path, algorithm="auto"):
+        """(exit code, stdout, stderr, the Solution solve() returned or
+        None when it raised)."""
+        real, seen = solve, []
+        monkeypatch.setattr(cli, "solve", lambda inst, algo="auto": seen.append(real(inst, algo)) or seen[-1])
+        code = main(["solve", path, "--algorithm", algorithm])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, seen[0] if seen else None
+
+    @staticmethod
+    def read_back(certificate) -> Potentials:
+        return potentials_from_fractions([rational_from_json(v) for v in certificate["q"]],
+                                         [rational_from_json(v) for v in certificate["p"]])
+
+    @SOLVER_ROWS
+    def test_solve_builds_no_fraction_potentials(self, rows, solver, monkeypatch, tmp_path, capsys):
+        calls = []
+        real = graph.integer_rows
+        for module in (graph, twotypes):
+            monkeypatch.setattr(module, "integer_rows", lambda r: calls.append(r) or real(r))
+        path = write_json(tmp_path / "inst.json", {"n": 2, "m": 4, "valuations": rows})
+        inst = parse_instance(cli.load_json(path))
+        assert classify(inst) == solver
+        code, out, _, sol = self.solve_capturing(monkeypatch, capsys, path)
+        assert code == 0 and sol.alpha is not None
+        pot = sol.potentials
+        # solve, the slackness re-check and the printed certificate all ran
+        assert "q" not in pot.__dict__ and "p" not in pot.__dict__
+        assert all(type(v) is int for v in (pot.scale, *pot.qs, *pot.ps))
+        # integer_rows scaled alpha alone: one row of n weights per call
+        assert calls and all(len(r) == 1 and len(r[0]) == 2 for r in calls)
+        assert self.read_back(json.loads(out)["certificate"]) == pot
+        assert solve(inst) == sol
+
+    def test_certificate_reads_back_as_the_potentials(self, monkeypatch, tmp_path, capsys):
+        rng = random.Random(41)
+        cases = [(case["instance"], algorithm) for case in GOLDEN for algorithm in case["solve"]]
+        for _ in range(12):
+            make = rng.choice([random_bivalued_instance, random_two_type_instance])
+            n = rng.randint(2, 4)
+            inst = make(rng, n, rng.randint(1, 3) * (1 if make is random_bivalued_instance else n))
+            den = rng.randint(1, 6)  # one denominator keeps the instance's class
+            cases.append(({"n": inst.n, "m": inst.m, "valuations": [
+                [rational_to_json(v / den) for v in row] for row in inst.values]}, "auto"))
+        certified = 0
+        for data, algorithm in cases:
+            path = write_json(tmp_path / "inst.json", data)
+            code, out, _, sol = self.solve_capturing(monkeypatch, capsys, path, algorithm)
+            if sol is None or sol.alpha is None:
+                continue
+            assert code == 0
+            certificate = json.loads(out)["certificate"]
+            pot = self.read_back(certificate)
+            assert pot == sol.potentials and hash(pot) == hash(sol.potentials)
+            # the int pair prints as its Fraction view would
+            assert certificate["q"] == [rational_to_json(v) for v in sol.potentials.q]
+            assert certificate["p"] == [rational_to_json(v) for v in sol.potentials.p]
+            certified += 1
+        assert certified >= 20, certified
+
+    def test_each_entry_is_reduced_over_the_scale(self):
+        pot = Potentials(scale=6, qs=(3, -3), ps=(2, 6, 1, 0))
+        sol = Solution(make_allocation([[1, 2], [3, 4]]), (Fraction(1), Fraction(5, 2)), None, pot)
+        assert cli._certificate(sol) == {"alpha": [1, "5/2"], "gamma": None,
+                                         "q": ["1/2", "-1/2"], "p": ["1/3", 1, "1/6", 0]}
+
+    def test_digit_guard_reads_the_reduced_entry(self):
+        alloc = make_allocation([[1]])
+
+        def certificate(scale, q, p):
+            pot = Potentials(scale=scale, qs=(q,), ps=(p,))
+            return cli._certificate(Solution(alloc, (Fraction(1),), None, pot))
+
+        top = 10 ** cli.MAX_DIGITS - 1
+        assert certificate(top, 1, 0)["q"] == [f"1/{top}"]
+        # the scale has about 4,950 digits, but each entry reduces to a
+        # pair that prints
+        a, b = 10 ** 2500, 7 ** 2900
+        assert certificate(a * b, a, b) == {"alpha": [1], "gamma": None, "q": [f"1/{b}"], "p": [f"1/{a}"]}
+        with pytest.raises(TooLargeError, match="cannot be printed"):
+            certificate(top + 1, 0, 1)
 
 
 class TestInternalErrorExit4:
@@ -695,6 +787,14 @@ class TestOversizedNumbers:
         text = '{"n": 2, "m": 2, "valuations": [[%s, 1], [1, %s]]}' % (WIDE, WIDE)
         code, err = self.run(tmp_path, capsys, text, "enumerate", "--format", "json")
         assert code == 3 and "cannot be printed" in err
+
+    def test_unprintable_solve_result_exits_3(self, tmp_path, capsys):
+        # each value prints, but their common denominator has 4,401 digits
+        rows = [["1/%d" % (10 ** 2200 + 1), 2, 3, 1], ["1/%d" % (10 ** 2200 + 3), 2, 3, 1]]
+        path = write_json(tmp_path / "inst.json", {"n": 2, "m": 4, "valuations": rows})
+        assert main(["solve", path]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: a result number has more than {cli.MAX_DIGITS} digits and cannot be printed\n")
 
     def test_unprintable_witness_exits_3(self, tmp_path, capsys):
         text = '{"n": 2, "m": 6, "valuations": [[%s, %s, %s, 0, 0, 0], [1, 1, 1, 1, 1, 1]]}' % (

@@ -17,8 +17,9 @@ import pytest
 from fairbalance import certify_fpo, is_ef1, solve
 from fairbalance.cli import main, rational_from_json
 from fairbalance.core import make_allocation, make_instance
-from fairbalance.graph import Potentials
 from fairbalance.lp import verify_complementary_slackness
+
+from conftest import potentials_from_fractions
 
 # (n, m) shapes, each with three seeds; the 8 x 128 ones dominate the run time
 SHAPES = [(2, 128), (3, 96), (4, 64), (5, 40), (6, 48), (7, 56), (8, 128)]
@@ -89,9 +90,9 @@ def test_cli_solve_is_certified(algorithm, n, m, tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)
     assert result["checks"] == {"ef1": True, "fpo": True, "balanced": True}
     cert = result["certificate"]
-    potentials = Potentials(
-        q=tuple(rational_from_json(v) for v in cert["q"]),
-        p=tuple(rational_from_json(v) for v in cert["p"]),
+    potentials = potentials_from_fractions(
+        [rational_from_json(v) for v in cert["q"]],
+        [rational_from_json(v) for v in cert["p"]],
     )
     alpha = tuple(rational_from_json(v) for v in cert["alpha"])
     assert_certified(inst, make_allocation(result["allocation"]), alpha, potentials)

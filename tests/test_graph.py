@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -28,6 +29,7 @@ from conftest import (
     is_nonnegative,
     labelled_arcs,
     permutation_enumerate,
+    potentials_from_fractions,
     random_alpha,
     random_instance,
 )
@@ -193,6 +195,25 @@ class TestComputePotentials:
             # independence from the choice of optimal allocation
             assert all(p == pots[0] for p in pots[1:])
 
+    def test_reduced_ints_over_the_distances(self, monkeypatch):
+        # each potential is Bellman-Ford's distance over g.scale, kept as
+        # ints with their common factor divided out
+        real, seen = graph._bellman_ford, []
+        monkeypatch.setattr(graph, "_bellman_ford", lambda g: seen.append((g, real(g))) or seen[-1][1])
+        reduced = 0
+        for case in GRAPH_GOLDEN:
+            if "potentials" not in case:
+                continue
+            inst, a, alpha = TestGolden.load(case)
+            pot = compute_potentials(inst, a, alpha)
+            g, (dist, _, _) = seen[-1]
+            assert all(type(v) is int for v in (pot.scale, *pot.qs, *pot.ps))
+            assert math.gcd(pot.scale, *pot.qs, *pot.ps) == 1 and g.scale % pot.scale == 0
+            assert pot.q == tuple(Fraction(d, g.scale) for d in dist[1:inst.n + 1])
+            assert pot.p == tuple(Fraction(-d, g.scale) for d in dist[inst.n + 1:])
+            reduced += pot.scale < g.scale
+        assert reduced >= 20, reduced
+
     def test_same_type_agents_share_q(self):
         rng = random.Random(31)
         for _ in range(10):
@@ -211,6 +232,39 @@ class TestComputePotentials:
                     assert pot.q[0] == pot.q[1]
 
 
+class TestPotentialsFields:
+    """Potentials are ints over one positive scale with
+    gcd(scale, *qs, *ps) == 1; the Fraction views q and p are built on
+    first read."""
+
+    @pytest.mark.parametrize("scale, qs, ps, error", [
+        (1, (True,), (0,), TypeError),
+        (1, (0,), (1.0,), TypeError),
+        (2, (Fraction(1),), (0,), TypeError),
+        (True, (0,), (1,), TypeError),
+        (2.0, (1,), (0,), TypeError),
+        (0, (1,), (1,), ValueError),
+        (-1, (1,), (0,), ValueError),
+        (4, (2,), (6,), ValueError),
+        (3, (0, 0), (0,), ValueError),
+    ], ids=["bool-q", "float-p", "fraction-q", "bool-scale", "float-scale", "zero-scale",
+            "negative-scale", "common-factor", "zeros-over-three"])
+    def test_rejects(self, scale, qs, ps, error):
+        with pytest.raises(error):
+            Potentials(scale=scale, qs=qs, ps=ps)
+
+    def test_equal_potentials_are_equal_objects(self):
+        a = Potentials(scale=6, qs=(1, 0), ps=(5, 3, -2))
+        b = Potentials(scale=6, qs=(1, 0), ps=(5, 3, -2))
+        assert "q" not in a.__dict__ and "p" not in a.__dict__
+        assert a.q == (Fraction(1, 6), 0) and a.p == (Fraction(5, 6), Fraction(1, 2), Fraction(-1, 3))
+        assert all(type(v) is Fraction for v in a.q + a.p)
+        assert a.q is a.q and a.p is a.p
+        # reading the views leaves equality, hash and repr alone
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a != Potentials(scale=5, qs=(1, 0), ps=(5, 3, -2))
+
+
 class TestPotentialsFeasibility:
     @pytest.mark.parametrize("q,p", [
         ((0,), (0, 0, 0, 0)),
@@ -219,7 +273,7 @@ class TestPotentialsFeasibility:
         ((0, 0), (0, 0, 0, 0, 0)),
     ], ids=["short-q", "long-q", "short-p", "long-p"])
     def test_wrong_shape_raises(self, ref_instance, q, p):
-        big = Potentials(q=tuple(Fraction(x + 50) for x in q), p=tuple(Fraction(x) for x in p))
+        big = potentials_from_fractions([Fraction(x + 50) for x in q], [Fraction(x) for x in p])
         with pytest.raises(ValueError, match="2 agent and 4 good entries"):
             big.scaled_if_feasible(ref_instance, ONE)
         with pytest.raises(ValueError, match="2 agent and 4 good entries"):
@@ -235,16 +289,16 @@ class TestPotentialsFeasibility:
         inst = make_instance(1, 2, [[v1, v2]])
         alpha = (Fraction(13, 17),)
         q = Fraction(5, 19)
-        tight = Potentials(q=(q,), p=(alpha[0] * v1 - q, alpha[0] * v2 - q + Fraction(1, 23)))
+        tight = potentials_from_fractions((q,), (alpha[0] * v1 - q, alpha[0] * v2 - q + Fraction(1, 23)))
         assert tight.scaled_if_feasible(inst, alpha) is not None
         # good 1 is tight and good 2 slack: feasible but not complementary-slack
         assert not verify_complementary_slackness(inst, alloc({1, 2}), tight, alpha)
         unit = Fraction(1, 17 * 999983 * 19)  # one unit over p_1's denominator
         assert tight.p[0].denominator == unit.denominator
         for shift, feasible in ((-unit, False), (unit, True)):
-            moved = Potentials(q=tight.q, p=(tight.p[0] + shift, tight.p[1]))
+            moved = potentials_from_fractions(tight.q, (tight.p[0] + shift, tight.p[1]))
             assert (moved.scaled_if_feasible(inst, alpha) is not None) is feasible
-        below = Potentials(q=tight.q, p=(tight.p[0] - unit, tight.p[1]))
+        below = potentials_from_fractions(tight.q, (tight.p[0] - unit, tight.p[1]))
         assert not verify_complementary_slackness(inst, alloc({1, 2}), below, alpha)
 
 

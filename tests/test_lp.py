@@ -16,7 +16,7 @@ from fairbalance.core import (
     bundle_value,
     make_instance,
 )
-from fairbalance.graph import Potentials, compute_potentials
+from fairbalance.graph import compute_potentials
 from fairbalance.lp import (
     LinearProgram,
     SimplexResult,
@@ -32,6 +32,7 @@ from conftest import (
     is_dual_feasible,
     is_nonnegative,
     permutation_enumerate,
+    potentials_from_fractions,
     random_alpha,
     random_instance,
     solve_dual,
@@ -380,7 +381,7 @@ class TestComplementarySlackness:
 
     def test_all_zero_trivially_passes(self):
         inst = make_instance(2, 2, [[0, 0], [0, 0]])
-        pot = Potentials(q=(Fraction(0), Fraction(0)), p=(Fraction(0), Fraction(0)))
+        pot = potentials_from_fractions((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
         assert verify_complementary_slackness(inst, alloc({1}, {2}), pot, ONE)
 
     @pytest.mark.parametrize("good", [1, 2, 3, 4])
@@ -392,7 +393,7 @@ class TestComplementarySlackness:
         assert verify_complementary_slackness(ref_instance, a, pot, ONE)
         p = list(pot.p)
         p[good - 1] += 1
-        raised = Potentials(q=pot.q, p=tuple(p))
+        raised = potentials_from_fractions(pot.q, p)
         assert is_dual_feasible(ref_instance, raised, ONE)
         assert not verify_complementary_slackness(ref_instance, a, raised, ONE)
 
@@ -400,7 +401,7 @@ class TestComplementarySlackness:
         pot = compute_potentials(ref_instance, alloc({3, 4}, {1, 2}), ONE)
         with pytest.raises(ValueError, match="partition"):
             verify_complementary_slackness(ref_instance, alloc({1, 2}, {2, 3}), pot, ONE)
-        bad_pot = Potentials(q=(Fraction(0), Fraction(0)), p=(Fraction(0),) * 4)
+        bad_pot = potentials_from_fractions((Fraction(0), Fraction(0)), (Fraction(0),) * 4)
         assert not verify_complementary_slackness(ref_instance, alloc({3, 4}, {1, 2}), bad_pot, ONE)
         assert not verify_complementary_slackness(ref_instance, alloc({3, 4}, {1, 2}), pot, (Fraction(1), Fraction(0)))
 

@@ -12,7 +12,6 @@ from fairbalance.core import (
     make_instance,
     two_type_view,
 )
-from fairbalance.graph import Potentials
 from fairbalance.lp import check_fpo, verify_complementary_slackness
 from fairbalance.twotypes import (
     AllValuesEqual,
@@ -31,7 +30,7 @@ from fairbalance.twotypes import (
 )
 from fairbalance.verify import is_ef1, price_drop_top
 
-from conftest import random_two_type_instance, solve_primal
+from conftest import potentials_from_fractions, random_two_type_instance, solve_primal
 
 SWEEP_GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "case1_sweep_golden.json").read_text(encoding="utf-8")
@@ -718,12 +717,12 @@ class TestExchangeTightness:
     def test_potentials_not_tight_raise(self, monkeypatch):
         # raising every q keeps the duals feasible but no owned pair tight
         *walk, pot = self.exchange_args(monkeypatch)
-        loose = Potentials(q=tuple(q + 1 for q in pot.q), p=pot.p)
+        loose = potentials_from_fractions([q + 1 for q in pot.q], pot.p)
         with pytest.raises(InternalInvariantError, match="lost dual feasibility or tightness"):
             case2_exchange(*walk, loose)
 
     def test_infeasible_potentials_raise(self, monkeypatch):
         *walk, pot = self.exchange_args(monkeypatch)
-        cheap = Potentials(q=pot.q, p=tuple(p - 1 for p in pot.p))
+        cheap = potentials_from_fractions(pot.q, [p - 1 for p in pot.p])
         with pytest.raises(InternalInvariantError, match="lost dual feasibility or tightness"):
             case2_exchange(*walk, cheap)
