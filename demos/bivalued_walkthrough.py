@@ -22,13 +22,13 @@ inst = make_instance(
     ],
 )
 
-pairs = bivalued_pairs(inst)
+pairs = bivalued_pairs(inst)  # ints over inst.scale, which is 1 here
 scale = inst.n * inst.k * (inst.k + 1)
 print(f"n={inst.n} agents, m={inst.m} goods, k={inst.k} each; K = n*k*(k+1) = {scale}")
-print("per-agent (high, low) pairs:", [(int(a), int(b)) for a, b in pairs])
+print("per-agent (high, low) pairs:", list(pairs))
 
 print("\ninteger slot weights for agent 1 (slots are rows, goods are columns):")
-for s, row in enumerate(slot_rows(inst, pairs)[:inst.k], start=1):
+for s, row in enumerate(slot_rows(inst)[:inst.k], start=1):
     print(f"  slot {s}: {list(row)}")
 
 solution = solve_bivalued(inst)
@@ -36,11 +36,11 @@ allocation, alpha = solution.allocation, solution.alpha
 print("\nallocation:", [sorted(b) for b in allocation.bundles])
 print("certificate weights 1/(a_i - b_i):", [str(a) for a in alpha])
 print("EF1:", is_ef1(inst, allocation).holds)
-print("fPO via the weighted exchange graph:", certify_fpo(inst, allocation, certificate_alpha(pairs)).holds)
+print("fPO via the weighted exchange graph:", certify_fpo(inst, allocation, certificate_alpha(inst)).holds)
 print("fPO via the exact LP test:         ", check_fpo(inst, allocation).is_fpo)
 
 high_per_agent = [
-    sum(1 for j in allocation.bundle(i) if inst.value(i, j) == pairs[i - 1][0])
+    sum(1 for j in allocation.bundle(i) if inst.rows[i - 1][j - 1] == pairs[i - 1][0])
     for i in inst.agents()
 ]
 print("high goods received per agent:", high_per_agent, "(spread within one unit)")

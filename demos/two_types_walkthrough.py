@@ -15,8 +15,8 @@ from fractions import Fraction
 from fairbalance import check_fpo, is_ef1, make_instance, solve_two_types
 from fairbalance.core import two_type_view
 from fairbalance.twotypes import (
+    _certify_deal,
     _deal,
-    _potentials_of,
     compute_delta,
     critical_values,
     optimal_split,
@@ -45,7 +45,7 @@ for gamma in (delta, Fraction(1), Fraction(3, 2), grid.upper):
     lo, hi = grid.interval(ell)
     split = optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
     dealt = _deal(inst, view, split)
-    pot = _potentials_of(inst, view, dealt, gamma)
+    pot = _certify_deal(inst, view, dealt, gamma).potentials
     print(f"  gamma={str(gamma):7s} type-1 bundles {[sorted(dealt.bundle(i)) for i in view.members1]} "
           f"type-2 bundles {[sorted(dealt.bundle(i)) for i in view.members2]} "
           f"prices {[str(p) for p in pot.p]}")

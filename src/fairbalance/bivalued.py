@@ -36,13 +36,14 @@ def bivalued_pairs(inst: Instance) -> tuple:
     raise NotBivalued("some agent uses more than two distinct values")
 
 
-def certificate_alpha(pairs: Sequence[tuple]) -> tuple:
+def certificate_alpha(inst: Instance) -> tuple:
     """The weight vector 1/(a_i - b_i) whose maximizers are exactly the
-    fPO balanced allocations on a bivalued instance."""
-    return tuple(Fraction(1, 1) / (a - b) for a, b in pairs)
+    fPO balanced allocations on a bivalued instance; the pairs are ints
+    over ``inst.scale``, so alpha_i is ``scale / (a_i - b_i)``."""
+    return tuple(Fraction(inst.scale, a - b) for a, b in bivalued_pairs(inst))
 
 
-def slot_rows(inst: Instance, pairs: Sequence[tuple]) -> tuple:
+def slot_rows(inst: Instance) -> tuple:
     """The matching's weight rows, agent by agent and slot by slot: in
     agent i's s-th slot a good weighs K + s = n*k*(k+1) + s when i values it
     at its high a_i, and 0 otherwise.
@@ -50,13 +51,14 @@ def slot_rows(inst: Instance, pairs: Sequence[tuple]) -> tuple:
     The paper weighs high goods a/(a-b) + s/K and low goods b/(a-b).  Every
     slot takes one good, so dropping b/(a-b) from each of an agent's slots
     and scaling by K changes no perfect matching's rank: 1 + s/K -> K + s.
+    Raises NotBivalued unless the instance is personalized bivalued.
     """
+    pairs = bivalued_pairs(inst)
     k = inst.k
     scale = inst.n * k * (k + 1)
     rows = []
     for (a, _), row in zip(pairs, inst.rows):
-        high = a.numerator * (inst.scale // a.denominator)
-        rows += [tuple(scale + s if v == high else 0 for v in row) for s in range(1, k + 1)]
+        rows += [tuple(scale + s if v == a else 0 for v in row) for s in range(1, k + 1)]
     return tuple(rows)
 
 
@@ -76,8 +78,7 @@ def solve_bivalued(inst: Instance) -> Solution:
     duals at alpha (gamma is None); the allocation maximizes the
     alpha-weighted welfare, which certifies fPO.
     """
-    pairs = bivalued_pairs(inst)
-    rows = slot_rows(inst, pairs)
+    rows = slot_rows(inst)
     result = matching_mod.max_weight_perfect_matching(
         matching_mod.BipartiteWeights(size=inst.m, weight=rows)
     )
@@ -90,6 +91,6 @@ def solve_bivalued(inst: Instance) -> Solution:
     drift = result.value - scale * highs
     if not 0 <= drift <= scale // 2:
         raise InternalInvariantError(f"slot bonus drift {drift} outside [0, {scale // 2}]")
-    alpha = certificate_alpha(pairs)
+    alpha = certificate_alpha(inst)
     return Solution(alloc, alpha, None, compute_potentials(inst, alloc, alpha))
 

@@ -75,8 +75,11 @@ def _shown(obj) -> str:
 
 
 def _pair_to_json(numerator: int, denominator: int):
-    """A reduced pair with a positive denominator as JSON: an int when the
-    denominator is 1, else "p/q"; TooLargeError past MAX_DIGITS digits."""
+    """numerator/denominator (denominator positive) as JSON, reduced first:
+    an int when the reduced denominator is 1, else "p/q"; TooLargeError
+    when the reduced pair has more than MAX_DIGITS digits."""
+    common = math.gcd(numerator, denominator)
+    numerator, denominator = numerator // common, denominator // common
     if not _fits(numerator, denominator):
         raise TooLargeError(f"a result number has more than {MAX_DIGITS} digits and cannot be printed")
     if denominator == 1:
@@ -229,16 +232,11 @@ def _certificate(sol: Solution) -> dict | None:
     if sol.alpha is None:
         return None
     scale = sol.potentials.scale
-
-    def over_scale(v: int):
-        common = math.gcd(v, scale)
-        return _pair_to_json(v // common, scale // common)
-
     return {
         "alpha": [rational_to_json(a) for a in sol.alpha],
         "gamma": rational_to_json(sol.gamma) if sol.gamma is not None else None,
-        "q": [over_scale(v) for v in sol.potentials.qs],
-        "p": [over_scale(v) for v in sol.potentials.ps],
+        "q": [_pair_to_json(v, scale) for v in sol.potentials.qs],
+        "p": [_pair_to_json(v, scale) for v in sol.potentials.ps],
     }
 
 

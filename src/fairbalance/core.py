@@ -129,16 +129,15 @@ class Instance:
 
     @cached_property
     def value_pairs(self) -> Optional[tuple]:
-        """Per-agent (a_i, b_i) with a_i > b_i, or None when some row uses
-        more than two distinct values.  A constant row v counts every good
-        as low: (v + 1, v)."""
+        """Per-agent (a_i, b_i) with a_i > b_i, ints over ``scale`` like
+        ``rows``, or None when some row uses more than two distinct values.
+        A constant row v counts every good as low: (v + scale, v)."""
         pairs = [None] * self.n
         for row, members in self.types:
             values = sorted(set(row))
             if len(values) > 2:
                 return None
-            low = Fraction(values[0], self.scale)
-            pair = (Fraction(values[1], self.scale), low) if len(values) == 2 else (low + 1, low)
+            pair = (values[1], values[0]) if len(values) == 2 else (values[0] + self.scale, values[0])
             for i in members:
                 pairs[i - 1] = pair
         return tuple(pairs)
@@ -210,7 +209,7 @@ def check_allocation(inst: Instance, alloc: Allocation, balanced: bool = False) 
         raise ValueError(f"allocation has {alloc.n} bundles, instance has {inst.n} agents")
     if not alloc.is_partition_of(inst.m):
         raise ValueError("bundles do not partition the goods")
-    if balanced and not alloc.is_balanced(inst):
+    if balanced and any(len(b) != inst.k for b in alloc.bundles):
         raise ValueError("allocation is not balanced")
 
 

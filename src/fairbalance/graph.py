@@ -106,50 +106,36 @@ class Potentials:
         """The good potentials (prices) as Fractions."""
         return tuple(Fraction(v, self.scale) for v in self.ps)
 
-    def scaled_if_feasible(self, inst: Instance, alpha: Sequence[Fraction]) -> Optional[tuple]:
-        """``(qs, ps, rs, rows)``, all ints over one positive common
-        denominator, so that q_i + p_j compares with alpha_i * v_ij exactly
-        as ``qs[i-1] + ps[j-1]`` with ``rs[i-1] * rows[i-1][j-1]``; None when
-        some pair has q_i + p_j < alpha_i * v_ij.
 
-        Raises ValueError unless there are n q's, m p's and n alphas.
-        """
-        if len(self.qs) != inst.n or len(self.ps) != inst.m or len(alpha) != inst.n:
-            raise ValueError(f"potentials and alpha must have {inst.n} agent "
-                             f"and {inst.m} good entries")
-        alpha_scale, (alpha_ints,) = integer_rows((alpha,))
-        # everything times self.scale * alpha_scale * inst.scale
-        left = alpha_scale * inst.scale
-        qs, ps = [q * left for q in self.qs], [p * left for p in self.ps]
-        rs = [a * self.scale for a in alpha_ints]
-        for q, r, row in zip(qs, rs, inst.rows):
-            for p, w in zip(ps, row):
-                if q + p < r * w:
-                    return None
-        return qs, ps, rs, inst.rows
+def scaled_alpha(inst: Instance, alpha: Sequence[Fraction]) -> tuple:
+    """``(scale, alpha_ints)``: alpha_i * v_ij times ``scale`` is the int
+    ``alpha_ints[i-1] * inst.rows[i-1][j-1]``, where ``scale`` is
+    lcm(alpha denominators) times the instance's value scale.  Raises
+    ValueError unless alpha is one positive weight per agent.
+    """
+    if len(alpha) != inst.n:
+        raise ValueError("alpha length must equal the number of agents")
+    alpha_scale, (alpha_ints,) = integer_rows((alpha,))
+    if min(alpha_ints) <= 0:
+        raise ValueError("alpha must be strictly positive")
+    return alpha_scale * inst.scale, alpha_ints
 
 
 def build_exchange_graph(inst: Instance, alloc: Allocation, alpha: Sequence[Fraction]) -> ExchangeGraph:
-    """Exchange graph of a balanced allocation under weights alpha.
-
-    The scale is lcm(alpha denominators) times the instance's value scale,
-    so every alpha_i * v_ij times it is an int.  Raises ValueError unless
-    alpha is one positive weight per agent.
+    """Exchange graph of a balanced allocation under weights alpha, on the
+    scale of :func:`scaled_alpha`, which raises ValueError unless alpha is
+    one positive weight per agent.
     """
     check_allocation(inst, alloc, balanced=True)
-    if len(alpha) != inst.n:
-        raise ValueError("alpha length must equal the number of agents")
-    if any(a <= 0 for a in alpha):
-        raise ValueError("alpha must be strictly positive")
+    scale, alpha_ints = scaled_alpha(inst, alpha)
     n, m = inst.n, inst.m
-    alpha_scale, (alpha_ints,) = integer_rows((alpha,))
     weights = [[a * v for v in row] for a, row in zip(alpha_ints, inst.rows)]
     arcs = [(0, n + j, 0) for j in inst.goods()]
     for i, row in enumerate(weights, start=1):
         arcs += [(i, n + j, -w) for j, w in enumerate(row, start=1)]
     owner = alloc.owner_map()
     arcs += [(n + j, owner[j], weights[owner[j] - 1][j - 1]) for j in inst.goods()]
-    return ExchangeGraph(n=n, m=m, scale=alpha_scale * inst.scale, int_arcs=tuple(arcs))
+    return ExchangeGraph(n=n, m=m, scale=scale, int_arcs=tuple(arcs))
 
 
 def _bellman_ford(g: ExchangeGraph):

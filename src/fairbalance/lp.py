@@ -21,7 +21,7 @@ from .core import (
     bundle_value,
     check_allocation,
 )
-from .graph import Potentials
+from .graph import Potentials, scaled_alpha
 
 
 @dataclass(frozen=True)
@@ -243,11 +243,20 @@ def verify_complementary_slackness(
     is not a balanced partition of the goods.
     """
     check_allocation(inst, alloc, balanced=True)
-    scaled = pot.scaled_if_feasible(inst, alpha)
-    if scaled is None or any(a <= 0 for a in alpha):
+    if len(pot.qs) != inst.n or len(pot.ps) != inst.m or len(alpha) != inst.n:
+        raise ValueError(f"potentials and alpha must have {inst.n} agent "
+                         f"and {inst.m} good entries")
+    if any(a <= 0 for a in alpha):
         return False
-    qs, ps, rs, rows = scaled
-    for q, r, row, bundle in zip(qs, rs, rows, alloc.bundles):
+    # both sides times pot.scale * the weight scale, so ints compare
+    scale, alpha_ints = scaled_alpha(inst, alpha)
+    qs, ps = [q * scale for q in pot.qs], [p * scale for p in pot.ps]
+    rs = [a * pot.scale for a in alpha_ints]
+    for q, r, row in zip(qs, rs, inst.rows):
+        for p, w in zip(ps, row):
+            if q + p < r * w:
+                return False
+    for q, r, row, bundle in zip(qs, rs, inst.rows, alloc.bundles):
         for j in bundle:
             if q + ps[j - 1] != r * row[j - 1]:
                 return False

@@ -36,7 +36,7 @@ from .core import (
     make_allocation,
     two_type_view,
 )
-from .graph import Potentials, compute_potentials
+from .graph import compute_potentials
 from .lp import verify_complementary_slackness
 
 
@@ -235,9 +235,12 @@ def _deal(inst: Instance, view: TwoType, split: Split) -> Allocation:
     return Allocation(tuple(bundles))
 
 
-def _potentials_of(inst: Instance, view: TwoType, alloc: Allocation, gamma: Fraction) -> Potentials:
-    """Bellman-Ford potentials of a dealt allocation at weight ratio gamma."""
-    return compute_potentials(inst, alloc, _alpha_for(view, inst.n, gamma))
+def _certify_deal(inst: Instance, view: TwoType, alloc: Allocation, gamma: Fraction) -> Solution:
+    """A dealt allocation with its certificate at weight ratio gamma: the
+    weights (1 per type-1 agent, gamma per type-2 agent) and their
+    Bellman-Ford potentials."""
+    alpha = _alpha_for(view, inst.n, gamma)
+    return Solution(alloc, alpha, gamma, compute_potentials(inst, alloc, alpha))
 
 
 class _PriceModel:
@@ -294,7 +297,7 @@ def case1_sweep(inst: Instance, grid: GammaGrid, ell: int) -> tuple:
     split = _interval_split(inst, view, grid, ell)
     alloc = _deal(inst, view, split)
     points = sorted({lo, hi} | _PriceModel(view, split).kinks(lo, hi))
-    pots = {g: _potentials_of(inst, view, alloc, g) for g in points}
+    pots = {g: _certify_deal(inst, view, alloc, g).potentials for g in points}
     gaps = {g: _condition_gaps(view, alloc, pot.p) for g, pot in pots.items()}
     candidates = set(points)
     for left, right in zip(points, points[1:]):
@@ -302,47 +305,41 @@ def case1_sweep(inst: Instance, grid: GammaGrid, ell: int) -> tuple:
             if (g_left < 0) != (g_right < 0):
                 candidates.add(left + (right - left) * g_left / (g_left - g_right))
     for gamma in sorted(candidates):
-        pot = pots[gamma] if gamma in pots else _potentials_of(inst, view, alloc, gamma)
+        pot = pots[gamma] if gamma in pots else _certify_deal(inst, view, alloc, gamma).potentials
         if all(conditions_ab(view, alloc, pot.ps)):
             return gamma, alloc, pot
     raise InternalInvariantError(f"interval {ell} had no point satisfying both conditions")
 
 
-def case2_exchange(inst: Instance, view: TwoType, split: Split, target: Split,
-                   gamma: Fraction, pot: Potentials) -> Allocation:
+def case2_exchange(inst: Instance, view: TwoType, split: Split, target: Split, cert: Solution) -> Solution:
     """Walk from ``split`` to ``target``, the splits of two intervals that
-    share the end ``gamma``, one good swap at a time, re-dealing by value
-    after each swap, and return the first EF1 allocation.
+    share the end ``cert.gamma``, one good swap at a time, re-dealing by
+    value after each swap, and return ``cert`` with the first EF1
+    allocation in place of its own.
 
-    ``pot`` are the potentials of the ``split`` deal at ``gamma``.  Every
-    intermediate allocation is checked tight at them, hence stays fPO;
-    potentials that are infeasible or not tight raise InternalInvariantError.
+    ``cert`` certifies the ``split`` deal at that gamma.  Every
+    intermediate allocation is checked tight at its potentials, hence stays
+    fPO; potentials that are infeasible or not tight raise
+    InternalInvariantError.
     """
-    alpha = _alpha_for(view, inst.n, gamma)
     for _ in range(inst.m + 1):
         alloc = _deal(inst, view, split)
-        if not verify_complementary_slackness(inst, alloc, pot, alpha):
+        if not verify_complementary_slackness(inst, alloc, cert.potentials, cert.alpha):
             raise InternalInvariantError("an exchange step lost dual feasibility or tightness")
         if verify_mod.is_ef1(inst, alloc).holds:
-            return alloc
+            return Solution(alloc, cert.alpha, cert.gamma, cert.potentials)
         if split == target:
             break
         j_out = min(split.s - target.s)
         j_in = min(split.t - target.t)
         split = Split(s=split.s - {j_out} | {j_in}, t=split.t - {j_in} | {j_out})
-    raise InternalInvariantError(f"no EF1 allocation on the exchange walk at gamma {gamma}")
-
-
-def _solution(inst: Instance, view: TwoType, alloc: Allocation, gamma: Fraction, pot: Potentials) -> Solution:
-    return Solution(alloc, _alpha_for(view, inst.n, gamma), gamma, pot)
+    raise InternalInvariantError(f"no EF1 allocation on the exchange walk at gamma {cert.gamma}")
 
 
 def _trivial_solution(inst: Instance, view: TwoType) -> Solution:
     """Single-type or constant-row case: deal by descending value."""
     bundles = round_robin_by_price(inst.goods(), view.row1, inst.n, inst.k)
-    alloc = make_allocation(bundles)
-    pot = _potentials_of(inst, view, alloc, Fraction(1))
-    return _solution(inst, view, alloc, Fraction(1), pot)
+    return _certify_deal(inst, view, make_allocation(bundles), Fraction(1))
 
 
 def solve_two_types(inst: Instance) -> Solution:
@@ -372,9 +369,9 @@ def solve_two_types(inst: Instance) -> Solution:
     for split, lo in _split_runs(a1, a2, delta, view.n1 * inst.k):
         alloc = _deal(inst, view, split)
         if verify_mod.is_ef1(inst, alloc).holds:
-            pot = _potentials_of(inst, view, alloc, lo)
-            conditions_ab(view, alloc, pot.ps)  # raises if both fail
-            return _solution(inst, view, alloc, lo, pot)
+            sol = _certify_deal(inst, view, alloc, lo)
+            conditions_ab(view, alloc, sol.potentials.ps)  # raises if both fail
+            return sol
         runs.append((split, alloc, lo))
 
     # No split deals an EF1 allocation, so case 1 cannot occur: where (a)
@@ -385,8 +382,8 @@ def solve_two_types(inst: Instance) -> Solution:
     # right would hold for one deal at one set of potentials, making it
     # price-EF1, hence EF1, and the scan would have returned it.
     for (left, left_alloc, _), (right, right_alloc, shared) in zip(runs, runs[1:]):
-        pot = _potentials_of(inst, view, left_alloc, shared)  # one Bellman-Ford run per boundary
-        if conditions_ab(view, left_alloc, pot.ps)[0] and conditions_ab(view, right_alloc, pot.ps)[1]:
-            alloc = case2_exchange(inst, view, left, right, shared, pot)
-            return _solution(inst, view, alloc, shared, pot)
+        cert = _certify_deal(inst, view, left_alloc, shared)  # one Bellman-Ford run per boundary
+        ps = cert.potentials.ps
+        if conditions_ab(view, left_alloc, ps)[0] and conditions_ab(view, right_alloc, ps)[1]:
+            return case2_exchange(inst, view, left, right, cert)
     raise InternalInvariantError("neither sweep nor exchange case occurred")

@@ -205,8 +205,7 @@ def random_bivalued_instance(rng: random.Random, n: int, k: int, top: int = 9) -
 def high_counts(inst: Instance, alloc, viewer: int) -> list:
     """Per-agent count of goods the viewer values at their high value, on
     the instance's int rows (bivalued instances only)."""
-    a = inst.value_pairs[viewer - 1][0]
-    high = a.numerator * (inst.scale // a.denominator)
+    high = inst.value_pairs[viewer - 1][0]
     row = inst.rows[viewer - 1]
     return [sum(row[j - 1] == high for j in alloc.bundle(i)) for i in inst.agents()]
 

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 import fairbalance.twotypes as twotypes_mod
-from fairbalance.bivalued import bivalued_pairs, certificate_alpha, solve_bivalued
+from fairbalance.bivalued import certificate_alpha, solve_bivalued
 from fairbalance.cli import main
 from fairbalance.core import make_instance, reduce_unconstrained
 from fairbalance.graph import build_exchange_graph, compute_potentials, detect_negative_cycle
@@ -91,7 +91,7 @@ def test_criterion_2_bivalued_solver_suite():
         out, alpha = sol.allocation, sol.alpha
         assert out.is_balanced(inst)
         assert is_ef1(inst, out).holds
-        assert certify_fpo(inst, out, certificate_alpha(bivalued_pairs(inst))).holds
+        assert certify_fpo(inst, out, certificate_alpha(inst)).holds
         assert check_fpo(inst, out).is_fpo
         for viewer in inst.agents():
             counts = high_counts(inst, out, viewer)

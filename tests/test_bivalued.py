@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairbalance import matching
+from fairbalance import bivalued, matching
 from fairbalance.bivalued import bivalued_pairs, certificate_alpha, slot_rows, solve_bivalued
 from fairbalance.core import InternalInvariantError, NotBivalued, make_instance
 from fairbalance.lp import check_fpo
@@ -84,7 +84,8 @@ class TestIntegerRuleReference:
             n, k = 1 + t % 4, 1 + (t // 4) % 4  # every shape up to 4 x 4
             inst, used = _paper_instance(rng, n, k)
             kinds |= used
-            pairs = bivalued_pairs(inst)
+            # the pairs are ints over the instance's scale; the paper's rule reads values
+            pairs = tuple((Fraction(a, inst.scale), Fraction(b, inst.scale)) for a, b in bivalued_pairs(inst))
             eps = Fraction(1, n * k * (k + 1))
             paper = []
             for i in inst.agents():
@@ -103,7 +104,7 @@ class TestIntegerRuleReference:
             ints = tuple(tuple(slot_weight(pairs[row0 // k], row0 % k + 1, inst.value(row0 // k + 1, j), scale)
                                for j in inst.goods()) for row0 in range(inst.m))
             # the solver's slot rows are slot_weight's, entry for entry
-            assert passed == [ints] and slot_rows(inst, pairs) == ints
+            assert passed == [ints] and slot_rows(inst) == ints
             integer = max_weight_perfect_matching(BipartiteWeights(size=inst.m, weight=ints))
             assert integer.assignment == reference.assignment
             assert type(integer.value) is int
@@ -125,6 +126,33 @@ class TestBivaluedPairs:
         inst = make_instance(2, 4, [[1, 2, 3, 1], [0, 0, 0, 0]])
         with pytest.raises(NotBivalued):
             bivalued_pairs(inst)
+        with pytest.raises(NotBivalued):
+            certificate_alpha(inst)
+
+
+# scale 6: pairs (1/2, 1/3), (5/3, 0) and the constant row 3/2 as (5/2, 3/2)
+RATIONAL = [[Fraction(1, 2), Fraction(1, 3), Fraction(1, 2)], [0, Fraction(5, 3), 0], [Fraction(3, 2)] * 3]
+
+
+class TestIntPairs:
+    """The pairs are ints over the instance's scale; alpha is the one
+    Fraction the bivalued solver builds."""
+
+    def test_certificate_alpha_over_the_scale(self):
+        inst = make_instance(3, 3, RATIONAL)
+        assert bivalued_pairs(inst) == ((3, 2), (10, 0), (15, 9))
+        assert certificate_alpha(inst) == (6, Fraction(3, 5), 1)
+        assert all(type(a) is Fraction for a in certificate_alpha(inst))
+
+    def test_solve_builds_only_alpha(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(bivalued, "Fraction", lambda *args: built.append(args) or Fraction(*args))
+        inst = make_instance(3, 3, RATIONAL)
+        sol = solve_bivalued(inst)
+        assert built == [(6, 1), (6, 10), (6, 6)]
+        assert sol.alpha == (6, Fraction(3, 5), 1)
+        assert "values" not in inst.__dict__
+        assert certify_fpo(inst, sol.allocation, sol.alpha).holds
 
 
 class TestSolveBivalued:
@@ -196,12 +224,12 @@ class TestCheckBivaluedFpo:
         for _ in range(15):
             inst = random_bivalued_instance(rng, rng.choice([2, 3]), rng.choice([1, 2]))
             alloc = solve_bivalued(inst).allocation
-            assert certify_fpo(inst, alloc, certificate_alpha(bivalued_pairs(inst))).holds
+            assert certify_fpo(inst, alloc, certificate_alpha(inst)).holds
 
     def test_tied_singletons(self):
         inst = make_instance(2, 2, [[3, 0], [3, 0]])
         for a in permutation_enumerate(inst):
-            assert certify_fpo(inst, a, certificate_alpha(bivalued_pairs(inst))).holds
+            assert certify_fpo(inst, a, certificate_alpha(inst)).holds
 
     def test_agrees_with_lp_check(self):
         rng = random.Random(5)
@@ -209,7 +237,7 @@ class TestCheckBivaluedFpo:
         for _ in range(12):
             n, k = rng.choice(shapes)
             inst = random_bivalued_instance(rng, n, k)
-            alpha = certificate_alpha(bivalued_pairs(inst))
+            alpha = certificate_alpha(inst)
             for a in permutation_enumerate(inst):
                 assert certify_fpo(inst, a, alpha).holds == check_fpo(inst, a).is_fpo
 
@@ -225,7 +253,7 @@ class TestSolverPropertySweep:
             alloc, alpha = sol.allocation, sol.alpha
             assert alloc.is_balanced(inst)
             assert is_ef1(inst, alloc).holds
-            assert alpha == certificate_alpha(bivalued_pairs(inst))
+            assert alpha == certificate_alpha(inst)
             assert certify_fpo(inst, alloc, alpha).holds
             assert check_fpo(inst, alloc).is_fpo
             # high goods spread within one unit, from every agent's view

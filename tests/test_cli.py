@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairbalance import cli, graph, lp, solve, twotypes
+from fairbalance import cli, graph, lp, solve
 from fairbalance.cli import (
     main,
     parse_instance,
@@ -337,10 +337,23 @@ class TestCertificateInts:
 
     @SOLVER_ROWS
     def test_solve_builds_no_fraction_potentials(self, rows, solver, monkeypatch, tmp_path, capsys):
-        calls = []
-        real = graph.integer_rows
-        for module in (graph, twotypes):
-            monkeypatch.setattr(module, "integer_rows", lambda r: calls.append(r) or real(r))
+        calls, scalings, depth = [], [], []  # depth is non-empty inside scaled_alpha
+        real_rows, real_alpha = graph.integer_rows, graph.scaled_alpha
+
+        def spy_alpha(inst, alpha):
+            scalings.append(alpha)
+            depth.append(alpha)
+            try:
+                return real_alpha(inst, alpha)
+            finally:
+                depth.pop()
+
+        package = [module for name, module in sys.modules.items() if name.startswith("fairbalance.")]
+        for module in package:
+            if hasattr(module, "integer_rows"):
+                monkeypatch.setattr(module, "integer_rows", lambda r: calls.append((r, bool(depth))) or real_rows(r))
+            if hasattr(module, "scaled_alpha"):
+                monkeypatch.setattr(module, "scaled_alpha", spy_alpha)
         path = write_json(tmp_path / "inst.json", {"n": 2, "m": 4, "valuations": rows})
         inst = parse_instance(cli.load_json(path))
         assert classify(inst) == solver
@@ -350,8 +363,11 @@ class TestCertificateInts:
         # solve, the slackness re-check and the printed certificate all ran
         assert "q" not in pot.__dict__ and "p" not in pot.__dict__
         assert all(type(v) is int for v in (pot.scale, *pot.qs, *pot.ps))
-        # integer_rows scaled alpha alone: one row of n weights per call
-        assert calls and all(len(r) == 1 and len(r[0]) == 2 for r in calls)
+        # integer_rows scaled alpha alone, one row of n weights per call, and
+        # only inside scaled_alpha: once for the solver's exchange graph and
+        # once for the slackness re-check
+        assert len(scalings) == 2 and all(alpha == sol.alpha for alpha in scalings)
+        assert calls == [((alpha,), True) for alpha in scalings]
         assert self.read_back(json.loads(out)["certificate"]) == pot
         assert solve(inst) == sol
 

@@ -190,6 +190,16 @@ class TestClassify:
         assert classify(inst) == "bivalued"
         assert inst.value_pairs[0] == (5, 4)  # all goods low for the constant agent
 
+    def test_value_pairs_are_ints_over_the_scale(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        inst = make_instance(3, 3, [[half, third, half], [0, Fraction(5, 3), 0], [Fraction(3, 2)] * 3])
+        assert classify(inst) == "bivalued"
+        assert inst.scale == 6 and inst.rows[0] == (3, 2, 3)
+        # the constant row 3/2 is (5/2, 3/2): (9 + 6, 9) over the scale
+        assert inst.value_pairs == ((3, 2), (10, 0), (15, 9))
+        assert all(type(v) is int for pair in inst.value_pairs for v in pair)
+        assert "values" not in inst.__dict__
+
     def test_bivalued_preferred_over_two_type(self):
         inst = make_instance(2, 2, [[2, 1], [3, 0]])
         assert classify(inst) == "bivalued"
@@ -289,7 +299,8 @@ class TestRowReading:
             assert inst.types == tuple((_scaled(row, scale), members)
                                        for row, members in _reference_distinct_rows(inst))
             assert all(type(v) is int for row, _ in inst.types for v in row)
-            assert inst.value_pairs == _reference_value_pairs(inst)
+            pairs = _reference_value_pairs(inst)
+            assert inst.value_pairs == (None if pairs is None else tuple(_scaled(p, scale) for p in pairs))
             name = classify(inst)
             assert name == _reference_classify(inst)
             if len(inst.types) <= 2:
@@ -370,6 +381,27 @@ class TestAllocation:
         assert not bad.is_partition_of(4)
         assert alloc({1, 2}, {3, 4}).is_balanced(ref_instance)
         assert not alloc({1}, {2, 3, 4}).is_balanced(ref_instance)
+
+    @pytest.mark.parametrize("bundles, balanced, message", [
+        (({1, 2},), False, "allocation has 1 bundles, instance has 2 agents"),
+        (({1, 2}, {2, 3, 4}), False, "bundles do not partition the goods"),
+        (({1, 2}, {3}), True, "bundles do not partition the goods"),
+        (({1}, {2, 3, 4}), True, "allocation is not balanced"),
+    ], ids=["bundle-count", "overlap", "missing", "unbalanced"])
+    def test_check_allocation_messages(self, ref_instance, bundles, balanced, message):
+        with pytest.raises(ValueError) as info:
+            core.check_allocation(ref_instance, alloc(*bundles), balanced=balanced)
+        assert str(info.value) == message
+
+    def test_balanced_check_scans_the_partition_once(self, ref_instance, monkeypatch):
+        calls = []
+        real = core.Allocation.is_partition_of
+        monkeypatch.setattr(core.Allocation, "is_partition_of",
+                            lambda self, m: calls.append(m) or real(self, m))
+        core.check_allocation(ref_instance, alloc({1, 2}, {3, 4}), balanced=True)
+        with pytest.raises(ValueError, match="not balanced"):
+            core.check_allocation(ref_instance, alloc({1}, {2, 3, 4}), balanced=True)
+        assert calls == [4, 4]
 
     def test_assignment_string(self):
         a = alloc({1, 3}, {2, 4})

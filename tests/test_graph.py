@@ -266,6 +266,25 @@ class TestPotentialsFields:
 
 
 class TestPotentialsFeasibility:
+    """verify_complementary_slackness checks the shapes, then dual
+    feasibility on every pair and tightness on every owned pair, exactly
+    over a large mixed denominator."""
+
+    # agent 1 owns good 2 and agent 2 owns good 1
+    VALUES = [[Fraction(7, 1000003), Fraction(10 ** 12 + 39, 999983)], [Fraction(3), Fraction(7, 1000003)]]
+    ALPHA = (Fraction(13, 17), Fraction(5, 7))
+    OWNED = ({2}, {1})
+
+    def certificate(self):
+        """The instance and potentials tight on both owned pairs and on the
+        unowned pair (1, 1); the unowned (2, 2) is slack by far more than
+        one unit."""
+        (v11, v12), (v21, _) = self.VALUES
+        a1, a2 = self.ALPHA
+        q1 = Fraction(5, 19 * 10 ** 7)
+        p1, p2 = a1 * v11 - q1, a1 * v12 - q1
+        return make_instance(2, 2, self.VALUES), potentials_from_fractions((q1, a2 * v21 - p1), (p1, p2))
+
     @pytest.mark.parametrize("q,p", [
         ((0,), (0, 0, 0, 0)),
         ((0, 0, 0), (0, 0, 0, 0)),
@@ -275,31 +294,38 @@ class TestPotentialsFeasibility:
     def test_wrong_shape_raises(self, ref_instance, q, p):
         big = potentials_from_fractions([Fraction(x + 50) for x in q], [Fraction(x) for x in p])
         with pytest.raises(ValueError, match="2 agent and 4 good entries"):
-            big.scaled_if_feasible(ref_instance, ONE)
-        with pytest.raises(ValueError, match="2 agent and 4 good entries"):
             verify_complementary_slackness(ref_instance, alloc({3, 4}, {1, 2}), big, ONE)
 
     def test_wrong_alpha_length_raises(self, ref_instance):
-        pot = compute_potentials(ref_instance, alloc({3, 4}, {1, 2}), ONE)
-        with pytest.raises(ValueError, match="entries"):
-            pot.scaled_if_feasible(ref_instance, (Fraction(1),))
+        best = alloc({3, 4}, {1, 2})
+        pot = compute_potentials(ref_instance, best, ONE)
+        for alpha in ((Fraction(1),), ONE + (Fraction(1),)):
+            with pytest.raises(ValueError, match="2 agent and 4 good entries"):
+                verify_complementary_slackness(ref_instance, best, pot, alpha)
 
     def test_tight_boundary_over_large_mixed_denominator(self):
-        v1, v2 = Fraction(10 ** 12 + 39, 999983), Fraction(7, 1000003)
-        inst = make_instance(1, 2, [[v1, v2]])
-        alpha = (Fraction(13, 17),)
-        q = Fraction(5, 19)
-        tight = potentials_from_fractions((q,), (alpha[0] * v1 - q, alpha[0] * v2 - q + Fraction(1, 23)))
-        assert tight.scaled_if_feasible(inst, alpha) is not None
-        # good 1 is tight and good 2 slack: feasible but not complementary-slack
-        assert not verify_complementary_slackness(inst, alloc({1, 2}), tight, alpha)
-        unit = Fraction(1, 17 * 999983 * 19)  # one unit over p_1's denominator
-        assert tight.p[0].denominator == unit.denominator
+        inst, tight = self.certificate()
+        owned = alloc(*self.OWNED)
+        assert verify_complementary_slackness(inst, owned, tight, self.ALPHA)
+        assert tight.scale > 10 ** 21
+        unit = Fraction(1, tight.scale)  # one unit over the potentials' scale
+        # q_1 and p_2 move against each other: both owned pairs stay tight
+        # and the unowned pair (1, 1) alone moves, so the verdict is
+        # feasibility's
         for shift, feasible in ((-unit, False), (unit, True)):
-            moved = potentials_from_fractions(tight.q, (tight.p[0] + shift, tight.p[1]))
-            assert (moved.scaled_if_feasible(inst, alpha) is not None) is feasible
-        below = potentials_from_fractions(tight.q, (tight.p[0] - unit, tight.p[1]))
-        assert not verify_complementary_slackness(inst, alloc({1, 2}), below, alpha)
+            moved = potentials_from_fractions((tight.q[0] + shift, tight.q[1]), (tight.p[0], tight.p[1] - shift))
+            assert moved.scale == tight.scale
+            assert is_dual_feasible(inst, moved, self.ALPHA) is feasible
+            assert verify_complementary_slackness(inst, owned, moved, self.ALPHA) is feasible
+
+    def test_owned_pair_one_unit_slack_fails(self):
+        inst, tight = self.certificate()
+        owned = alloc(*self.OWNED)
+        unit = Fraction(1, tight.scale)
+        # p_2 one unit up leaves agent 1's good 2 slack: feasible, not tight
+        slack = potentials_from_fractions(tight.q, (tight.p[0], tight.p[1] + unit))
+        assert is_dual_feasible(inst, slack, self.ALPHA)
+        assert not verify_complementary_slackness(inst, owned, slack, self.ALPHA)
 
 
 class TestGolden:

@@ -19,9 +19,7 @@ from fairbalance.core import Solution, make_instance, two_type_view
 from fairbalance.lp import verify_complementary_slackness
 from fairbalance.twotypes import (
     AllValuesEqual,
-    _alpha_for,
     _deal,
-    _potentials_of,
     _split_runs,
     _trivial_solution,
     case2_exchange,
@@ -51,6 +49,13 @@ def scan_runs(inst, view):
             last = split
 
 
+def certified(inst, view, alloc, gamma):
+    """The deal with weight 1 on type 1 and gamma on type 2, and its
+    Bellman-Ford potentials."""
+    alpha = tuple(gamma if i in view.members2 else Fraction(1) for i in inst.agents())
+    return Solution(alloc, alpha, gamma, graph.compute_potentials(inst, alloc, alpha))
+
+
 def scan_solve(inst):
     """solve_two_types over the grid scan's runs, then the exchange walk."""
     view = two_type_view(inst)
@@ -62,16 +67,15 @@ def scan_solve(inst):
         for split, lo in runs:
             alloc = _deal(inst, view, split)
             if is_ef1(inst, alloc).holds:
-                pot = _potentials_of(inst, view, alloc, lo)
-                return Solution(alloc, _alpha_for(view, inst.n, lo), lo, pot)
+                return certified(inst, view, alloc, lo)
             dealt.append((split, alloc, lo))
     except AllValuesEqual:
         return _trivial_solution(inst, view)
     for (left, left_alloc, _), (right, right_alloc, shared) in zip(dealt, dealt[1:]):
-        pot = _potentials_of(inst, view, left_alloc, shared)
-        if conditions_ab(view, left_alloc, pot.p)[0] and conditions_ab(view, right_alloc, pot.p)[1]:
-            alloc = case2_exchange(inst, view, left, right, shared, pot)
-            return Solution(alloc, _alpha_for(view, inst.n, shared), shared, pot)
+        cert = certified(inst, view, left_alloc, shared)
+        p = cert.potentials.p
+        if conditions_ab(view, left_alloc, p)[0] and conditions_ab(view, right_alloc, p)[1]:
+            return case2_exchange(inst, view, left, right, cert)
     raise AssertionError("the reference scan found no EF1 allocation")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import random
@@ -16,9 +17,9 @@ from fairbalance.lp import check_fpo, verify_complementary_slackness
 from fairbalance.twotypes import (
     AllValuesEqual,
     _PriceModel,
+    _certify_deal,
     _deal,
     _interval_split,
-    _potentials_of,
     case1_sweep,
     case2_exchange,
     compute_delta,
@@ -38,6 +39,12 @@ SWEEP_GOLDEN = json.loads(
 EXCHANGE_CASES = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "exchange_path.json").read_text(encoding="utf-8")
 )
+
+
+def potentials_at(inst, view, dealt, gamma):
+    """The potentials that certify a deal at weight ratio gamma."""
+    return _certify_deal(inst, view, dealt, gamma).potentials
+
 
 REF_U1 = [10, 10, 21, 22]
 REF_U2 = [0, 1, 6, 8]
@@ -262,7 +269,7 @@ class TestConditions:
             split = optimal_split(view.u1, view.u2, mid, view.n1, inst.k)
             dealt = _deal(inst, view, split)
             for g in (lo, hi):
-                a_holds, b_holds = conditions_ab(view, dealt, _potentials_of(inst, view, dealt, g).p)
+                a_holds, b_holds = conditions_ab(view, dealt, potentials_at(inst, view, dealt, g).p)
                 # with k = 1 the dropped-top price is always zero
                 assert a_holds and b_holds
 
@@ -286,7 +293,7 @@ class TestConditions:
                 split = optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
                 dealt = _deal(inst, view, split)
                 for g in (lo, hi):
-                    pot = _potentials_of(inst, view, dealt, g)
+                    pot = potentials_at(inst, view, dealt, g)
                     a_holds, b_holds = conditions_ab(view, dealt, pot.p)  # raises if both fail
                     assert a_holds or b_holds
 
@@ -322,7 +329,7 @@ class TestDealPlacement:
             (12, self.grid.upper, (False, True)),
         ):
             dealt = self.dealt(ell)
-            pot = _potentials_of(self.inst, self.view, dealt, gamma)
+            pot = potentials_at(self.inst, self.view, dealt, gamma)
             assert conditions_ab(self.view, dealt, pot.p) == verdict
 
 
@@ -349,7 +356,7 @@ class TestPriceModel:
             model = _PriceModel(view, split)
             for frac in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(1)):
                 gamma = lo + (hi - lo) * frac
-                pot = _potentials_of(inst, view, _deal(inst, view, split), gamma)
+                pot = potentials_at(inst, view, _deal(inst, view, split), gamma)
                 q1, q2 = model.q_values(gamma)
                 assert all(pot.q[i - 1] == q1 for i in view.members1)
                 assert all(pot.q[i - 1] == q2 for i in view.members2)
@@ -465,8 +472,8 @@ class TestIntervalStructure:
                 lo2, hi2 = grid.interval(ell + 1)
                 split_left = optimal_split(view.u1, view.u2, (lo1 + hi1) / 2, view.n1, inst.k)
                 split_right = optimal_split(view.u1, view.u2, (lo2 + hi2) / 2, view.n1, inst.k)
-                pot_left = _potentials_of(inst, view, _deal(inst, view, split_left), shared)
-                pot_right = _potentials_of(inst, view, _deal(inst, view, split_right), shared)
+                pot_left = potentials_at(inst, view, _deal(inst, view, split_left), shared)
+                pot_right = potentials_at(inst, view, _deal(inst, view, split_right), shared)
                 assert pot_left == pot_right
             checked += 1
 
@@ -495,7 +502,7 @@ class TestIntervalStructure:
                 assert tuple(tuple(dealt.bundle(i) for i in members)
                              for members in (view.members1, view.members2)) == by_value
                 for gamma in (lo, hi):
-                    pot = _potentials_of(inst, view, dealt, gamma)
+                    pot = potentials_at(inst, view, dealt, gamma)
                     by_price = (
                         round_robin_by_price(split.s, pot.p, view.n1, inst.k),
                         round_robin_by_price(split.t, pot.p, view.n2, inst.k),
@@ -527,7 +534,7 @@ class TestIntervalStructure:
                 split = optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
                 dealt = _deal(inst, view, split)
                 if not is_ef1(inst, dealt).holds:
-                    assert conditions_ab(view, dealt, _potentials_of(inst, view, dealt, gamma).p)[which]
+                    assert conditions_ab(view, dealt, potentials_at(inst, view, dealt, gamma).p)[which]
 
 
 def _grid_conditions(inst, view, grid):
@@ -537,7 +544,7 @@ def _grid_conditions(inst, view, grid):
         split = optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
         dealt = _deal(inst, view, split)
         for g in (lo, hi):
-            conds[(ell, g)] = conditions_ab(view, dealt, _potentials_of(inst, view, dealt, g).p)
+            conds[(ell, g)] = conditions_ab(view, dealt, potentials_at(inst, view, dealt, g).p)
     return conds
 
 
@@ -595,8 +602,8 @@ class TestCaseDrivers:
                 if conds[(ell, shared)][0] and conds[(ell + 1, shared)][1]:
                     left = _interval_split(inst, view, grid, ell)
                     right = _interval_split(inst, view, grid, ell + 1)
-                    pot = _potentials_of(inst, view, _deal(inst, view, left), shared)
-                    allocation = case2_exchange(inst, view, left, right, shared, pot)
+                    cert = _certify_deal(inst, view, _deal(inst, view, left), shared)
+                    allocation = case2_exchange(inst, view, left, right, cert).allocation
                     assert is_ef1(inst, allocation).holds
                     assert check_fpo(inst, allocation).is_fpo
                     exercised += 1
@@ -671,7 +678,7 @@ class TestCaseDrivers:
                 if splits[ell - 1] != splits[ell]:
                     continue
                 dealt = _deal(inst, view, splits[ell])
-                pot = _potentials_of(inst, view, dealt, grid.endpoint(ell))
+                pot = potentials_at(inst, view, dealt, grid.endpoint(ell))
                 if all(conditions_ab(view, dealt, pot.p)):
                     assert is_ef1(inst, dealt).holds
                     exercised += 1
@@ -687,10 +694,25 @@ class TestCaseDrivers:
         grid = critical_values(view.u1, view.u2)
         splits = {_interval_split(inst, view, grid, ell) for ell in range(1, grid.interval_count + 1)}
         calls = []
-        real = twotypes._potentials_of
-        monkeypatch.setattr(twotypes, "_potentials_of", lambda *args: calls.append(args) or real(*args))
+        real = twotypes._certify_deal
+        monkeypatch.setattr(twotypes, "_certify_deal", lambda *args: calls.append(args) or real(*args))
         solve_two_types(inst)
         assert 1 <= len(calls) <= len(splits) - 1
+
+    @pytest.mark.parametrize("rows", [
+        EXCHANGE_CASES[0]["instance"]["valuations"],
+        [[10, 10, 21, 22], [0, 1, 6, 8]],
+        [[3, 1, 2, 5]] * 2,
+    ], ids=["exchange", "scan", "one-type"])
+    def test_each_certificate_builds_alpha_once(self, rows, monkeypatch):
+        # every path certifies through _certify_deal, and only it builds alpha
+        alphas, certified = [], []
+        real_alpha, real_certify = twotypes._alpha_for, twotypes._certify_deal
+        monkeypatch.setattr(twotypes, "_alpha_for", lambda *args: alphas.append(args) or real_alpha(*args))
+        monkeypatch.setattr(twotypes, "_certify_deal", lambda *args: certified.append(args) or real_certify(*args))
+        sol = solve_two_types(make_instance(len(rows), len(rows[0]), rows))
+        assert len(alphas) == len(certified) >= 1
+        assert certified[-1][3] == sol.gamma
 
 
 class TestExchangeTightness:
@@ -711,18 +733,22 @@ class TestExchangeTightness:
         return args
 
     def test_untouched_potentials_pass(self, monkeypatch):
-        *walk, pot = self.exchange_args(monkeypatch)
-        assert is_ef1(walk[0], case2_exchange(*walk, pot)).holds
+        *walk, cert = self.exchange_args(monkeypatch)
+        sol = case2_exchange(*walk, cert)
+        assert is_ef1(walk[0], sol.allocation).holds
+        assert (sol.alpha, sol.gamma, sol.potentials) == (cert.alpha, cert.gamma, cert.potentials)
 
     def test_potentials_not_tight_raise(self, monkeypatch):
         # raising every q keeps the duals feasible but no owned pair tight
-        *walk, pot = self.exchange_args(monkeypatch)
+        *walk, cert = self.exchange_args(monkeypatch)
+        pot = cert.potentials
         loose = potentials_from_fractions([q + 1 for q in pot.q], pot.p)
         with pytest.raises(InternalInvariantError, match="lost dual feasibility or tightness"):
-            case2_exchange(*walk, loose)
+            case2_exchange(*walk, dataclasses.replace(cert, potentials=loose))
 
     def test_infeasible_potentials_raise(self, monkeypatch):
-        *walk, pot = self.exchange_args(monkeypatch)
+        *walk, cert = self.exchange_args(monkeypatch)
+        pot = cert.potentials
         cheap = potentials_from_fractions(pot.q, [p - 1 for p in pot.p])
         with pytest.raises(InternalInvariantError, match="lost dual feasibility or tightness"):
-            case2_exchange(*walk, cheap)
+            case2_exchange(*walk, dataclasses.replace(cert, potentials=cheap))
