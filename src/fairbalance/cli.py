@@ -174,13 +174,28 @@ def parse_instance(data: dict, require_balanced_shape: bool = True) -> Instance:
         raise InputError("valuations must be an n x m array")
     if n < 1 or m < 1:
         raise InputError("need at least one agent and one good")
-    pairs = [[_read_rational(v) for v in row] for row in rows]
-    if any(num < 0 for row in pairs for num, _ in row):
+    # each distinct row is read once; the key holds the entries' types too,
+    # since 1 == 1.0 == True
+    distinct, seen, at = [], {}, []
+    for row in rows:
+        key = (tuple(row), tuple(map(type, row)))
+        try:
+            index = seen.get(key)
+        except TypeError:  # an unhashable entry, which _read_rational rejects
+            index = key = None
+        if index is None:
+            index = len(distinct)
+            distinct.append([_read_rational(v) for v in row])
+            if key is not None:
+                seen[key] = index
+        at.append(index)
+    if any(num < 0 for row in distinct for num, _ in row):
         raise InputError("valuations must be nonnegative")
     if require_balanced_shape and m % n != 0:
         raise InputError(f"m={m} is not a multiple of n={n} (use the reduce command)")
-    scale = math.lcm(*(den for row in pairs for _, den in row))
-    return Instance(n, m, scale, tuple(tuple(num * (scale // den) for num, den in row) for row in pairs))
+    scale = math.lcm(*(den for row in distinct for _, den in row))
+    int_rows = [tuple(num * (scale // den) for num, den in row) for row in distinct]
+    return Instance(n, m, scale, tuple(int_rows[index] for index in at))
 
 
 def instance_to_json(inst: Instance) -> dict:

@@ -183,13 +183,19 @@ class Allocation:
     def owner_map(self) -> dict:
         return {j: i for i, b in enumerate(self.bundles, start=1) for j in b}
 
-    def is_partition_of(self, m: int) -> bool:
+    @cached_property
+    def union(self) -> Optional[frozenset]:
+        """The goods of all bundles, or None when two bundles overlap;
+        scanned once per allocation, on first read."""
         seen = set()
         for b in self.bundles:
             if b & seen:
-                return False
+                return None
             seen |= b
-        return seen == set(range(1, m + 1))
+        return frozenset(seen)
+
+    def is_partition_of(self, m: int) -> bool:
+        return self.union == frozenset(range(1, m + 1))
 
     def is_balanced(self, inst: Instance) -> bool:
         k = inst.k

@@ -1,15 +1,18 @@
 """Exchange graph over an allocation and its shortest-path potentials.
 
-The graph has one node per agent, one per good, and a root.  Arc weights
-encode weighted values; a balanced allocation maximizes the weighted
-utilitarian welfare exactly when this graph has no negative cycle, and in
-that case shortest-path distances from the root yield optimal dual
-potentials (q per agent, p per good).
+The exchange graph has one node per agent, one per good, and a root.  Arc
+weights encode weighted values; a balanced allocation maximizes the
+weighted utilitarian welfare exactly when this graph has no negative
+cycle, and in that case shortest-path distances from the root yield
+optimal dual potentials (q per agent, p per good).
 
-All weights are kept as ints over one positive common denominator, so the
-single Bellman-Ford loop adds and compares Python ints only.  Potentials
-stay ints over one scale (their Fraction views are built on first read);
-a cycle weight divides by the graph's scale to give an exact Fraction.
+:func:`compute_potentials` eliminates the goods and runs Bellman-Ford on
+the agent graph, whose arcs sum the exchange graph's two-arc paths through
+a good; it builds the exchange graph only to name a negative cycle.  All
+weights are kept as ints over one positive common denominator, so both
+Bellman-Ford loops add and compare Python ints only.  Potentials stay ints
+over one scale (their Fraction views are built on first read); a cycle
+weight divides by the graph's scale to give an exact Fraction.
 """
 
 from __future__ import annotations
@@ -202,31 +205,69 @@ def cycle_weight(g: ExchangeGraph, cycle: list) -> Fraction:
     return Fraction(total, g.scale)
 
 
+def _agent_potentials(weights: list, bundles: list) -> Optional[tuple]:
+    """Shortest-path potentials ``(qs, ps)`` as int lists over the scale of
+    ``weights`` (W_ij at ``weights[i][j]``, 0-based, and ``bundles[i]`` the
+    0-based goods of agent i), or None when there is a negative cycle.
+
+    The agent graph is the exchange graph with its goods eliminated: root ->
+    i weighs min over j in A_i of W_ij and h -> i weighs min over j in A_i
+    of (W_ij - W_hj).  q_i is the distance to agent i, and the good j's
+    price p_j = -min(0, min_h (q_h - W_hj)) is minus its distance.
+    """
+    qs = [min(row[j] for j in own) for row, own in zip(weights, bundles)]
+    arcs = [(h, i, min(row[j] - other[j] for j in own))
+            for i, (row, own) in enumerate(zip(weights, bundles))
+            for h, other in enumerate(weights) if h != i]
+    # simple paths from the root have at most n arcs, and qs starts at the
+    # one-arc paths: a change in round n means a negative cycle
+    for _ in weights:
+        changed = False
+        for h, i, w in arcs:
+            d = qs[h] + w
+            if d < qs[i]:
+                qs[i] = d
+                changed = True
+        if not changed:
+            break
+    else:
+        return None
+    # p_j = max(0, max_h (W_hj - q_h)), one column of the shifted rows at a time
+    ps = list(map(max, [0] * len(weights[0]), *[[w - q for w in row] for row, q in zip(weights, qs)]))
+    return qs, ps
+
+
 def compute_potentials(inst: Instance, alloc: Allocation, alpha: Sequence[Fraction]) -> Potentials:
-    """Potentials from shortest root-to-node distances, as ints over the
-    graph's scale divided by their common factor.
+    """Potentials from shortest root-to-node distances in the exchange
+    graph, as ints over the scale of :func:`scaled_alpha` divided by their
+    common factor; Bellman-Ford runs on the agent graph.
 
     Requires ``alloc`` to maximize the alpha-weighted welfare over balanced
-    allocations; otherwise the graph has a negative cycle and
-    NegativeCycleError is raised with that cycle and its weight.  q_i is
-    the distance to agent i and p_j the negated distance to good j; the
-    pair is dual-feasible, nonnegative and complementary-slack with the
-    allocation.
+    allocations; otherwise the exchange graph has a negative cycle, and
+    NegativeCycleError is raised with that graph's cycle (the one that
+    :func:`detect_negative_cycle` finds) and its weight.  q_i is the
+    distance to agent i and p_j the negated distance to good j; the pair is
+    dual-feasible, nonnegative and complementary-slack with the allocation.
     """
-    g = build_exchange_graph(inst, alloc, alpha)
-    dist, pred, bad = _bellman_ford(g)
-    if bad is not None:
-        cycle = _extract_cycle(g, pred, bad[1])
+    check_allocation(inst, alloc, balanced=True)
+    scale, alpha_ints = scaled_alpha(inst, alpha)
+    weights = [[a * v for v in row] for a, row in zip(alpha_ints, inst.rows)]
+    bundles = [[j - 1 for j in own] for own in alloc.bundles]
+    found = _agent_potentials(weights, bundles)
+    if found is None:
+        g = build_exchange_graph(inst, alloc, alpha)
+        cycle = detect_negative_cycle(g)
+        if cycle is None:
+            raise InternalInvariantError("the agent graph has a negative cycle that the exchange graph lacks")
         raise NegativeCycleError(cycle, cycle_weight(g, cycle))
-    n = inst.n
-    if any(d < 0 for d in dist[1:n + 1]) or any(d > 0 for d in dist[n + 1:]):
+    qs, ps = found
+    if min(qs) < 0 or min(ps) < 0:
         raise InternalInvariantError("shortest-path potentials must be nonnegative")
-    # the good -> owner arcs carry alpha_i * v_ij of exactly the owned pairs
-    if any(dist[i] - dist[j] != w for j, i, w in g.int_arcs[-inst.m:]):
+    if any(qs[i] + ps[j] != weights[i][j] for i, own in enumerate(bundles) for j in own):
         raise InternalInvariantError("owned pairs must be tight")
-    common = math.gcd(g.scale, *dist)
+    common = math.gcd(scale, *qs, *ps)
     return Potentials(
-        scale=g.scale // common,
-        qs=tuple(d // common for d in dist[1:n + 1]),
-        ps=tuple(-d // common for d in dist[n + 1:]),
+        scale=scale // common,
+        qs=tuple(q // common for q in qs),
+        ps=tuple(p // common for p in ps),
     )

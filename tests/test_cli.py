@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import json
 import pathlib
 import random
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairbalance import cli, graph, lp, solve
+from fairbalance import cli, core, graph, lp, solve
 from fairbalance.cli import (
     main,
     parse_instance,
@@ -151,6 +152,21 @@ class TestParseInstance:
         assert sol.alpha is not None and "values" not in inst.__dict__
         assert sol == solve(make_instance(2, 4, [[Fraction(v) for v in row] for row in rows]))
 
+    def test_each_distinct_row_is_read_once(self, monkeypatch):
+        calls = []
+        real = cli._read_rational
+        monkeypatch.setattr(cli, "_read_rational", lambda obj: calls.append(obj) or real(obj))
+        u1, u2 = [3, "1/2", 0, 7, "5/3", 2], [1, 1, "9/4", 0, 4, 6]
+        rows = [u1, u2, u2, u1, u2, u1, u1]
+        inst = parse_instance({"n": 7, "m": 6, "valuations": rows}, require_balanced_shape=False)
+        assert calls == u1 + u2
+        self.assert_same(inst, make_instance(7, 6, [[Fraction(v) for v in row] for row in rows]))
+        # [1, 2] == [1.0, 2] == [1, 2.0], yet each row is read on its own
+        calls.clear()
+        inst = parse_instance({"n": 3, "m": 2, "valuations": [[1, 2], [1.0, 2], [1, 2.0]]},
+                              require_balanced_shape=False)
+        assert calls == [1, 2, 1.0, 2, 1, 2.0] and inst.rows == ((1, 2),) * 3
+
 
 class TestSolve:
     def test_two_types_on_reference(self, ref_path, tmp_path, capsys):
@@ -229,6 +245,19 @@ class TestSolve:
         path = write_json(tmp_path / "empty.json", EMPTY_INSTANCE)
         assert main(["solve", path]) == 2
         assert "at least one agent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [[[5, 2, 5, 2], [1, 0, 0, 1]], [[10, 10, 21, 22], [0, 1, 6, 8]]],
+                             ids=["bivalued", "two-types"])
+    def test_one_partition_scan_per_allocation(self, rows, tmp_path, monkeypatch, capsys):
+        scanned = []  # keeps every scanned allocation alive, so ids stay distinct
+        real = core.Allocation.__dict__["union"].func
+        spy = functools.cached_property(lambda a: scanned.append(a) or real(a))
+        spy.__set_name__(core.Allocation, "union")
+        monkeypatch.setattr(core.Allocation, "union", spy)
+        path = write_json(tmp_path / "inst.json", {"n": 2, "m": 4, "valuations": rows})
+        assert main(["solve", path]) == 0
+        assert json.loads(capsys.readouterr().out)["checks"] == {"ef1": True, "fpo": True, "balanced": True}
+        assert scanned and len({id(a) for a in scanned}) == len(scanned)
 
     @pytest.mark.parametrize("n, m", [(True, 4), (1, True), (1.0, 4), ("1", 4)])
     def test_non_integer_shape_exits_2(self, tmp_path, capsys, n, m):
@@ -462,6 +491,14 @@ def _with_value(value):
 @pytest.mark.parametrize("argv, files, message", [
     (["solve", "{inst}"], {"inst": _with_value(True)}, "not a rational: True"),
     (["solve", "{inst}"], {"inst": _with_value([1])}, "not a rational: [1]"),
+    # 1 == True, so a row's reading is reused only for entries of equal types
+    (["solve", "{inst}"], {"inst": {"n": 2, "m": 2, "valuations": [[1, 2], [True, 2]]}},
+     "not a rational: True"),
+    (["solve", "{inst}"], {"inst": {"n": 2, "m": 2, "valuations": [[True, 2], [1, 2]]}},
+     "not a rational: True"),
+    # a row holding an unhashable entry is still read in file order
+    (["solve", "{inst}"], {"inst": {"n": 2, "m": 2, "valuations": [[1, 2], ["x", [1]]]}},
+     "cannot parse rational 'x'"),
     (["solve", "{inst}"], {"inst": _with_value(f"1e{cli.MAX_DIGITS}")},
      f"rational '1e{cli.MAX_DIGITS}' has more than {cli.MAX_DIGITS} digits"),
     (["solve", "{inst}"], {"inst": [REF_FILE]}, "instance file must be a JSON object"),
@@ -482,7 +519,8 @@ def _with_value(value):
      "prices must be nonnegative"),
     (["gen", "--n", "2", "--m", "4", "--max-value", "0"], {}, "max-value must be at least 1"),
     (["gen", "--class", "two-types", "--n", "1", "--m", "4"], {}, "two-types generation needs n >= 2"),
-], ids=["value-true", "value-list", "value-too-long", "array-file", "no-m-key", "ragged-rows",
+], ids=["value-true", "value-list", "true-after-its-int-row", "true-before-its-int-row",
+        "unhashable-row", "value-too-long", "array-file", "no-m-key", "ragged-rows",
         "negative-value", "no-allocation-key", "too-few-bundles", "too-few-prices",
         "negative-price",
         "gen-max-value-0", "gen-two-types-n-1"])

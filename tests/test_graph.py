@@ -19,6 +19,7 @@ from fairbalance.graph import (
     good_node,
 )
 from fairbalance.lp import verify_complementary_slackness
+from fairbalance.matching import BipartiteWeights, max_weight_perfect_matching
 from fairbalance.verify import certify_fpo
 
 from conftest import (
@@ -42,6 +43,28 @@ ONE = (Fraction(1), Fraction(1))
 GRAPH_GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "exchange_graph_golden.json").read_text(encoding="utf-8")
 )
+
+
+def random_int_or_pq_instance(rng, n, m):
+    """Values 0..9, or (for half of the instances) p/q in [0, 9] with q <= 12."""
+    top = rng.choice([1, 12])
+    denominators = [[rng.randint(1, top) for _ in range(m)] for _ in range(n)]
+    return make_instance(n, m, [[Fraction(rng.randint(0, 9 * q), q) for q in row] for row in denominators])
+
+
+def random_balanced_allocation(rng, n, k):
+    goods = list(range(1, n * k + 1))
+    rng.shuffle(goods)
+    return make_allocation(goods[i * k:(i + 1) * k] for i in range(n))
+
+
+def max_welfare_allocation(inst, alpha):
+    """A balanced allocation of maximum alpha-weighted welfare: a
+    maximum-weight matching of k slots per agent to the goods."""
+    k = inst.k
+    weight = tuple(tuple(alpha[i] * v for v in inst.values[i]) for i in range(inst.n) for _ in range(k))
+    assignment = max_weight_perfect_matching(BipartiteWeights(size=inst.m, weight=weight)).assignment
+    return make_allocation(assignment[i * k:(i + 1) * k] for i in range(inst.n))
 
 
 def arc_weights(g):
@@ -157,16 +180,20 @@ class TestComputePotentials:
     ])
     def test_broken_distances_raise(self, ref_instance, monkeypatch, node, shift, message):
         # raised, not asserted, so the check also runs under python -O
-        real = graph._bellman_ford
+        real = graph._agent_potentials
 
-        def broken(g):
-            # distances are ints over g.scale, indexed by node id
-            dist, pred, bad = real(g)
-            dist = list(dist)
-            dist[g.node_id(node)] += shift
-            return dist, pred, bad
+        def broken(weights, bundles):
+            # potentials are ints over the weights' scale; a price is minus
+            # its good's distance
+            qs, ps = real(weights, bundles)
+            kind, index = node
+            if kind == "agent":
+                qs[index - 1] += shift
+            else:
+                ps[index - 1] -= shift
+            return qs, ps
 
-        monkeypatch.setattr(graph, "_bellman_ford", broken)
+        monkeypatch.setattr(graph, "_agent_potentials", broken)
         with pytest.raises(InternalInvariantError, match=message):
             compute_potentials(ref_instance, alloc({1, 3}, {2, 4}), (Fraction(1), Fraction(3, 2)))
 
@@ -195,24 +222,57 @@ class TestComputePotentials:
             # independence from the choice of optimal allocation
             assert all(p == pots[0] for p in pots[1:])
 
-    def test_reduced_ints_over_the_distances(self, monkeypatch):
-        # each potential is Bellman-Ford's distance over g.scale, kept as
-        # ints with their common factor divided out
-        real, seen = graph._bellman_ford, []
-        monkeypatch.setattr(graph, "_bellman_ford", lambda g: seen.append((g, real(g))) or seen[-1][1])
+    def test_reduced_ints_over_the_distances(self):
+        # each potential is the full exchange graph's Bellman-Ford distance
+        # over g.scale, kept as ints with their common factor divided out
         reduced = 0
         for case in GRAPH_GOLDEN:
             if "potentials" not in case:
                 continue
             inst, a, alpha = TestGolden.load(case)
             pot = compute_potentials(inst, a, alpha)
-            g, (dist, _, _) = seen[-1]
+            g = build_exchange_graph(inst, a, alpha)
+            dist, _, bad = graph._bellman_ford(g)
+            assert bad is None
             assert all(type(v) is int for v in (pot.scale, *pot.qs, *pot.ps))
             assert math.gcd(pot.scale, *pot.qs, *pot.ps) == 1 and g.scale % pot.scale == 0
             assert pot.q == tuple(Fraction(d, g.scale) for d in dist[1:inst.n + 1])
             assert pot.p == tuple(Fraction(-d, g.scale) for d in dist[inst.n + 1:])
             reduced += pot.scale < g.scale
         assert reduced >= 20, reduced
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agent_graph_matches_the_exchange_graph(self, seed, monkeypatch):
+        # Bellman-Ford on the agent graph gives the full exchange graph's
+        # potentials, or raises the cycle and weight that graph shows
+        built = []
+        real_build = graph.build_exchange_graph
+        monkeypatch.setattr(graph, "build_exchange_graph", lambda *args: built.append(args) or real_build(*args))
+        rng = random.Random(seed)
+        outcomes = {"potentials": 0, "cycle": 0}
+        for _ in range(150):
+            n, k = rng.randint(1, 5), rng.randint(1, 4)
+            inst = random_int_or_pq_instance(rng, n, n * k)
+            alpha = random_alpha(rng, n)
+            a = (max_welfare_allocation(inst, alpha) if rng.random() < 0.5
+                 else random_balanced_allocation(rng, n, k))
+            g = real_build(inst, a, alpha)
+            cycle = detect_negative_cycle(g)
+            built.clear()
+            if cycle is None:
+                dist, _, _ = graph._bellman_ford(g)
+                expected = potentials_from_fractions([Fraction(d, g.scale) for d in dist[1:n + 1]],
+                                                     [Fraction(-d, g.scale) for d in dist[n + 1:]])
+                assert compute_potentials(inst, a, alpha) == expected
+                assert built == []
+                outcomes["potentials"] += 1
+            else:
+                with pytest.raises(NegativeCycleError) as info:
+                    compute_potentials(inst, a, alpha)
+                assert (info.value.cycle, info.value.weight) == (cycle, cycle_weight(g, cycle))
+                assert len(built) == 1
+                outcomes["cycle"] += 1
+        assert min(outcomes.values()) >= 30, outcomes
 
     def test_same_type_agents_share_q(self):
         rng = random.Random(31)
