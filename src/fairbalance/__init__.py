@@ -21,7 +21,7 @@ from .core import (
     round_robin_by_preference,
 )
 from .graph import Potentials, build_exchange_graph, compute_potentials, detect_negative_cycle
-from .lp import check_fpo, verify_complementary_slackness
+from .lp import check_fpo, fpo_holds, verify_complementary_slackness
 from .matching import max_weight_perfect_matching
 from .oracle import enumerate_balanced, full_report, is_po_bruteforce
 from .solver import solve
@@ -52,6 +52,7 @@ __all__ = [
     "critical_values",
     "detect_negative_cycle",
     "enumerate_balanced",
+    "fpo_holds",
     "full_report",
     "is_ef1",
     "is_p_ef1",

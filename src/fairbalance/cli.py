@@ -260,7 +260,7 @@ def cmd_solve(args) -> int:
     sol = solve(inst, args.algorithm)
     alloc = sol.allocation
     if sol.alpha is None:
-        fpo = lp_mod.check_fpo(inst, alloc).is_fpo
+        fpo = lp_mod.fpo_holds(inst, alloc)
     elif lp_mod.verify_complementary_slackness(inst, alloc, sol.potentials, sol.alpha):
         fpo = True
     else:

@@ -1,5 +1,12 @@
-"""Exact simplex over rationals, the fPO decision LP built on it, and the
+"""Exact simplex over rationals, the two fPO LPs built on it, and the
 complementary-slackness check of a dual certificate.
+
+The fPO LPs serve two kinds of caller.  ``fpo_holds`` returns the verdict
+alone, from the small LP over the moves away from the allocation (2n + 1
+rows); the enumeration report and an uncertified solve read only that.
+``check_fpo`` solves the full LP over fractional allocations (2n + m rows
+when balanced) and returns a dominating allocation as the witness that
+``check --fpo`` prints.
 
 Everything is solved in standard equality form (max c.x, Ax = b, x >= 0)
 with a two-phase tableau method.  Pivoting starts with the largest-
@@ -54,7 +61,7 @@ class SimplexResult:
     objective: Fraction
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 
 
 def _eliminate(row: list, coef: Fraction, prow: list) -> list:
@@ -177,7 +184,7 @@ def solve_lp(lp: LinearProgram) -> SimplexResult:
     return SimplexResult(x=tuple(x), objective=objective)
 
 
-# --- the fPO decision LP and the slackness check ----------------------------
+# --- the fPO LPs and the slackness check ------------------------------------
 
 @dataclass(frozen=True)
 class FpoResult:
@@ -189,14 +196,60 @@ class FpoResult:
     improvement: Fraction
 
 
+def fpo_holds(inst: Instance, alloc: Allocation) -> bool:
+    """Is the balanced allocation fPO?  The verdict alone, no witness.
+
+    A balanced fractional allocation differs from this one by moving parts
+    of goods from their owners: lambda_ij >= 0 of good j to each non-owner
+    i, with every agent receiving as much as it gives.  The allocation is
+    fPO exactly when no such move gains for some agent and loses for none.
+    The LP maximizes the total gain sum z over moves with gain_i = z_i >= 0
+    and sum lambda <= 1, so its optimum is 0 exactly when the allocation is
+    fPO.  Its 2n + 1 rows and (n - 1)m + n + 1 columns make it smaller than
+    :func:`check_fpo`'s, which also returns a dominating allocation.
+    """
+    check_allocation(inst, alloc, balanced=True)
+    n, rows = inst.n, inst.rows
+    if n == 1:  # one agent owns every good, so nothing can be moved
+        return True
+    # each column's entries in the n gain rows (gain_i - z_i = 0) and the n
+    # count rows (received - given = 0): lambda_ij by good, then by
+    # non-owner i; then z_i; then s, which is zero in all of them.  Entries
+    # are Fractions, the zeros and ones shared, as LinearProgram would
+    # otherwise build one per int entry.
+    owner = alloc.owner_map()
+    columns = []
+    for j in range(inst.m):
+        o = owner[j + 1] - 1
+        for i in range(n):
+            if i != o:
+                column = [_ZERO] * (2 * n)
+                column[i], column[o] = Fraction(rows[i][j]), Fraction(-rows[o][j])
+                column[n + i], column[n + o] = _ONE, _MINUS_ONE
+                columns.append(column)
+    moves = len(columns)
+    columns += [[_MINUS_ONE if r == i else _ZERO for r in range(2 * n)] for i in range(n)]
+    columns.append([_ZERO] * (2 * n))
+    normalization = [_ONE] * moves + [_ZERO] * n + [_ONE]  # sum lambda + s = 1
+    c = [_ZERO] * moves + [_ONE] * n + [_ZERO]
+    a = [*zip(*columns), normalization]
+    res = solve_lp(LinearProgram(c=c, a=a, b=[_ZERO] * (2 * n) + [_ONE]))
+    if res.objective < 0:
+        raise InternalInvariantError("moving nothing is feasible, so the total gain is >= 0")
+    return res.objective == 0
+
+
 def check_fpo(inst: Instance, alloc: Allocation, mode: str = "balanced") -> FpoResult:
-    """Is the allocation fractionally Pareto optimal?
+    """Is the allocation fractionally Pareto optimal, and if not, which
+    fractional allocation dominates it?  The witness LP.
 
     Maximizes the total utility surplus over fractional allocations that
     give every agent at least their current utility.  The allocation is
     fPO exactly when the optimum is 0; otherwise the maximizer Pareto-
     dominates it and is returned.  ``mode="unconstrained"`` drops the
-    per-agent cardinality constraint (for reduction round trips).
+    per-agent cardinality constraint (for reduction round trips).  A
+    caller that reads only the verdict of a balanced allocation uses
+    :func:`fpo_holds`, whose LP is smaller.
     """
     if mode not in ("balanced", "unconstrained"):
         raise ValueError(f"unknown mode {mode!r}")

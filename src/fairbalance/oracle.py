@@ -108,8 +108,8 @@ def full_report(inst: Instance, max_states: int = 10 ** 4) -> EnumerationReport:
     """Flags for every balanced allocation: EF1, PO, fPO, welfare stats.
 
     PO is decided by pairwise dominance inside the enumeration; fPO by the
-    exact LP check.  The Nash product and the utilitarian sum are read off
-    each value vector.
+    verdict-only LP of :func:`lp.fpo_holds`.  The Nash product and the
+    utilitarian sum are read off each value vector.
     """
     allocations = list(enumerate_balanced(inst, max_states=max_states))
     value_vectors = [
@@ -126,7 +126,7 @@ def full_report(inst: Instance, max_states: int = 10 ** 4) -> EnumerationReport:
                 values=vec,
                 ef1=verify_mod.is_ef1(inst, alloc).holds,
                 po=not any(pareto_dominates(other, vec) for other in distinct),
-                fpo=lp_mod.check_fpo(inst, alloc).is_fpo,
+                fpo=lp_mod.fpo_holds(inst, alloc),
                 nash=prod(vec, start=Fraction(1)),
                 utilitarian=sum(vec, Fraction(0)),
             )

@@ -73,7 +73,7 @@ def test_allocation_is_in_the_oracle_set(case):
     if balanced_allocation_count(inst) <= 100:
         assert alloc in [r.allocation for r in full_report(inst).records if r.ef1 and r.fpo]
     else:
-        # full_report runs one LP per allocation, about a minute at 4 x 8;
+        # full_report runs one LP per allocation, about 20 s at 4 x 8;
         # the enumeration alone still shows no allocation dominates it
         assert is_po_bruteforce(inst, alloc).holds
 
