@@ -24,7 +24,7 @@ from .graph import Potentials, build_exchange_graph, compute_potentials, detect_
 from .lp import check_fpo, fpo_holds, verify_complementary_slackness
 from .matching import max_weight_perfect_matching
 from .oracle import enumerate_balanced, full_report, is_po_bruteforce
-from .solver import solve
+from .solver import class_certificate, solve
 from .twotypes import (
     compute_delta,
     critical_values,
@@ -46,6 +46,7 @@ __all__ = [
     "bundle_value",
     "certify_fpo",
     "check_fpo",
+    "class_certificate",
     "classify",
     "compute_delta",
     "compute_potentials",

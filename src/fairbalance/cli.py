@@ -39,7 +39,7 @@ from .core import (
 )
 # bench/test_bench.py checks that the tracer rebinds compute_potentials here
 from .graph import compute_potentials  # noqa: F401
-from .solver import solve
+from .solver import class_certificate, solve
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -324,6 +324,15 @@ def cmd_check(args) -> int:
         raise InputError("price EF1 needs non-empty bundles")
     if not (args.ef1 or args.fpo or args.po or args.pef1 is not None):
         raise InputError("no checks requested (use --ef1/--fpo/--po/--pef1)")
+    if args.pef1 is not None:  # read with the other inputs, before any check runs
+        data = load_json(args.pef1)
+        if not isinstance(data, dict) or not isinstance(data.get("prices"), list):
+            raise InputError("prices file must be a JSON object with a 'prices' list")
+        prices = [rational_from_json(v) for v in data["prices"]]
+        if len(prices) != inst.m:
+            raise InputError(f"need {inst.m} prices")
+        if any(v.numerator < 0 for v in prices):
+            raise InputError("prices must be nonnegative")
     all_hold = True
 
     if args.ef1:
@@ -331,8 +340,12 @@ def cmd_check(args) -> int:
         _print_verdict("ef1", v, args.quiet)
         all_hold &= v.holds
     if args.fpo:
-        res = lp_mod.check_fpo(inst, alloc, mode="unconstrained" if args.unconstrained else "balanced")
-        if res.is_fpo:
+        # weights of the instance's class may prove a balanced allocation fPO
+        # without an LP; otherwise the LP decides, and its vertex is the witness
+        certified = not args.unconstrained and class_certificate(inst, alloc) is not None
+        res = None if certified else lp_mod.check_fpo(
+            inst, alloc, mode="unconstrained" if args.unconstrained else "balanced")
+        if certified or res.is_fpo:
             if not args.quiet:
                 print("fpo: holds")
         else:
@@ -351,14 +364,6 @@ def cmd_check(args) -> int:
         _print_verdict("po", v, args.quiet)
         all_hold &= v.holds
     if args.pef1 is not None:
-        data = load_json(args.pef1)
-        if not isinstance(data, dict) or not isinstance(data.get("prices"), list):
-            raise InputError("prices file must be a JSON object with a 'prices' list")
-        prices = [rational_from_json(v) for v in data["prices"]]
-        if len(prices) != inst.m:
-            raise InputError(f"need {inst.m} prices")
-        if any(v.numerator < 0 for v in prices):
-            raise InputError("prices must be nonnegative")
         v = verify_mod.is_p_ef1(prices, alloc)
         _print_verdict("pef1", v, args.quiet)
         all_hold &= v.holds

@@ -249,7 +249,9 @@ def check_fpo(inst: Instance, alloc: Allocation, mode: str = "balanced") -> FpoR
     dominates it and is returned.  ``mode="unconstrained"`` drops the
     per-agent cardinality constraint (for reduction round trips).  A
     caller that reads only the verdict of a balanced allocation uses
-    :func:`fpo_holds`, whose LP is smaller.
+    :func:`fpo_holds`, whose LP is smaller, and ``check --fpo`` runs this
+    LP on a balanced allocation only when ``solver.class_certificate``
+    finds no weights of the instance's class that prove it fPO.
     """
     if mode not in ("balanced", "unconstrained"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -1,10 +1,23 @@
-"""One entry point over the solvers: classify, dispatch, return a Solution."""
+"""One entry point over the solvers (classify, dispatch, return a
+Solution) and one over the class certificates of a given allocation."""
 
 from __future__ import annotations
 
-from .bivalued import solve_bivalued
-from .core import Instance, MoreThanTwoTypes, Solution, classify, round_robin_by_preference
-from .twotypes import solve_two_types
+from fractions import Fraction
+from typing import Optional
+
+from .bivalued import certificate_alpha, solve_bivalued
+from .core import (
+    Allocation,
+    Instance,
+    MoreThanTwoTypes,
+    Solution,
+    classify,
+    round_robin_by_preference,
+    two_type_view,
+)
+from .twotypes import gamma_range, solve_two_types
+from .verify import certify_fpo
 
 
 def solve(inst: Instance, algorithm: str = "auto") -> Solution:
@@ -32,3 +45,39 @@ def solve(inst: Instance, algorithm: str = "auto") -> Solution:
     if algorithm == "round-robin":
         return Solution(round_robin_by_preference(inst), None, None, None)
     raise ValueError(f"unknown algorithm {algorithm!r}")
+
+
+def class_certificate(inst: Instance, alloc: Allocation) -> Optional[tuple]:
+    """Weights alpha of the instance's class at which the balanced
+    allocation maximizes the alpha-weighted welfare, which proves it fPO;
+    None when the class gives no such weights.
+
+    A bivalued instance (as :func:`classify` names it) takes alpha_i =
+    1/(a_i - b_i), one valuation row takes every weight 1, and two types
+    take 1 on type 1 and on type 2 the gamma of :func:`gamma_range`
+    nearest to 1; a general instance has no class weights.  The proof is
+    always :func:`certify_fpo` at the chosen weights (Bellman-Ford
+    potentials); the class only picks them.  On a bivalued instance and on
+    two agents of two types, None means the allocation is not fPO; with
+    more agents per type it may still be fPO at weights that differ
+    within a type, which only ``check_fpo``'s LP decides.
+    """
+    klass = classify(inst)
+    if klass == "bivalued":
+        alpha = certificate_alpha(inst)
+    elif klass == "two-types":
+        view = two_type_view(inst)
+        gamma = Fraction(1)
+        if view.n2:
+            bounds = gamma_range(view, alloc)
+            if bounds is None:
+                return None
+            lo, hi = bounds
+            if hi is not None:
+                gamma = min(gamma, hi)
+            if lo is not None:
+                gamma = max(gamma, lo)
+        alpha = tuple(gamma if i in view.members2 else Fraction(1) for i in inst.agents())
+    else:
+        return None
+    return alpha if certify_fpo(inst, alloc, alpha).holds else None

@@ -308,3 +308,37 @@ def reference_matching(weights: BipartiteWeights) -> MatchingResult:
     )
     check_certificate(weights, result)
     return result
+
+
+# --- seeded value rows by class, for checks over every balanced allocation ----
+
+def int_value(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(0, 4))
+
+
+def ratio_value(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(0, 6), rng.choice([1, 2, 3]))
+
+
+VALUES = {"int": int_value, "ratio": ratio_value}
+
+
+def bivalued_rows(rng, n, m, value):
+    rows = []
+    for _ in range(n):
+        low = high = value(rng)
+        while high == low:
+            high = value(rng)
+        rows.append([rng.choice((low, high)) for _ in range(m)])
+    return rows
+
+
+def two_type_rows(rng, n, m, value):
+    u1, u2 = [value(rng) for _ in range(m)], [value(rng) for _ in range(m)]
+    types = [u1, u2] + [rng.choice((u1, u2)) for _ in range(n - 2)]
+    rng.shuffle(types)
+    return types
+
+
+def general_rows(rng, n, m, value):
+    return [[value(rng) for _ in range(m)] for _ in range(n)]

@@ -461,11 +461,12 @@ class TestInternalErrorExit4:
         assert capsys.readouterr() == ("", "internal error: boom\n")
 
     def test_lp_fault(self, ref_path, monkeypatch, tmp_path, capsys):
-        # an infeasible package LP is a caller bug: x + y = 1 and x + y = 2
+        # an infeasible package LP is a caller bug: x + y = 1 and x + y = 2;
+        # the allocation is not fPO, so no class certificate skips the LP
         real = lp.solve_lp
         infeasible = lp.LinearProgram(c=(1, 1), a=((1, 1), (1, 1)), b=(1, 2))
         monkeypatch.setattr(lp, "solve_lp", lambda program: real(infeasible))
-        apath = write_json(tmp_path / "a.json", {"allocation": [[1, 3], [2, 4]]})
+        apath = write_json(tmp_path / "a.json", {"allocation": [[1, 4], [2, 3]]})
         assert main(["check", ref_path, apath, "--fpo"]) == 4
         assert capsys.readouterr() == ("", "internal error: infeasible constraint system\n")
 
@@ -575,6 +576,25 @@ class TestCheck:
         ppath = write_json(tmp_path / "p.json", {"prices": "4321"})
         assert main(["check", ref_path, apath, "--pef1", ppath]) == 2
         assert "'prices' list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prices, message", [
+        (None, "error: cannot read "),
+        ({"prices": [4, 3]}, "error: need 4 prices\n"),
+        ({"prices": [4, 3, "-1/2", 1]}, "error: prices must be nonnegative\n"),
+    ])
+    def test_bad_prices_file_exits_2_before_any_check(self, ref_path, tmp_path, capsys, monkeypatch,
+                                                      prices, message):
+        ran = []
+        for module, name in ((cli.verify_mod, "is_ef1"), (cli.verify_mod, "is_p_ef1"),
+                             (cli.oracle_mod, "is_po_bruteforce"), (cli, "class_certificate"),
+                             (lp, "check_fpo")):
+            monkeypatch.setattr(module, name, lambda *args, _name=name, **kwargs: ran.append(_name))
+        apath = write_json(tmp_path / "a.json", {"allocation": [[1, 3], [2, 4]]})
+        ppath = str(tmp_path / "missing.json") if prices is None else write_json(tmp_path / "p.json", prices)
+        argv = ["check", ref_path, apath, "--ef1", "--po", "--fpo", "--pef1", ppath]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, ran) == ("", []) and err.startswith(message)
 
     def test_no_checks_requested_is_input_error(self, ref_path, tmp_path):
         apath = write_json(tmp_path / "a.json", {"allocation": [[1, 3], [2, 4]]})

@@ -19,42 +19,10 @@ from fairbalance.cli import main
 from fairbalance.core import make_instance
 from fairbalance.oracle import enumerate_balanced, full_report
 
-from conftest import REF_VALUES, alloc
+from conftest import REF_VALUES, VALUES, alloc, bivalued_rows, general_rows, two_type_rows
 
 SHAPES = [(2, 2), (2, 4), (2, 6), (3, 3), (3, 6)]
-
-
-def int_value(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(0, 4))
-
-
-def ratio_value(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(0, 6), rng.choice([1, 2, 3]))
-
-
-def bivalued_rows(rng, n, m, value):
-    rows = []
-    for _ in range(n):
-        low = high = value(rng)
-        while high == low:
-            high = value(rng)
-        rows.append([rng.choice((low, high)) for _ in range(m)])
-    return rows
-
-
-def two_type_rows(rng, n, m, value):
-    u1, u2 = [value(rng) for _ in range(m)], [value(rng) for _ in range(m)]
-    types = [u1, u2] + [rng.choice((u1, u2)) for _ in range(n - 2)]
-    rng.shuffle(types)
-    return types
-
-
-def general_rows(rng, n, m, value):
-    return [[value(rng) for _ in range(m)] for _ in range(n)]
-
-
 CLASSES = {"bivalued": bivalued_rows, "two-types": two_type_rows, "general": general_rows}
-VALUES = {"int": int_value, "ratio": ratio_value}
 
 
 def assert_agree(inst):
