@@ -1,9 +1,11 @@
 """Exact simplex over rationals, the two fPO LPs built on it, and the
 complementary-slackness check of a dual certificate.
 
-The fPO LPs serve two kinds of caller.  ``fpo_holds`` returns the verdict
-alone, from the small LP over the moves away from the allocation (2n + 1
-rows); the enumeration report and an uncertified solve read only that.
+The fPO deciders serve two kinds of caller.  ``fpo_holds`` returns the
+verdict alone; the enumeration report and an uncertified solve read only
+that.  It needs no LP for one or two agents (two agents: the closed range
+of weight ratios of ``core.gamma_range``) and from three agents solves the
+small LP over the moves away from the allocation (2n + 1 rows).
 ``check_fpo`` solves the full LP over fractional allocations (2n + m rows
 when balanced) and returns a dominating allocation as the witness that
 ``check --fpo`` prints.
@@ -27,6 +29,8 @@ from .core import (
     as_rational,
     bundle_value,
     check_allocation,
+    gamma_range,
+    two_type_view,
 )
 from .graph import Potentials, scaled_alpha
 
@@ -203,15 +207,26 @@ def fpo_holds(inst: Instance, alloc: Allocation) -> bool:
     of goods from their owners: lambda_ij >= 0 of good j to each non-owner
     i, with every agent receiving as much as it gives.  The allocation is
     fPO exactly when no such move gains for some agent and loses for none.
-    The LP maximizes the total gain sum z over moves with gain_i = z_i >= 0
-    and sum lambda <= 1, so its optimum is 0 exactly when the allocation is
-    fPO.  Its 2n + 1 rows and (n - 1)m + n + 1 columns make it smaller than
-    :func:`check_fpo`'s, which also returns a dominating allocation.
+
+    One agent can move nothing.  Two agents can only swap, part of a good
+    of agent 1 against as much of a good of agent 2, and by Stiemke's
+    lemma no mix of swaps gains for one and loses for none exactly when
+    some gamma > 0 lets no swap gain at weights (1, gamma): the
+    allocation is fPO when the two rows are equal or
+    :func:`~fairbalance.core.gamma_range` is not None, and no LP is run.
+    From three agents the LP maximizes the total gain sum z over moves
+    with gain_i = z_i >= 0 and sum lambda <= 1, so its optimum is 0
+    exactly when the allocation is fPO.  Its 2n + 1 rows and (n - 1)m +
+    n + 1 columns make it smaller than :func:`check_fpo`'s, which also
+    returns a dominating allocation.
     """
     check_allocation(inst, alloc, balanced=True)
     n, rows = inst.n, inst.rows
     if n == 1:  # one agent owns every good, so nothing can be moved
         return True
+    if n == 2:  # a second type is agent 2 alone: type 1 is agent 1's row
+        view = two_type_view(inst)
+        return view.n2 == 0 or gamma_range(view, alloc) is not None
     # each column's entries in the n gain rows (gain_i - z_i = 0) and the n
     # count rows (received - given = 0): lambda_ij by good, then by
     # non-owner i; then z_i; then s, which is zero in all of them.  Entries

@@ -4,6 +4,8 @@ Enumeration is exhaustive and exact, so anything here is usable as an
 independent oracle for the polynomial-time solvers, at the price of only
 working on desk-scale instances: the balanced-allocation enumeration,
 Pareto dominance, the guarded brute-force PO check and the flag report.
+The report's fPO flag is :func:`lp.fpo_holds`' verdict, which runs no LP
+on one or two agents and the transfer-cone LP from three.
 """
 
 from __future__ import annotations
@@ -107,9 +109,11 @@ class EnumerationReport:
 def full_report(inst: Instance, max_states: int = 10 ** 4) -> EnumerationReport:
     """Flags for every balanced allocation: EF1, PO, fPO, welfare stats.
 
-    PO is decided by pairwise dominance inside the enumeration; fPO by the
-    verdict-only LP of :func:`lp.fpo_holds`.  The Nash product and the
-    utilitarian sum are read off each value vector.
+    PO is decided by pairwise dominance inside the enumeration; fPO by
+    :func:`lp.fpo_holds`, the range of weight ratios of
+    :func:`core.gamma_range` on two agents and the verdict-only LP on
+    three or more.  The Nash product and the utilitarian sum are read off
+    each value vector.
     """
     allocations = list(enumerate_balanced(inst, max_states=max_states))
     value_vectors = [

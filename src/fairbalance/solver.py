@@ -13,10 +13,11 @@ from .core import (
     MoreThanTwoTypes,
     Solution,
     classify,
+    gamma_range,
     round_robin_by_preference,
     two_type_view,
 )
-from .twotypes import gamma_range, solve_two_types
+from .twotypes import solve_two_types
 from .verify import certify_fpo
 
 

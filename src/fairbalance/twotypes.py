@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import verify as verify_mod
 from .core import (
@@ -170,43 +170,6 @@ def _split_runs(a1: Sequence, a2: Sequence, delta: Fraction, size: int):
         if not best2:
             return
         gamma = Fraction(best1, best2)
-
-
-def gamma_range(view: TwoType, alloc: Allocation) -> Optional[tuple]:
-    """The type-2 weights gamma > 0 at which a balanced allocation
-    maximizes the welfare weighted 1 on type 1 and gamma on type 2, as
-    ``(lo, hi)``: every gamma with lo <= gamma <= hi, where lo None is no
-    bound but gamma > 0 and hi None is no upper bound.  None when no gamma
-    > 0 will do.
-
-    That welfare depends only on how much of each good each type gets.
-    So with S the goods the type-1 agents hold and T the rest, the
-    allocation maximizes it exactly when a1_j - a1_j' >= gamma (a2_j -
-    a2_j') for every j in S and j' in T: one pass over those pairs on the
-    int rows.  A pair with a2_j = a2_j' needs a1_j >= a1_j'.
-    """
-    a1, a2 = view.row1, view.row2
-    s = frozenset().union(*(alloc.bundle(i) for i in view.members1))
-    t_rows = [(a1[j], a2[j]) for j in range(len(a1)) if j + 1 not in s]
-    lo1, lo2 = 0, 1  # the greatest lower bound so far as lo1/lo2; 0/1 is none yet
-    hi1, hi2 = 1, 0  # the least upper bound so far as hi1/hi2; 1/0 is none yet
-    for j in s:
-        x1, x2 = a1[j - 1], a2[j - 1]
-        for y1, y2 in t_rows:
-            d1, d2 = x1 - y1, x2 - y2
-            if d2 > 0:  # gamma <= d1/d2
-                if d1 <= 0:
-                    return None
-                if d1 * hi2 < hi1 * d2:
-                    hi1, hi2 = d1, d2
-            elif d2 < 0:  # gamma >= d1/d2, a bound only when d1 < 0 too
-                if d1 < 0 and d1 * lo2 < lo1 * d2:
-                    lo1, lo2 = -d1, -d2
-            elif d1 < 0:
-                return None
-    if lo1 * hi2 > hi1 * lo2:
-        return None
-    return (Fraction(lo1, lo2) if lo1 else None), (Fraction(hi1, hi2) if hi2 else None)
 
 
 def round_robin_by_price(goods, prices: Sequence, agents: int, k: int) -> tuple:

@@ -4,7 +4,7 @@
 weights of its instance's class, always through ``certify_fpo``.  On every
 balanced allocation of the seeded instances below, a certificate must
 imply ``check_fpo``'s verdict; on bivalued instances and on two agents of
-two types the two must agree.  ``twotypes.gamma_range`` is checked
+two types the two must agree.  ``core.gamma_range`` is checked
 against a direct scan of the weighted scores at every ratio where the
 range can end.  ``check --fpo`` runs the LP only when no certificate is
 found, and ``--unconstrained`` never asks for one.
@@ -18,10 +18,9 @@ import pytest
 
 from fairbalance import cli, lp
 from fairbalance.cli import main
-from fairbalance.core import classify, make_instance, two_type_view
+from fairbalance.core import classify, gamma_range, make_instance, two_type_view
 from fairbalance.oracle import enumerate_balanced
 from fairbalance.solver import class_certificate
-from fairbalance.twotypes import gamma_range
 
 from conftest import REF_VALUES, VALUES, alloc, bivalued_rows, general_rows, two_type_rows
 
