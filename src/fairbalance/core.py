@@ -268,6 +268,13 @@ class TwoType:
         """Type 2's values as Fractions, built on first read."""
         return tuple(Fraction(v, self.scale) for v in self.row2)
 
+    def weights(self, gamma: Fraction) -> tuple:
+        """Agent weights: 1 on each type-1 agent, gamma on each type-2 agent."""
+        alpha = [Fraction(1)] * (self.n1 + self.n2)
+        for i in self.members2:
+            alpha[i - 1] = gamma
+        return tuple(alpha)
+
 
 def two_type_view(inst: Instance) -> TwoType:
     """The instance read as at most two types; MoreThanTwoTypes otherwise."""
@@ -280,17 +287,20 @@ def two_type_view(inst: Instance) -> TwoType:
 
 def gamma_range(view: TwoType, alloc: Allocation) -> Optional[tuple]:
     """The type-2 weights gamma > 0 at which a balanced allocation
-    maximizes the welfare weighted 1 on type 1 and gamma on type 2, as
-    ``(lo, hi)``: every gamma with lo <= gamma <= hi, where lo None is no
-    bound but gamma > 0 and hi None is no upper bound.  None when no gamma
-    > 0 will do.
+    maximizes the welfare weighted by :meth:`TwoType.weights`, as ``(lo,
+    hi)``: every gamma with lo <= gamma <= hi, where lo None is no bound
+    but gamma > 0 and hi None is no upper bound (one type fits every
+    gamma).  None when no gamma > 0 will do.
 
     That welfare depends only on how much of each good each type gets.
     So with S the goods the type-1 agents hold and T the rest, the
     allocation maximizes it exactly when a1_j - a1_j' >= gamma (a2_j -
     a2_j') for every j in S and j' in T: one pass over those pairs on the
-    int rows.  A pair with a2_j = a2_j' needs a1_j >= a1_j'.
+    int rows.  A pair with a2_j = a2_j' needs a1_j >= a1_j'.  The
+    two-type solver's walk ends each run of equal splits at ``hi``.
     """
+    if view.n2 == 0:
+        return None, None
     a1, a2 = view.row1, view.row2
     s = frozenset().union(*(alloc.bundle(i) for i in view.members1))
     t_rows = [(a1[j], a2[j]) for j in range(len(a1)) if j + 1 not in s]

@@ -212,8 +212,9 @@ def fpo_holds(inst: Instance, alloc: Allocation) -> bool:
     of agent 1 against as much of a good of agent 2, and by Stiemke's
     lemma no mix of swaps gains for one and loses for none exactly when
     some gamma > 0 lets no swap gain at weights (1, gamma): the
-    allocation is fPO when the two rows are equal or
-    :func:`~fairbalance.core.gamma_range` is not None, and no LP is run.
+    allocation is fPO when :func:`~fairbalance.core.gamma_range` is not
+    None (two equal rows are one type, which every weight fits), and no
+    LP is run.
     From three agents the LP maximizes the total gain sum z over moves
     with gain_i = z_i >= 0 and sum lambda <= 1, so its optimum is 0
     exactly when the allocation is fPO.  Its 2n + 1 rows and (n - 1)m +
@@ -224,9 +225,8 @@ def fpo_holds(inst: Instance, alloc: Allocation) -> bool:
     n, rows = inst.n, inst.rows
     if n == 1:  # one agent owns every good, so nothing can be moved
         return True
-    if n == 2:  # a second type is agent 2 alone: type 1 is agent 1's row
-        view = two_type_view(inst)
-        return view.n2 == 0 or gamma_range(view, alloc) is not None
+    if n == 2:  # two agents are at most two types; equal rows fit every weight
+        return gamma_range(two_type_view(inst), alloc) is not None
     # each column's entries in the n gain rows (gain_i - z_i = 0) and the n
     # count rows (received - given = 0): lambda_ij by good, then by
     # non-owner i; then z_i; then s, which is zero in all of them.  Entries

@@ -21,7 +21,6 @@ from .core import (
     Allocation,
     Instance,
     TooLargeError,
-    bundle_value,
     check_allocation,
     make_allocation,
 )
@@ -66,6 +65,11 @@ def _balanced_in_order(n: int, k: int) -> Iterator[Allocation]:
         assignment[i + 1:] = reversed(assignment[i + 1:])
 
 
+def _int_values(inst: Instance, alloc: Allocation) -> tuple:
+    """Each agent's value for its bundle, as an int over ``inst.scale``."""
+    return tuple(sum(row[j - 1] for j in bundle) for row, bundle in zip(inst.rows, alloc.bundles))
+
+
 def pareto_dominates(theirs, mine) -> bool:
     """Does value vector ``theirs`` Pareto-dominate ``mine``: at least as
     good for every agent and strictly better for one?"""
@@ -80,13 +84,14 @@ def is_po_bruteforce(inst: Instance, alloc: Allocation, max_states: int = 10 ** 
     (from the enumeration).
     """
     check_allocation(inst, alloc, balanced=True)
-    mine = [bundle_value(inst, i, alloc.bundle(i)) for i in inst.agents()]
+    mine = _int_values(inst, alloc)
     for cand in enumerate_balanced(inst, max_states=max_states):
-        theirs = [bundle_value(inst, i, cand.bundle(i)) for i in inst.agents()]
+        theirs = _int_values(inst, cand)
         if pareto_dominates(theirs, mine):
             dominated_by = tuple(sorted(sorted(b) for b in cand.bundles))
-            return verify_mod.Verdict(False, {"dominated_by": dominated_by, "values": tuple(mine),
-                                              "dominating_values": tuple(theirs)})
+            values = [tuple(Fraction(v, inst.scale) for v in vec) for vec in (mine, theirs)]
+            return verify_mod.Verdict(False, {"dominated_by": dominated_by, "values": values[0],
+                                              "dominating_values": values[1]})
     return verify_mod.Verdict(holds=True)
 
 
@@ -109,17 +114,15 @@ class EnumerationReport:
 def full_report(inst: Instance, max_states: int = 10 ** 4) -> EnumerationReport:
     """Flags for every balanced allocation: EF1, PO, fPO, welfare stats.
 
-    PO is decided by pairwise dominance inside the enumeration; fPO by
+    PO is decided by pairwise dominance inside the enumeration, on the
+    value vectors as ints over ``inst.scale``; fPO by
     :func:`lp.fpo_holds`, the range of weight ratios of
     :func:`core.gamma_range` on two agents and the verdict-only LP on
-    three or more.  The Nash product and the utilitarian sum are read off
-    each value vector.
+    three or more.  The values, the Nash product and the utilitarian sum
+    are read off each int vector.
     """
     allocations = list(enumerate_balanced(inst, max_states=max_states))
-    value_vectors = [
-        tuple(bundle_value(inst, i, a.bundle(i)) for i in inst.agents())
-        for a in allocations
-    ]
+    value_vectors = [_int_values(inst, a) for a in allocations]
     distinct = set(value_vectors)
 
     records = []
@@ -127,12 +130,12 @@ def full_report(inst: Instance, max_states: int = 10 ** 4) -> EnumerationReport:
         records.append(
             AllocationRecord(
                 allocation=alloc,
-                values=vec,
+                values=tuple(Fraction(v, inst.scale) for v in vec),
                 ef1=verify_mod.is_ef1(inst, alloc).holds,
                 po=not any(pareto_dominates(other, vec) for other in distinct),
                 fpo=lp_mod.fpo_holds(inst, alloc),
-                nash=prod(vec, start=Fraction(1)),
-                utilitarian=sum(vec, Fraction(0)),
+                nash=Fraction(prod(vec), inst.scale ** inst.n),
+                utilitarian=Fraction(sum(vec), inst.scale),
             )
         )
     return EnumerationReport(records=tuple(records))

@@ -54,10 +54,11 @@ def class_certificate(inst: Instance, alloc: Allocation) -> Optional[tuple]:
     None when the class gives no such weights.
 
     A bivalued instance (as :func:`classify` names it) takes alpha_i =
-    1/(a_i - b_i), one valuation row takes every weight 1, and two types
-    take 1 on type 1 and on type 2 the gamma of :func:`gamma_range`
-    nearest to 1; a general instance has no class weights.  The proof is
-    always :func:`certify_fpo` at the chosen weights (Bellman-Ford
+    1/(a_i - b_i), and one or two valuation rows take
+    :meth:`~fairbalance.core.TwoType.weights` at the gamma of
+    :func:`gamma_range` nearest to 1 (every weight 1 on one row, which
+    every gamma fits); a general instance has no class weights.  The proof
+    is always :func:`certify_fpo` at the chosen weights (Bellman-Ford
     potentials); the class only picks them.  On a bivalued instance and on
     two agents of two types, None means the allocation is not fPO; with
     more agents per type it may still be fPO at weights that differ
@@ -68,17 +69,16 @@ def class_certificate(inst: Instance, alloc: Allocation) -> Optional[tuple]:
         alpha = certificate_alpha(inst)
     elif klass == "two-types":
         view = two_type_view(inst)
+        bounds = gamma_range(view, alloc)
+        if bounds is None:
+            return None
+        lo, hi = bounds
         gamma = Fraction(1)
-        if view.n2:
-            bounds = gamma_range(view, alloc)
-            if bounds is None:
-                return None
-            lo, hi = bounds
-            if hi is not None:
-                gamma = min(gamma, hi)
-            if lo is not None:
-                gamma = max(gamma, lo)
-        alpha = tuple(gamma if i in view.members2 else Fraction(1) for i in inst.agents())
+        if hi is not None:
+            gamma = min(gamma, hi)
+        if lo is not None:
+            gamma = max(gamma, lo)
+        alpha = view.weights(gamma)
     else:
         return None
     return alpha if certify_fpo(inst, alloc, alpha).holds else None

@@ -7,12 +7,14 @@ descending order of that type's values.  Owned goods are tight and agents
 of one type share a potential, so dual prices order each type's goods
 exactly as its values do: the value deal is the price deal at every gamma
 of the interval.  The solver walks gamma upward from delta over the points
-where the split changes, found on the int value rows one at a time, never
-listing every critical ratio (:func:`critical_values` builds that grid for
-inspection).  It returns the first split whose deal is EF1; when there is
-none, it walks good swaps at a gamma where the split changes and price
-condition (a) holds on the left and (b) on the right.  Every deal maximizes
-the gamma-weighted welfare, so it is fPO.
+where the split changes, never listing every critical ratio
+(:func:`critical_values` builds that grid for inspection): a run of equal
+splits ends at the upper end of its deal's ``core.gamma_range``, and
+``TwoType.weights`` builds every certificate's weights.  It returns the
+first split whose deal is EF1; when there is none, it walks good swaps at
+a gamma where the split changes and price condition (a) holds on the left
+and (b) on the right.  Every deal maximizes the gamma-weighted welfare, so
+it is fPO.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .core import (
     Solution,
     TwoType,
     as_rational,
+    gamma_range,
     integer_rows,
     make_allocation,
     two_type_view,
@@ -139,37 +142,29 @@ def optimal_split(u1: Sequence, u2: Sequence, gamma: Fraction, n1: int, k: int) 
     return Split(s=frozenset(order[: k * n1]), t=frozenset(order[k * n1:]))
 
 
-def _split_runs(a1: Sequence, a2: Sequence, delta: Fraction, size: int):
-    """Yield each optimal split as gamma rises from delta to 1/delta, with
-    the gamma where its run starts: the split of :func:`optimal_split` on
-    every grid interval, without building the grid.
+def _split_runs(inst: Instance, view: TwoType, delta: Fraction):
+    """Yield each run of equal optimal splits as gamma rises from delta,
+    as ``(split, its deal, gamma where the run starts)``: the split of
+    :func:`optimal_split` on every grid interval, without building the grid.
 
-    ``a1`` and ``a2`` are the two rows as ints over one scale.  Just above
-    a gamma, goods tied at it rank by ascending a2, so sorting by the
-    score there, then a2, then index gives the next run's split.  That
-    split holds until a good j in S falls below a good j' in T, at the
-    least (a1j - a1j')/(a2j - a2j') over pairs with both differences
-    positive; with nonnegative values every such ratio lies inside
-    (delta, 1/delta).
+    Just above a gamma, goods tied at it rank by ascending a2, so sorting
+    the int rows by the score there, then a2, then index gives the split
+    of the run that starts there.  Its deal's ``gamma_range`` is (that
+    gamma, the next change), with no lower end on the first run and no
+    upper end on the last, so the walk ends each run at the upper end.
     """
-    goods = range(1, len(a1) + 1)
-    gamma = delta
-    while True:
-        num, den = gamma.numerator, gamma.denominator
-        order = sorted(goods, key=lambda j: (num * a2[j - 1] - den * a1[j - 1], a2[j - 1], j))
-        s, t = order[:size], order[size:]
-        yield Split(s=frozenset(s), t=frozenset(t)), gamma
-        t_rows = [(a1[j - 1], a2[j - 1]) for j in t]
-        best1, best2 = 1, 0  # the least ratio so far as best1/best2; 1/0 is none yet
-        for j in s:
-            x1, x2 = a1[j - 1], a2[j - 1]
-            for y1, y2 in t_rows:
-                d1, d2 = x1 - y1, x2 - y2
-                if d1 > 0 and d2 > 0 and d1 * best2 < best1 * d2:
-                    best1, best2 = d1, d2
-        if not best2:
-            return
-        gamma = Fraction(best1, best2)
+    a1, a2, size = view.row1, view.row2, view.n1 * inst.k
+    start = delta
+    while start is not None:
+        num, den = start.numerator, start.denominator
+        order = sorted(inst.goods(), key=lambda j: (num * a2[j - 1] - den * a1[j - 1], a2[j - 1], j))
+        split = Split(s=frozenset(order[:size]), t=frozenset(order[size:]))
+        deal = _deal(inst, view, split)
+        yield split, deal, start
+        bounds = gamma_range(view, deal)
+        if bounds is None:
+            raise InternalInvariantError(f"the split walked at gamma {start} is optimal at no gamma")
+        start = bounds[1]
 
 
 def round_robin_by_price(goods, prices: Sequence, agents: int, k: int) -> tuple:
@@ -210,13 +205,6 @@ def conditions_ab(view: TwoType, alloc: Allocation, p: Sequence) -> tuple:
 
 # --- solver internals ---------------------------------------------------------
 
-def _alpha_for(view: TwoType, n: int, gamma: Fraction) -> tuple:
-    alpha = [Fraction(1)] * n
-    for i in view.members2:
-        alpha[i - 1] = gamma
-    return tuple(alpha)
-
-
 def _interval_split(inst: Instance, view: TwoType, grid: GammaGrid, ell: int) -> Split:
     """The optimal split on interval ell (taken at its midpoint)."""
     lo, hi = grid.interval(ell)
@@ -239,7 +227,7 @@ def _certify_deal(inst: Instance, view: TwoType, alloc: Allocation, gamma: Fract
     """A dealt allocation with its certificate at weight ratio gamma: the
     weights (1 per type-1 agent, gamma per type-2 agent) and their
     Bellman-Ford potentials."""
-    alpha = _alpha_for(view, inst.n, gamma)
+    alpha = view.weights(gamma)
     return Solution(alloc, alpha, gamma, compute_potentials(inst, alloc, alpha))
 
 
@@ -354,9 +342,8 @@ def solve_two_types(inst: Instance) -> Solution:
 
     if view.n2 == 0:
         return _trivial_solution(inst, view)
-    a1, a2 = view.row1, view.row2
     try:
-        delta = _delta(view.scale, (a1, a2))
+        delta = _delta(view.scale, (view.row1, view.row2))
     except AllValuesEqual:
         return _trivial_solution(inst, view)
 
@@ -366,13 +353,13 @@ def solve_two_types(inst: Instance) -> Solution:
     # EF1 one needs duals (at its run's lower end, where both adjacent
     # splits are optimal and give the same shortest-path potentials).
     runs = []  # (split, its deal, gamma where the run starts), one per change of split
-    for split, lo in _split_runs(a1, a2, delta, view.n1 * inst.k):
-        alloc = _deal(inst, view, split)
+    for run in _split_runs(inst, view, delta):
+        _, alloc, lo = run
         if verify_mod.is_ef1(inst, alloc).holds:
             sol = _certify_deal(inst, view, alloc, lo)
             conditions_ab(view, alloc, sol.potentials.ps)  # raises if both fail
             return sol
-        runs.append((split, alloc, lo))
+        runs.append(run)
 
     # No split deals an EF1 allocation, so case 1 cannot occur: where (a)
     # holds at an interval's lower end and (b) at its upper end, the paper's

@@ -185,6 +185,14 @@ def test_gamma_range_ends():
     assert gamma_range(view, alloc({1, 2}, {3, 4})) == (Fraction(1), Fraction(1))
 
 
+def test_gamma_range_fits_every_weight_on_one_type():
+    # one row: every allocation maximizes every weighting of it
+    view = two_type_view(make_instance(2, 4, [[4, 3, 1, 0], [4, 3, 1, 0]]))
+    assert view.n2 == 0
+    assert gamma_range(view, alloc({1, 2}, {3, 4})) == (None, None)
+    assert gamma_range(view, alloc({3, 4}, {1, 2})) == (None, None)
+
+
 # --- which decider check --fpo runs ---------------------------------------------
 
 @pytest.fixture

@@ -4,18 +4,21 @@ The reference below is the grid scan: every critical ratio from
 `critical_values`, `optimal_split` at each interval's midpoint, one run
 per change of split, the first EF1 deal's run start as gamma, and the
 exchange fallback over the runs.  The walk must give the same runs and the
-same `Solution`, field by field.
+same `Solution`, field by field.  It ends each run at the upper end of
+its deal's `core.gamma_range`, so on every instance of three small boxes
+the runs' ranges must tile the weights from 0 up, end to end.
 """
 
 import json
 import pathlib
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from fairbalance import core, graph, solve, twotypes
-from fairbalance.core import Solution, make_instance, two_type_view
+from fairbalance.core import InternalInvariantError, Solution, gamma_range, make_instance, two_type_view
 from fairbalance.lp import verify_complementary_slackness
 from fairbalance.twotypes import (
     AllValuesEqual,
@@ -79,9 +82,17 @@ def scan_solve(inst):
     raise AssertionError("the reference scan found no EF1 allocation")
 
 
+def walk(inst, view):
+    """The solver's walk: (split, its deal, gamma where its run starts) per run."""
+    return _split_runs(inst, view, compute_delta(view.u1, view.u2))
+
+
 def walk_runs(inst, view):
-    a1, a2 = inst.rows[view.members1[0] - 1], inst.rows[view.members2[0] - 1]
-    return list(_split_runs(a1, a2, compute_delta(view.u1, view.u2), view.n1 * inst.k))
+    """(split, gamma where its run starts) per run of the solver's walk;
+    each run's deal is the split's value deal."""
+    runs = list(walk(inst, view))
+    assert all(deal == _deal(inst, view, split) for split, deal, _ in runs)
+    return [(split, start) for split, _, start in runs]
 
 
 def random_rows(rng, m):
@@ -198,3 +209,63 @@ def test_walk_matches_scan_at_scale():
         assert sol == scan_solve(inst)
         assert is_ef1(inst, sol.allocation).holds
         assert verify_complementary_slackness(inst, sol.allocation, sol.potentials, sol.alpha)
+
+
+def box_instances():
+    """Every two-type instance the walk runs on in three boxes, once per
+    multiset of goods (value columns) and every n1: 2x4 with values 0-2,
+    and 3x6 and 4x8 with values 0-1.  Equal rows (one type) and two
+    constant rows (no walk) are left out."""
+    for n, m, top in ((2, 4, 2), (3, 6, 1), (4, 8, 1)):
+        for goods in combinations_with_replacement(list(product(range(top + 1), repeat=2)), m):
+            u1, u2 = [g[0] for g in goods], [g[1] for g in goods]
+            if u1 == u2 or (len(set(u1)) == 1 and len(set(u2)) == 1):
+                continue
+            for n1 in range(1, n):
+                yield make_instance(n, m, [u1] * n1 + [u2] * (n - n1))
+
+
+BOX = list(box_instances())
+
+
+def test_walk_matches_scan_on_every_box_instance():
+    assert len(BOX) == 1086
+    for inst in BOX:
+        view = two_type_view(inst)
+        assert walk_runs(inst, view) == list(scan_runs(inst, view))
+
+
+def test_run_ranges_tile_the_weights_on_every_box_instance():
+    # run i fits exactly the gammas from its start (none below the first
+    # run's) to the next run's start (none above the last run's)
+    for inst in BOX:
+        view = two_type_view(inst)
+        runs = list(walk(inst, view))
+        starts = [start for _, _, start in runs]
+        lows = [None] + starts[1:]
+        highs = starts[1:] + [None]
+        assert [gamma_range(view, deal) for _, deal, _ in runs] == list(zip(lows, highs))
+
+
+def test_walk_reads_gamma_range_once_per_run_it_leaves(monkeypatch):
+    read = []
+    real = twotypes.gamma_range
+    monkeypatch.setattr(twotypes, "gamma_range", lambda view, deal: read.append(deal) or real(view, deal))
+    for inst in BOX:
+        view = two_type_view(inst)
+        read.clear()
+        runs = walk(inst, view)
+        first = next(runs)
+        assert read == []  # a solve whose first deal is EF1 reads no range
+        runs = [first, *runs]
+        assert read == [deal for _, deal, _ in runs]
+
+
+def test_walk_refuses_a_split_that_fits_no_weight(monkeypatch):
+    inst = BOX[0]
+    view = two_type_view(inst)
+    monkeypatch.setattr(twotypes, "gamma_range", lambda view, deal: None)
+    runs = walk(inst, view)
+    next(runs)
+    with pytest.raises(InternalInvariantError):
+        next(runs)

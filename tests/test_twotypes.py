@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairbalance import twotypes
+from fairbalance import core, twotypes
 from fairbalance.core import (
     InternalInvariantError,
     MoreThanTwoTypes,
@@ -707,8 +707,8 @@ class TestCaseDrivers:
     def test_each_certificate_builds_alpha_once(self, rows, monkeypatch):
         # every path certifies through _certify_deal, and only it builds alpha
         alphas, certified = [], []
-        real_alpha, real_certify = twotypes._alpha_for, twotypes._certify_deal
-        monkeypatch.setattr(twotypes, "_alpha_for", lambda *args: alphas.append(args) or real_alpha(*args))
+        real_alpha, real_certify = core.TwoType.weights, twotypes._certify_deal
+        monkeypatch.setattr(core.TwoType, "weights", lambda *args: alphas.append(args) or real_alpha(*args))
         monkeypatch.setattr(twotypes, "_certify_deal", lambda *args: certified.append(args) or real_certify(*args))
         sol = solve_two_types(make_instance(len(rows), len(rows[0]), rows))
         assert len(alphas) == len(certified) >= 1
