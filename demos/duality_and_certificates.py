@@ -14,10 +14,9 @@ from fractions import Fraction
 
 from fairbalance import (
     build_exchange_graph,
-    bundle_value,
     compute_potentials,
     detect_negative_cycle,
-    enumerate_balanced,
+    full_report,
     make_allocation,
     make_instance,
     verify_complementary_slackness,
@@ -28,15 +27,12 @@ inst = make_instance(2, 4, [[10, 10, 21, 22], [0, 1, 6, 8]])
 alpha = (Fraction(1), Fraction(1))
 
 
-def welfare(allocation):
-    return sum(bundle_value(inst, i, allocation.bundle(i)) for i in inst.agents())
-
-
 print("maximizing total value over balanced allocations:")
-allocations = list(enumerate_balanced(inst))
-best = max(allocations, key=welfare)
-print(f"  optimum {welfare(best)} at {[sorted(b) for b in best.bundles]}"
-      f" (the best of all {len(allocations)} balanced allocations)")
+records = full_report(inst).records
+best_record = max(records, key=lambda r: r.utilitarian)
+best = best_record.allocation
+print(f"  optimum {best_record.utilitarian} at {[sorted(b) for b in best.bundles]}"
+      f" (the best of all {len(records)} balanced allocations)")
 
 print("\nshortest-path potentials at the optimum:")
 pot = compute_potentials(inst, best, alpha)

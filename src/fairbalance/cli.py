@@ -377,18 +377,31 @@ def cmd_enumerate(args) -> int:
     _check_max_states(args)
     inst = parse_instance(load_json(args.input))
     report = oracle_mod.full_report(inst, max_states=args.max_states)
+    # each record's values are ints over the scale: print the reduced
+    # pairs (v, scale), (sum, scale) and (product, scale ** n)
+    scale = inst.scale
+    nash_scale = scale ** inst.n
+    rows = [
+        (
+            r,
+            [_pair_to_json(v, scale) for v in r.scaled_values],
+            _pair_to_json(math.prod(r.scaled_values), nash_scale),
+            _pair_to_json(sum(r.scaled_values), scale),
+        )
+        for r in report.records
+    ]
     if args.format == "json":
         payload = [
             {
                 "allocation": allocation_to_json(r.allocation),
-                "values": [rational_to_json(v) for v in r.values],
+                "values": values,
                 "ef1": r.ef1,
                 "po": r.po,
                 "fpo": r.fpo,
-                "nash": rational_to_json(r.nash),
-                "utilitarian": rational_to_json(r.utilitarian),
+                "nash": nash,
+                "utilitarian": utilitarian,
             }
-            for r in report.records
+            for r, values, nash, utilitarian in rows
         ]
         dump_json(payload, args.output)
     else:
@@ -398,13 +411,13 @@ def cmd_enumerate(args) -> int:
             "ef1", "po", "fpo", "nash", "utilitarian",
         ]
         writer.writerow(header)
-        for r in report.records:
+        for r, values, nash, utilitarian in rows:
             bundles = "|".join(" ".join(str(j) for j in sorted(b)) for b in r.allocation.bundles)
             writer.writerow(
                 [bundles]
-                + [rational_to_json(v) for v in r.values]
+                + values
                 + [int(r.ef1), int(r.po), int(r.fpo)]
-                + [rational_to_json(r.nash), rational_to_json(r.utilitarian)]
+                + [nash, utilitarian]
             )
         _write_text(buf.getvalue(), args.output)
     return EXIT_OK

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 if TYPE_CHECKING:
@@ -143,6 +143,15 @@ class Instance:
                 pairs[i - 1] = pair
         return tuple(pairs)
 
+    @cached_property
+    def _two_type(self) -> TwoType:
+        """:func:`two_type_view`, built on first read."""
+        rows = self.types
+        if len(rows) > 2:
+            raise MoreThanTwoTypes(f"{len(rows)} distinct valuation rows")
+        (row1, members1), (row2, members2) = rows if len(rows) == 2 else (rows[0], ((), ()))
+        return TwoType(self.scale, row1, row2, members1, members2)
+
     def agents(self) -> range:
         return range(1, self.n + 1)
 
@@ -196,7 +205,7 @@ class Allocation:
         return frozenset(seen)
 
     def is_partition_of(self, m: int) -> bool:
-        return self.union == frozenset(range(1, m + 1))
+        return self.union == _goods_upto(m)
 
     def is_balanced(self, inst: Instance) -> bool:
         k = inst.k
@@ -205,6 +214,12 @@ class Allocation:
             and self.is_partition_of(inst.m)
             and all(len(b) == k for b in self.bundles)
         )
+
+
+@lru_cache(maxsize=16)
+def _goods_upto(m: int) -> frozenset:
+    """The goods 1..m, built once per m rather than once per check."""
+    return frozenset(range(1, m + 1))
 
 
 def make_allocation(bundles: Iterable[Iterable[int]]) -> Allocation:
@@ -277,35 +292,32 @@ class TwoType:
 
 
 def two_type_view(inst: Instance) -> TwoType:
-    """The instance read as at most two types; MoreThanTwoTypes otherwise."""
-    rows = inst.types
-    if len(rows) > 2:
-        raise MoreThanTwoTypes(f"{len(rows)} distinct valuation rows")
-    (row1, members1), (row2, members2) = rows if len(rows) == 2 else (rows[0], ((), ()))
-    return TwoType(inst.scale, row1, row2, members1, members2)
+    """The instance read as at most two types; MoreThanTwoTypes otherwise.
+    Built on the first call and kept on the instance."""
+    return inst._two_type
 
 
-def gamma_range(view: TwoType, alloc: Allocation) -> Optional[tuple]:
+def gamma_bounds(view: TwoType, alloc: Allocation) -> Optional[tuple]:
     """The type-2 weights gamma > 0 at which a balanced allocation
-    maximizes the welfare weighted by :meth:`TwoType.weights`, as ``(lo,
-    hi)``: every gamma with lo <= gamma <= hi, where lo None is no bound
-    but gamma > 0 and hi None is no upper bound (one type fits every
-    gamma).  None when no gamma > 0 will do.
+    maximizes the welfare weighted by :meth:`TwoType.weights`, as int
+    ratios ``((lo1, lo2), (hi1, hi2))``: every gamma with lo1/lo2 <= gamma
+    <= hi1/hi2, where lo1 = 0 is no bound but gamma > 0 and hi2 = 0 is no
+    upper bound (one type fits every gamma).  None when no gamma > 0 will
+    do.  Builds no Fraction; :func:`gamma_range` reads the ratios.
 
     That welfare depends only on how much of each good each type gets.
     So with S the goods the type-1 agents hold and T the rest, the
     allocation maximizes it exactly when a1_j - a1_j' >= gamma (a2_j -
     a2_j') for every j in S and j' in T: one pass over those pairs on the
-    int rows.  A pair with a2_j = a2_j' needs a1_j >= a1_j'.  The
-    two-type solver's walk ends each run of equal splits at ``hi``.
+    int rows.  A pair with a2_j = a2_j' needs a1_j >= a1_j'.
     """
+    lo1, lo2 = 0, 1  # the greatest lower bound so far as lo1/lo2; 0/1 is none yet
+    hi1, hi2 = 1, 0  # the least upper bound so far as hi1/hi2; 1/0 is none yet
     if view.n2 == 0:
-        return None, None
+        return (lo1, lo2), (hi1, hi2)
     a1, a2 = view.row1, view.row2
     s = frozenset().union(*(alloc.bundle(i) for i in view.members1))
     t_rows = [(a1[j], a2[j]) for j in range(len(a1)) if j + 1 not in s]
-    lo1, lo2 = 0, 1  # the greatest lower bound so far as lo1/lo2; 0/1 is none yet
-    hi1, hi2 = 1, 0  # the least upper bound so far as hi1/hi2; 1/0 is none yet
     for j in s:
         x1, x2 = a1[j - 1], a2[j - 1]
         for y1, y2 in t_rows:
@@ -322,6 +334,19 @@ def gamma_range(view: TwoType, alloc: Allocation) -> Optional[tuple]:
                 return None
     if lo1 * hi2 > hi1 * lo2:
         return None
+    return (lo1, lo2), (hi1, hi2)
+
+
+def gamma_range(view: TwoType, alloc: Allocation) -> Optional[tuple]:
+    """:func:`gamma_bounds` as ``(lo, hi)`` Fractions: every gamma with lo
+    <= gamma <= hi, where lo None is no bound but gamma > 0 and hi None is
+    no upper bound.  None when no gamma > 0 will do.  The two-type
+    solver's walk ends each run of equal splits at ``hi``.
+    """
+    bounds = gamma_bounds(view, alloc)
+    if bounds is None:
+        return None
+    (lo1, lo2), (hi1, hi2) = bounds
     return (Fraction(lo1, lo2) if lo1 else None), (Fraction(hi1, hi2) if hi2 else None)
 
 

@@ -4,7 +4,7 @@ complementary-slackness check of a dual certificate.
 The fPO deciders serve two kinds of caller.  ``fpo_holds`` returns the
 verdict alone; the enumeration report and an uncertified solve read only
 that.  It needs no LP for one or two agents (two agents: the closed range
-of weight ratios of ``core.gamma_range``) and from three agents solves the
+of weight ratios of ``core.gamma_bounds``) and from three agents solves the
 small LP over the moves away from the allocation (2n + 1 rows).
 ``check_fpo`` solves the full LP over fractional allocations (2n + m rows
 when balanced) and returns a dominating allocation as the witness that
@@ -29,7 +29,7 @@ from .core import (
     as_rational,
     bundle_value,
     check_allocation,
-    gamma_range,
+    gamma_bounds,
     two_type_view,
 )
 from .graph import Potentials, scaled_alpha
@@ -212,9 +212,9 @@ def fpo_holds(inst: Instance, alloc: Allocation) -> bool:
     of agent 1 against as much of a good of agent 2, and by Stiemke's
     lemma no mix of swaps gains for one and loses for none exactly when
     some gamma > 0 lets no swap gain at weights (1, gamma): the
-    allocation is fPO when :func:`~fairbalance.core.gamma_range` is not
+    allocation is fPO when :func:`~fairbalance.core.gamma_bounds` is not
     None (two equal rows are one type, which every weight fits), and no
-    LP is run.
+    LP is run and no Fraction built.
     From three agents the LP maximizes the total gain sum z over moves
     with gain_i = z_i >= 0 and sum lambda <= 1, so its optimum is 0
     exactly when the allocation is fPO.  Its 2n + 1 rows and (n - 1)m +
@@ -226,7 +226,7 @@ def fpo_holds(inst: Instance, alloc: Allocation) -> bool:
     if n == 1:  # one agent owns every good, so nothing can be moved
         return True
     if n == 2:  # two agents are at most two types; equal rows fit every weight
-        return gamma_range(two_type_view(inst), alloc) is not None
+        return gamma_bounds(two_type_view(inst), alloc) is not None
     # each column's entries in the n gain rows (gain_i - z_i = 0) and the n
     # count rows (received - given = 0): lambda_ij by good, then by
     # non-owner i; then z_i; then s, which is zero in all of them.  Entries

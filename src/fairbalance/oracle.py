@@ -4,7 +4,9 @@ Enumeration is exhaustive and exact, so anything here is usable as an
 independent oracle for the polynomial-time solvers, at the price of only
 working on desk-scale instances: the balanced-allocation enumeration,
 Pareto dominance, the guarded brute-force PO check and the flag report.
-The report's fPO flag is :func:`lp.fpo_holds`' verdict, which runs no LP
+The report keeps each allocation's values as ints over the instance's
+scale; its PO flag is membership in the non-dominated set of those
+vectors and its fPO flag :func:`lp.fpo_holds`' verdict, which runs no LP
 on one or two agents and the transfer-cone LP from three.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 from typing import Iterator
 
@@ -97,13 +100,28 @@ def is_po_bruteforce(inst: Instance, alloc: Allocation, max_states: int = 10 ** 
 
 @dataclass(frozen=True)
 class AllocationRecord:
+    """One balanced allocation with its flags.  ``scaled_values`` holds
+    each agent's value for its bundle as an int over ``scale``; ``values``,
+    ``nash`` and ``utilitarian`` are their Fraction views, built on read."""
+
     allocation: Allocation
-    values: tuple
+    scaled_values: tuple
+    scale: int
     ef1: bool
     po: bool
     fpo: bool
-    nash: Fraction
-    utilitarian: Fraction
+
+    @cached_property
+    def values(self) -> tuple:
+        return tuple(Fraction(v, self.scale) for v in self.scaled_values)
+
+    @cached_property
+    def nash(self) -> Fraction:
+        return Fraction(prod(self.scaled_values), self.scale ** len(self.scaled_values))
+
+    @cached_property
+    def utilitarian(self) -> Fraction:
+        return Fraction(sum(self.scaled_values), self.scale)
 
 
 @dataclass(frozen=True)
@@ -111,31 +129,40 @@ class EnumerationReport:
     records: tuple
 
 
+def _non_dominated(vectors) -> set:
+    """The vectors that no other one Pareto-dominates.  A dominating vector
+    has the larger sum, so in order of descending sum each vector is
+    compared only with the kept ones before it; a dropped one is dominated
+    by a kept one, and dominance is transitive, so those suffice."""
+    kept = []
+    for vec in sorted(set(vectors), key=sum, reverse=True):
+        if not any(pareto_dominates(other, vec) for other in kept):
+            kept.append(vec)
+    return set(kept)
+
+
 def full_report(inst: Instance, max_states: int = 10 ** 4) -> EnumerationReport:
     """Flags for every balanced allocation: EF1, PO, fPO, welfare stats.
 
-    PO is decided by pairwise dominance inside the enumeration, on the
-    value vectors as ints over ``inst.scale``; fPO by
-    :func:`lp.fpo_holds`, the range of weight ratios of
-    :func:`core.gamma_range` on two agents and the verdict-only LP on
-    three or more.  The values, the Nash product and the utilitarian sum
-    are read off each int vector.
+    Each record keeps its value vector as ints over ``inst.scale``.  PO
+    is membership in the non-dominated set of those vectors, built once;
+    fPO is :func:`lp.fpo_holds`, the range of weight ratios of
+    :func:`core.gamma_bounds` on two agents and the verdict-only LP on
+    three or more.  No Fraction is built here.
     """
     allocations = list(enumerate_balanced(inst, max_states=max_states))
     value_vectors = [_int_values(inst, a) for a in allocations]
-    distinct = set(value_vectors)
-
-    records = []
-    for alloc, vec in zip(allocations, value_vectors):
-        records.append(
-            AllocationRecord(
-                allocation=alloc,
-                values=tuple(Fraction(v, inst.scale) for v in vec),
-                ef1=verify_mod.is_ef1(inst, alloc).holds,
-                po=not any(pareto_dominates(other, vec) for other in distinct),
-                fpo=lp_mod.fpo_holds(inst, alloc),
-                nash=Fraction(prod(vec), inst.scale ** inst.n),
-                utilitarian=Fraction(sum(vec), inst.scale),
-            )
+    pareto = _non_dominated(value_vectors)
+    scale = inst.scale
+    records = tuple(
+        AllocationRecord(
+            allocation=alloc,
+            scaled_values=vec,
+            scale=scale,
+            ef1=verify_mod.is_ef1(inst, alloc).holds,
+            po=vec in pareto,
+            fpo=lp_mod.fpo_holds(inst, alloc),
         )
-    return EnumerationReport(records=tuple(records))
+        for alloc, vec in zip(allocations, value_vectors)
+    )
+    return EnumerationReport(records=records)

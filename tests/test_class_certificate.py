@@ -18,7 +18,7 @@ import pytest
 
 from fairbalance import cli, lp
 from fairbalance.cli import main
-from fairbalance.core import classify, gamma_range, make_instance, two_type_view
+from fairbalance.core import classify, gamma_bounds, gamma_range, make_instance, two_type_view
 from fairbalance.oracle import enumerate_balanced
 from fairbalance.solver import class_certificate
 
@@ -161,6 +161,26 @@ def test_gamma_range_is_the_set_of_fitting_weights(seed):
             assert all(fits[g] == in_range(bounds, g) for g in fits), (bounds, allocation)
             seen["point" if bounds[0] is not None and bounds[0] == bounds[1] else "interval"] += 1
     assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("seed", [5, 8])
+def test_gamma_bounds_are_the_range_as_int_ratios(seed):
+    # fpo_holds reads gamma_bounds, gamma_range the same bounds as Fractions
+    rng = random.Random(seed)
+    for _ in range(40):
+        n, m = rng.choice(SHAPES)
+        inst = make_instance(n, m, two_type_rows(rng, n, m, VALUES[rng.choice(("int", "ratio"))]))
+        view = two_type_view(inst)
+        for allocation in enumerate_balanced(inst):
+            bounds = gamma_bounds(view, allocation)
+            if bounds is None:
+                assert gamma_range(view, allocation) is None
+                continue
+            (lo1, lo2), (hi1, hi2) = bounds
+            assert all(type(v) is int for v in (lo1, lo2, hi1, hi2)) and lo2 > 0 and hi1 > 0
+            lo = Fraction(lo1, lo2) if lo1 else None
+            hi = Fraction(hi1, hi2) if hi2 else None
+            assert gamma_range(view, allocation) == (lo, hi)
 
 
 def test_gamma_range_reads_pairs_of_equal_type_2_value():

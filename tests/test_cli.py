@@ -32,6 +32,7 @@ REF_FILE = {"n": 2, "m": 4, "valuations": REF_VALUES}
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = json.loads((FIXTURES / "solve_golden.json").read_text(encoding="utf-8"))
 CHECK_FPO_GOLDEN = json.loads((FIXTURES / "check_fpo_golden.json").read_text(encoding="utf-8"))
+ENUMERATE_GOLDEN = json.loads((FIXTURES / "enumerate_golden.json").read_text(encoding="utf-8"))
 EMPTY_INSTANCE = {"n": 0, "m": 0, "valuations": []}
 
 
@@ -297,6 +298,24 @@ def test_check_fpo_golden_bytes(case, tmp_path, capsys):
     code = main(["check", ipath, apath, *case["flags"]])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize(
+    "case,fmt",
+    [(case, fmt) for case in ENUMERATE_GOLDEN for fmt in ("json", "csv")],
+    ids=lambda v: v["name"] if isinstance(v, dict) else v,
+)
+def test_enumerate_golden_bytes(case, fmt, tmp_path, capsys):
+    """stdout, stderr and exit code of ``enumerate``, frozen while the
+    report still built Fractions per allocation: the 2x4 reference
+    instance, a p/q 2x6 instance of each two-agent class, a p/q 4x4
+    instance of each class, and a 2x4 instance whose Nash and utilitarian
+    pairs reduce and whose value vectors repeat."""
+    path = write_json(tmp_path / "inst.json", case["instance"])
+    code = main(["enumerate", path, "--format", fmt])
+    captured = capsys.readouterr()
+    expected = case[fmt]
+    assert (code, captured.out, captured.err) == (expected["exit"], expected["stdout"], expected["stderr"])
 
 
 class TestCertificateGate:
