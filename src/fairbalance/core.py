@@ -36,13 +36,8 @@ class MoreThanTwoTypes(FairDivisionError):
 
 
 class NegativeCycleError(FairDivisionError):
-    """The exchange graph has a negative cycle (allocation not optimal):
-    ``cycle`` lists its nodes and ``weight`` is its exact total weight."""
-
-    def __init__(self, cycle, weight):
-        super().__init__(f"allocation is not weighted-welfare optimal: {cycle}")
-        self.cycle = cycle
-        self.weight = weight
+    """The exchange graph has a negative cycle (allocation not optimal);
+    ``verify.certify_fpo`` names the cycle and its weight."""
 
 
 class TooLargeError(FairDivisionError):
@@ -106,11 +101,6 @@ class Instance:
             raise IndexError(f"agent {agent} out of range 1..{self.n}")
         if not 1 <= good <= self.m:
             raise IndexError(f"good {good} out of range 1..{self.m}")
-
-    def value(self, agent: int, good: int) -> Fraction:
-        """Value of ``good`` for ``agent`` (both 1-based)."""
-        self._check_index(agent, good)
-        return self.values[agent - 1][good - 1]
 
     @cached_property
     def values(self) -> tuple:
@@ -303,7 +293,8 @@ def gamma_bounds(view: TwoType, alloc: Allocation) -> Optional[tuple]:
     ratios ``((lo1, lo2), (hi1, hi2))``: every gamma with lo1/lo2 <= gamma
     <= hi1/hi2, where lo1 = 0 is no bound but gamma > 0 and hi2 = 0 is no
     upper bound (one type fits every gamma).  None when no gamma > 0 will
-    do.  Builds no Fraction; :func:`gamma_range` reads the ratios.
+    do.  Builds no Fraction: the two-type walk reads ``hi1/hi2`` and
+    ``solver.class_certificate`` the gamma nearest 1.
 
     That welfare depends only on how much of each good each type gets.
     So with S the goods the type-1 agents hold and T the rest, the
@@ -335,19 +326,6 @@ def gamma_bounds(view: TwoType, alloc: Allocation) -> Optional[tuple]:
     if lo1 * hi2 > hi1 * lo2:
         return None
     return (lo1, lo2), (hi1, hi2)
-
-
-def gamma_range(view: TwoType, alloc: Allocation) -> Optional[tuple]:
-    """:func:`gamma_bounds` as ``(lo, hi)`` Fractions: every gamma with lo
-    <= gamma <= hi, where lo None is no bound but gamma > 0 and hi None is
-    no upper bound.  None when no gamma > 0 will do.  The two-type
-    solver's walk ends each run of equal splits at ``hi``.
-    """
-    bounds = gamma_bounds(view, alloc)
-    if bounds is None:
-        return None
-    (lo1, lo2), (hi1, hi2) = bounds
-    return (Fraction(lo1, lo2) if lo1 else None), (Fraction(hi1, hi2) if hi2 else None)
 
 
 def classify(inst: Instance) -> str:

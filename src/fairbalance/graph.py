@@ -8,11 +8,12 @@ optimal dual potentials (q per agent, p per good).
 
 :func:`compute_potentials` eliminates the goods and runs Bellman-Ford on
 the agent graph, whose arcs sum the exchange graph's two-arc paths through
-a good; it builds the exchange graph only to name a negative cycle.  All
-weights are kept as ints over one positive common denominator, so both
-Bellman-Ford loops add and compare Python ints only.  Potentials stay ints
-over one scale (their Fraction views are built on first read); a cycle
-weight divides by the graph's scale to give an exact Fraction.
+a good; it never builds the exchange graph (``verify.certify_fpo`` builds
+it to name a negative cycle).  All weights are kept as ints over one
+positive common denominator, so both Bellman-Ford loops add and compare
+Python ints only.  Potentials stay ints over one scale (their Fraction
+views are built on first read); a cycle weight divides by the graph's
+scale to give an exact Fraction.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def detect_negative_cycle(g: ExchangeGraph) -> Optional[list]:
     """A simple negative-weight cycle as a node list, or None.
 
     The cycle is returned so that consecutive nodes (wrapping around) are
-    arcs of the graph; it is the cycle that compute_potentials raises.
+    arcs of the graph; it is the cycle that ``verify.certify_fpo`` reports.
     """
     dist, pred, bad = _bellman_ford(g)
     if bad is None:
@@ -243,11 +244,11 @@ def compute_potentials(inst: Instance, alloc: Allocation, alpha: Sequence[Fracti
     common factor; Bellman-Ford runs on the agent graph.
 
     Requires ``alloc`` to maximize the alpha-weighted welfare over balanced
-    allocations; otherwise the exchange graph has a negative cycle, and
-    NegativeCycleError is raised with that graph's cycle (the one that
-    :func:`detect_negative_cycle` finds) and its weight.  q_i is the
-    distance to agent i and p_j the negated distance to good j; the pair is
-    dual-feasible, nonnegative and complementary-slack with the allocation.
+    allocations; otherwise the exchange graph has a negative cycle, and a
+    bare NegativeCycleError is raised (only ``verify.certify_fpo`` names the
+    cycle).  q_i is the distance to agent i and p_j the negated distance to
+    good j; the pair is dual-feasible, nonnegative and complementary-slack
+    with the allocation.
     """
     check_allocation(inst, alloc, balanced=True)
     scale, alpha_ints = scaled_alpha(inst, alpha)
@@ -255,11 +256,7 @@ def compute_potentials(inst: Instance, alloc: Allocation, alpha: Sequence[Fracti
     bundles = [[j - 1 for j in own] for own in alloc.bundles]
     found = _agent_potentials(weights, bundles)
     if found is None:
-        g = build_exchange_graph(inst, alloc, alpha)
-        cycle = detect_negative_cycle(g)
-        if cycle is None:
-            raise InternalInvariantError("the agent graph has a negative cycle that the exchange graph lacks")
-        raise NegativeCycleError(cycle, cycle_weight(g, cycle))
+        raise NegativeCycleError("allocation is not weighted-welfare optimal")
     qs, ps = found
     if min(qs) < 0 or min(ps) < 0:
         raise InternalInvariantError("shortest-path potentials must be nonnegative")

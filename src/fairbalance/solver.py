@@ -11,14 +11,15 @@ from .core import (
     Allocation,
     Instance,
     MoreThanTwoTypes,
+    NegativeCycleError,
     Solution,
     classify,
-    gamma_range,
+    gamma_bounds,
     round_robin_by_preference,
     two_type_view,
 )
+from .graph import compute_potentials
 from .twotypes import solve_two_types
-from .verify import certify_fpo
 
 
 def solve(inst: Instance, algorithm: str = "auto") -> Solution:
@@ -56,29 +57,33 @@ def class_certificate(inst: Instance, alloc: Allocation) -> Optional[tuple]:
     A bivalued instance (as :func:`classify` names it) takes alpha_i =
     1/(a_i - b_i), and one or two valuation rows take
     :meth:`~fairbalance.core.TwoType.weights` at the gamma of
-    :func:`gamma_range` nearest to 1 (every weight 1 on one row, which
-    every gamma fits); a general instance has no class weights.  The proof
-    is always :func:`certify_fpo` at the chosen weights (Bellman-Ford
-    potentials); the class only picks them.  On a bivalued instance and on
-    two agents of two types, None means the allocation is not fPO; with
-    more agents per type it may still be fPO at weights that differ
-    within a type, which only ``check_fpo``'s LP decides.
+    :func:`~fairbalance.core.gamma_bounds` nearest to 1 (every weight 1 on
+    one row, which every gamma fits); a general instance has no class
+    weights.  The proof is always :func:`compute_potentials` at the chosen
+    weights (Bellman-Ford, naming no cycle); the class only picks them.  On
+    a bivalued instance and on two agents of two types, None means the
+    allocation is not fPO; with more agents per type it may still be fPO at
+    weights that differ within a type, which only ``check_fpo``'s LP decides.
     """
     klass = classify(inst)
     if klass == "bivalued":
         alpha = certificate_alpha(inst)
     elif klass == "two-types":
         view = two_type_view(inst)
-        bounds = gamma_range(view, alloc)
+        bounds = gamma_bounds(view, alloc)
         if bounds is None:
             return None
-        lo, hi = bounds
-        gamma = Fraction(1)
-        if hi is not None:
-            gamma = min(gamma, hi)
-        if lo is not None:
-            gamma = max(gamma, lo)
+        (lo1, lo2), (hi1, hi2) = bounds
+        gamma = Fraction(1)  # the gamma of the range nearest 1; hi2 == 0 is no upper end
+        if hi1 < hi2:
+            gamma = Fraction(hi1, hi2)
+        elif lo1 > lo2:
+            gamma = Fraction(lo1, lo2)
         alpha = view.weights(gamma)
     else:
         return None
-    return alpha if certify_fpo(inst, alloc, alpha).holds else None
+    try:
+        compute_potentials(inst, alloc, alpha)
+    except NegativeCycleError:
+        return None
+    return alpha

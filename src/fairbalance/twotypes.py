@@ -9,7 +9,7 @@ exactly as its values do: the value deal is the price deal at every gamma
 of the interval.  The solver walks gamma upward from delta over the points
 where the split changes, never listing every critical ratio
 (:func:`critical_values` builds that grid for inspection): a run of equal
-splits ends at the upper end of its deal's ``core.gamma_range``, and
+splits ends at the upper end of its deal's ``core.gamma_bounds``, and
 ``TwoType.weights`` builds every certificate's weights.  It returns the
 first split whose deal is EF1; when there is none, it walks good swaps at
 a gamma where the split changes and price condition (a) holds on the left
@@ -34,7 +34,7 @@ from .core import (
     Solution,
     TwoType,
     as_rational,
-    gamma_range,
+    gamma_bounds,
     integer_rows,
     make_allocation,
     two_type_view,
@@ -149,9 +149,10 @@ def _split_runs(inst: Instance, view: TwoType, delta: Fraction):
 
     Just above a gamma, goods tied at it rank by ascending a2, so sorting
     the int rows by the score there, then a2, then index gives the split
-    of the run that starts there.  Its deal's ``gamma_range`` is (that
+    of the run that starts there.  Its deal's ``gamma_bounds`` are (that
     gamma, the next change), with no lower end on the first run and no
-    upper end on the last, so the walk ends each run at the upper end.
+    upper end (``hi2 == 0``) on the last, so the walk ends each run at
+    ``hi1/hi2``, the one Fraction it builds per run.
     """
     a1, a2, size = view.row1, view.row2, view.n1 * inst.k
     start = delta
@@ -161,10 +162,11 @@ def _split_runs(inst: Instance, view: TwoType, delta: Fraction):
         split = Split(s=frozenset(order[:size]), t=frozenset(order[size:]))
         deal = _deal(inst, view, split)
         yield split, deal, start
-        bounds = gamma_range(view, deal)
+        bounds = gamma_bounds(view, deal)
         if bounds is None:
             raise InternalInvariantError(f"the split walked at gamma {start} is optimal at no gamma")
-        start = bounds[1]
+        hi1, hi2 = bounds[1]
+        start = Fraction(hi1, hi2) if hi2 else None
 
 
 def round_robin_by_price(goods, prices: Sequence, agents: int, k: int) -> tuple:

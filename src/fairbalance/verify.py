@@ -1,7 +1,8 @@
 """Independent fairness and efficiency checkers with explicit witnesses.
 
 EF1, price-EF1 and the fPO certificate check for a given alpha (read off
-the shortest-path potentials of ``graph``); brute-force PO lives in
+the shortest-path potentials of ``graph``, whose exchange graph names the
+negative cycle when they do not exist); brute-force PO lives in
 ``oracle``.  Each check returns a :class:`Verdict`; when a check fails the
 witness carries the exact rational quantities that break the definition,
 so a failure is self-explanatory in reports and CLI output.
@@ -14,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import graph as graph_mod
-from .core import Allocation, Instance, NegativeCycleError, check_allocation
+from .core import Allocation, Instance, InternalInvariantError, NegativeCycleError, check_allocation
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,16 @@ def is_p_ef1(prices: Sequence[Fraction], alloc: Allocation) -> Verdict:
 def certify_fpo(inst: Instance, alloc: Allocation, alpha: Sequence[Fraction]) -> Verdict:
     """Positive fPO certificate: the allocation maximizes the alpha-weighted
     welfare exactly when its exchange graph has no negative cycle, that is
-    when shortest-path potentials exist."""
+    when shortest-path potentials exist.  When they do not, the witness is
+    the exchange graph's cycle (the one :func:`graph.detect_negative_cycle`
+    finds) and its exact weight; the one place a cycle is named."""
     try:
         graph_mod.compute_potentials(inst, alloc, alpha)
-    except NegativeCycleError as exc:
-        return Verdict(holds=False, witness={"negative_cycle": exc.cycle, "cycle_weight": exc.weight})
+    except NegativeCycleError:
+        g = graph_mod.build_exchange_graph(inst, alloc, alpha)
+        cycle = graph_mod.detect_negative_cycle(g)
+        if cycle is None:
+            raise InternalInvariantError("the agent graph has a negative cycle that the exchange graph lacks")
+        weight = graph_mod.cycle_weight(g, cycle)
+        return Verdict(holds=False, witness={"negative_cycle": cycle, "cycle_weight": weight})
     return Verdict(holds=True)

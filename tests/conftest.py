@@ -210,6 +210,16 @@ def high_counts(inst: Instance, alloc, viewer: int) -> list:
     return [sum(row[j - 1] == high for j in alloc.bundle(i)) for i in inst.agents()]
 
 
+def fraction_range(bounds):
+    """``core.gamma_bounds``' int ratios read as ``(lo, hi)`` Fractions:
+    every gamma with lo <= gamma <= hi, where lo None is no bound but gamma
+    > 0 and hi None is no upper bound; None when no gamma > 0 fits."""
+    if bounds is None:
+        return None
+    (lo1, lo2), (hi1, hi2) = bounds
+    return (Fraction(lo1, lo2) if lo1 else None), (Fraction(hi1, hi2) if hi2 else None)
+
+
 def random_alpha(rng: random.Random, n: int) -> tuple:
     return tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n))
 

@@ -91,7 +91,7 @@ class TestIntegerRuleReference:
             for i in inst.agents():
                 a, b = pairs[i - 1]
                 for s in range(1, k + 1):
-                    paper.append([a / (a - b) + s * eps if inst.value(i, j) == a else b / (a - b)
+                    paper.append([a / (a - b) + s * eps if inst.values[i - 1][j - 1] == a else b / (a - b)
                                   for j in inst.goods()])
             reference = max_weight_perfect_matching(make_weights(paper))
             bundles = [set() for _ in range(n)]
@@ -101,7 +101,7 @@ class TestIntegerRuleReference:
             assert [set(b) for b in solve_bivalued(inst).allocation.bundles] == bundles
 
             scale = n * k * (k + 1)
-            ints = tuple(tuple(slot_weight(pairs[row0 // k], row0 % k + 1, inst.value(row0 // k + 1, j), scale)
+            ints = tuple(tuple(slot_weight(pairs[row0 // k], row0 % k + 1, inst.values[row0 // k][j - 1], scale)
                                for j in inst.goods()) for row0 in range(inst.m))
             # the solver's slot rows are slot_weight's, entry for entry
             assert passed == [ints] and slot_rows(inst) == ints

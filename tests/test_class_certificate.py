@@ -1,13 +1,14 @@
 """The class certificate against the witness LP, and where ``check`` uses it.
 
 ``solver.class_certificate`` proves a balanced allocation fPO from the
-weights of its instance's class, always through ``certify_fpo``.  On every
+weights of its instance's class, always through ``compute_potentials``.  On every
 balanced allocation of the seeded instances below, a certificate must
 imply ``check_fpo``'s verdict; on bivalued instances and on two agents of
-two types the two must agree.  ``core.gamma_range`` is checked
+two types the two must agree.  ``core.gamma_bounds`` is checked
 against a direct scan of the weighted scores at every ratio where the
 range can end.  ``check --fpo`` runs the LP only when no certificate is
-found, and ``--unconstrained`` never asks for one.
+found, builds no exchange graph (only ``certify_fpo`` names a cycle), and
+``--unconstrained`` never asks for one.
 """
 
 import json
@@ -16,13 +17,13 @@ from fractions import Fraction
 
 import pytest
 
-from fairbalance import cli, lp
+from fairbalance import cli, graph, lp
 from fairbalance.cli import main
-from fairbalance.core import classify, gamma_bounds, gamma_range, make_instance, two_type_view
+from fairbalance.core import classify, gamma_bounds, make_instance, two_type_view
 from fairbalance.oracle import enumerate_balanced
 from fairbalance.solver import class_certificate
 
-from conftest import REF_VALUES, VALUES, alloc, bivalued_rows, general_rows, two_type_rows
+from conftest import REF_VALUES, VALUES, alloc, bivalued_rows, fraction_range, general_rows, two_type_rows
 
 SHAPES = [(2, 2), (2, 4), (2, 6), (3, 3), (3, 6)]
 
@@ -115,6 +116,8 @@ def test_weights_follow_the_class():
 
 
 # --- the gamma range -----------------------------------------------------------
+# core.gamma_bounds gives the range as int ratios; fraction_range reads it
+# as (lo, hi) Fractions
 
 def scores_fit(view, allocation, gamma):
     """Does every type-1 good score a1 - gamma*a2 at least every other good?"""
@@ -152,7 +155,7 @@ def test_gamma_range_is_the_set_of_fitting_weights(seed):
             continue
         view = two_type_view(inst)
         for allocation in enumerate_balanced(inst):
-            bounds = gamma_range(view, allocation)
+            bounds = fraction_range(gamma_bounds(view, allocation))
             fits = {g: scores_fit(view, allocation, g) for g in candidate_gammas(view)}
             if bounds is None:
                 assert not any(fits.values()), allocation
@@ -165,62 +168,73 @@ def test_gamma_range_is_the_set_of_fitting_weights(seed):
 
 @pytest.mark.parametrize("seed", [5, 8])
 def test_gamma_bounds_are_the_range_as_int_ratios(seed):
-    # fpo_holds reads gamma_bounds, gamma_range the same bounds as Fractions
+    # fpo_holds reads whether gamma_bounds is None, the two-type walk its
+    # upper end and class_certificate the gamma in it nearest 1
     rng = random.Random(seed)
+    certified = 0
     for _ in range(40):
         n, m = rng.choice(SHAPES)
         inst = make_instance(n, m, two_type_rows(rng, n, m, VALUES[rng.choice(("int", "ratio"))]))
         view = two_type_view(inst)
+        two_types = classify(inst) == "two-types"
         for allocation in enumerate_balanced(inst):
             bounds = gamma_bounds(view, allocation)
             if bounds is None:
-                assert gamma_range(view, allocation) is None
+                assert not two_types or class_certificate(inst, allocation) is None
                 continue
             (lo1, lo2), (hi1, hi2) = bounds
             assert all(type(v) is int for v in (lo1, lo2, hi1, hi2)) and lo2 > 0 and hi1 > 0
-            lo = Fraction(lo1, lo2) if lo1 else None
-            hi = Fraction(hi1, hi2) if hi2 else None
-            assert gamma_range(view, allocation) == (lo, hi)
+            lo, hi = fraction_range(bounds)
+            assert lo is None or hi is None or lo <= hi
+            if two_types:
+                gamma = min(Fraction(1), hi) if hi is not None else Fraction(1)
+                gamma = max(gamma, lo) if lo is not None else gamma
+                assert class_certificate(inst, allocation) == view.weights(gamma)
+                certified += 1
+    assert certified > 20, certified
 
 
 def test_gamma_range_reads_pairs_of_equal_type_2_value():
     # goods 1 and 2 tie for type 2, so type 1 must hold the one it values more
     inst = make_instance(2, 2, [[1, 2], [3, 3]])
     view = two_type_view(inst)
-    assert gamma_range(view, alloc({2}, {1})) == (None, None)
-    assert gamma_range(view, alloc({1}, {2})) is None
+    assert fraction_range(gamma_bounds(view, alloc({2}, {1}))) == (None, None)
+    assert gamma_bounds(view, alloc({1}, {2})) is None
 
 
 def test_gamma_range_ends():
     inst = make_instance(2, 4, [[4, 3, 1, 0], [1, 3, 0, 2]])
     view = two_type_view(inst)
     # S = {1, 2}: (4 - g) and (3 - 3g) against (1 - 0g) and (0 - 2g)
-    assert gamma_range(view, alloc({1, 2}, {3, 4})) == (None, Fraction(2, 3))
+    assert fraction_range(gamma_bounds(view, alloc({1, 2}, {3, 4}))) == (None, Fraction(2, 3))
     # S = {1, 3}: type 1 holds good 3 for 1 - 0g >= 3 - 3g, against good 2
-    assert gamma_range(view, alloc({1, 3}, {2, 4})) == (Fraction(2, 3), None)
+    assert fraction_range(gamma_bounds(view, alloc({1, 3}, {2, 4}))) == (Fraction(2, 3), None)
     # both ends: 3 - 3g >= 1 - g and 1 - 0g >= 2 - 2g
     view = two_type_view(make_instance(2, 4, [[3, 1, 1, 2], [3, 0, 1, 2]]))
-    assert gamma_range(view, alloc({1, 2}, {3, 4})) == (Fraction(1, 2), Fraction(1))
+    assert fraction_range(gamma_bounds(view, alloc({1, 2}, {3, 4}))) == (Fraction(1, 2), Fraction(1))
     view = two_type_view(make_instance(2, 4, [[3, 1, 1, 2], [2, 0, 1, 1]]))
-    assert gamma_range(view, alloc({1, 2}, {3, 4})) == (Fraction(1), Fraction(1))
+    assert fraction_range(gamma_bounds(view, alloc({1, 2}, {3, 4}))) == (Fraction(1), Fraction(1))
 
 
 def test_gamma_range_fits_every_weight_on_one_type():
     # one row: every allocation maximizes every weighting of it
     view = two_type_view(make_instance(2, 4, [[4, 3, 1, 0], [4, 3, 1, 0]]))
     assert view.n2 == 0
-    assert gamma_range(view, alloc({1, 2}, {3, 4})) == (None, None)
-    assert gamma_range(view, alloc({3, 4}, {1, 2})) == (None, None)
+    assert fraction_range(gamma_bounds(view, alloc({1, 2}, {3, 4}))) == (None, None)
+    assert fraction_range(gamma_bounds(view, alloc({3, 4}, {1, 2}))) == (None, None)
 
 
 # --- which decider check --fpo runs ---------------------------------------------
 
 @pytest.fixture
 def spies(monkeypatch):
-    """Counts of the certificate attempts, the witness LPs and the simplex
-    runs of one check, each still doing its work."""
-    calls = {"class_certificate": 0, "check_fpo": 0, "solve_lp": 0}
-    for module, name in ((cli, "class_certificate"), (lp, "check_fpo"), (lp, "solve_lp")):
+    """Counts of the certificate attempts, the witness LPs, the simplex
+    runs and the exchange graphs of one check, each still doing its work.
+    The graph is counted on its module attribute, where ``certify_fpo``
+    looks it up."""
+    calls = {"class_certificate": 0, "check_fpo": 0, "solve_lp": 0, "build_exchange_graph": 0}
+    for module, name in ((cli, "class_certificate"), (lp, "check_fpo"), (lp, "solve_lp"),
+                         (graph, "build_exchange_graph")):
         original = getattr(module, name)
 
         def spy(*args, _original=original, _name=name, **kwargs):
@@ -248,7 +262,7 @@ def run_check(tmp_path, rows, bundles, *flags):
 def test_certified_check_runs_no_lp(spies, tmp_path, capsys, rows, bundles):
     assert run_check(tmp_path, rows, bundles) == 0
     assert capsys.readouterr().out == "fpo: holds\n"
-    assert spies == {"class_certificate": 1, "check_fpo": 0, "solve_lp": 0}
+    assert spies == {"class_certificate": 1, "check_fpo": 0, "solve_lp": 0, "build_exchange_graph": 0}
 
 
 def test_general_holding_check_runs_the_lp_once(spies, tmp_path, capsys):
@@ -256,6 +270,7 @@ def test_general_holding_check_runs_the_lp_once(spies, tmp_path, capsys):
     assert run_check(tmp_path, rows, [[1], [2], [3]]) == 0
     assert capsys.readouterr().out == "fpo: holds\n"
     assert spies["class_certificate"] == 1 and spies["check_fpo"] == 1
+    assert spies["build_exchange_graph"] == 0
 
 
 @pytest.mark.parametrize("rows, bundles", [
@@ -267,6 +282,7 @@ def test_failing_check_runs_the_lp_once(spies, tmp_path, capsys, rows, bundles):
     assert run_check(tmp_path, rows, bundles) == 1
     assert "dominated by fractional allocation" in capsys.readouterr().out
     assert spies["class_certificate"] == 1 and spies["check_fpo"] == 1
+    assert spies["build_exchange_graph"] == 0  # a failed certificate names no cycle
 
 
 # the balanced certificate of [[1, 3], [2, 4]] proves nothing without the
@@ -275,3 +291,4 @@ def test_failing_check_runs_the_lp_once(spies, tmp_path, capsys, rows, bundles):
 def test_unconstrained_check_never_asks_for_a_certificate(spies, tmp_path, capsys, bundles, code):
     assert run_check(tmp_path, REF_VALUES, bundles, "--unconstrained") == code
     assert spies["class_certificate"] == 0 and spies["check_fpo"] == 1
+    assert spies["build_exchange_graph"] == 0

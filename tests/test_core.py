@@ -61,12 +61,12 @@ class TestInstance:
             inst.k
 
     def test_indexing_is_one_based(self, ref_instance):
-        assert ref_instance.value(1, 4) == 22
-        assert ref_instance.value(2, 1) == 0
+        assert bundle_value(ref_instance, 1, {4}) == 22
+        assert bundle_value(ref_instance, 2, {1}) == 0
         with pytest.raises(IndexError):
-            ref_instance.value(0, 1)
+            bundle_value(ref_instance, 0, {1})
         with pytest.raises(IndexError):
-            ref_instance.value(1, 5)
+            bundle_value(ref_instance, 1, {5})
 
 
 class TestScaledValues:
@@ -111,7 +111,7 @@ class TestScaledValues:
         assert len(calls) == 1  # the scale, once, when the instance is made
         assert "values" not in twin.__dict__
         view = twin.values
-        assert twin.values is view and twin.value(1, 4) is view[0][3]
+        assert twin.values is view
         assert view == tuple(tuple(map(Fraction, row)) for row in ref_instance.rows)
         assert built == [twin] and len(calls) == 1
         # an equal instance builds its own matrix
@@ -336,7 +336,7 @@ class TestReduceUnconstrained:
         reduced, dummies = reduce_unconstrained(inst)
         assert reduced.m == 6 and reduced.k == 3
         assert dummies == frozenset({4, 5, 6})
-        assert all(reduced.value(i, j) == 0 for i in reduced.agents() for j in dummies)
+        assert all(reduced.values[i - 1][j - 1] == 0 for i in reduced.agents() for j in dummies)
 
     def test_single_agent_unchanged(self):
         inst = make_instance(1, 3, [[1, 2, 3]])
@@ -358,7 +358,7 @@ class TestReduceUnconstrained:
         # original goods keep their values in the reduced instance
         for i in inst.agents():
             for j in inst.goods():
-                assert reduced.value(i, j) == inst.value(i, j)
+                assert reduced.values[i - 1][j - 1] == inst.values[i - 1][j - 1]
 
 
 class TestNashProduct:

@@ -20,7 +20,7 @@ from fairbalance.graph import (
 )
 from fairbalance.lp import verify_complementary_slackness
 from fairbalance.matching import BipartiteWeights, max_weight_perfect_matching
-from fairbalance.verify import certify_fpo
+from fairbalance.verify import Verdict, certify_fpo
 
 from conftest import (
     alloc,
@@ -134,7 +134,7 @@ class TestDetectNegativeCycle:
                 best = brute_max_welfare(inst, alpha)
                 for a in permutation_enumerate(inst):
                     value = sum(
-                        alpha[i - 1] * sum(inst.value(i, j) for j in a.bundle(i))
+                        alpha[i - 1] * sum(inst.values[i - 1][j - 1] for j in a.bundle(i))
                         for i in inst.agents()
                     )
                     g = build_exchange_graph(inst, a, alpha)
@@ -153,7 +153,7 @@ class TestComputePotentials:
         assert pot.q == (3,)
         assert pot.p == (0, 4)
         for j in inst.goods():
-            assert pot.q[0] + pot.p[j - 1] == inst.value(1, j)
+            assert pot.q[0] + pot.p[j - 1] == inst.values[0][j - 1]
 
     def test_single_agent_with_zero_good(self):
         inst = make_instance(1, 3, [[5, 0, 2]])
@@ -209,7 +209,7 @@ class TestComputePotentials:
                 a
                 for a in permutation_enumerate(inst)
                 if sum(
-                    alpha[i - 1] * sum(inst.value(i, j) for j in a.bundle(i))
+                    alpha[i - 1] * sum(inst.values[i - 1][j - 1] for j in a.bundle(i))
                     for i in inst.agents()
                 )
                 == best
@@ -244,7 +244,8 @@ class TestComputePotentials:
     @pytest.mark.parametrize("seed", range(4))
     def test_agent_graph_matches_the_exchange_graph(self, seed, monkeypatch):
         # Bellman-Ford on the agent graph gives the full exchange graph's
-        # potentials, or raises the cycle and weight that graph shows
+        # potentials, or raises, building no graph; certify_fpo then names
+        # the cycle and weight that graph shows
         built = []
         real_build = graph.build_exchange_graph
         monkeypatch.setattr(graph, "build_exchange_graph", lambda *args: built.append(args) or real_build(*args))
@@ -264,12 +265,15 @@ class TestComputePotentials:
                 expected = potentials_from_fractions([Fraction(d, g.scale) for d in dist[1:n + 1]],
                                                      [Fraction(-d, g.scale) for d in dist[n + 1:]])
                 assert compute_potentials(inst, a, alpha) == expected
+                assert certify_fpo(inst, a, alpha) == Verdict(holds=True)
                 assert built == []
                 outcomes["potentials"] += 1
             else:
-                with pytest.raises(NegativeCycleError) as info:
+                with pytest.raises(NegativeCycleError):
                     compute_potentials(inst, a, alpha)
-                assert (info.value.cycle, info.value.weight) == (cycle, cycle_weight(g, cycle))
+                assert built == []
+                witness = {"negative_cycle": cycle, "cycle_weight": cycle_weight(g, cycle)}
+                assert certify_fpo(inst, a, alpha) == Verdict(holds=False, witness=witness)
                 assert len(built) == 1
                 outcomes["cycle"] += 1
         assert min(outcomes.values()) >= 30, outcomes
@@ -284,7 +288,7 @@ class TestComputePotentials:
             best = brute_max_welfare(inst, alpha)
             for a in permutation_enumerate(inst):
                 value = sum(
-                    alpha[i - 1] * sum(inst.value(i, j) for j in a.bundle(i))
+                    alpha[i - 1] * sum(inst.values[i - 1][j - 1] for j in a.bundle(i))
                     for i in inst.agents()
                 )
                 if value == best:
@@ -400,7 +404,7 @@ class TestGolden:
         assert len(holds) >= 200 and 50 <= sum(holds) <= len(holds) - 50
 
     def test_potentials_and_cycles(self):
-        # compute_potentials and detect_negative_cycle report the same cycle
+        # certify_fpo's witness is the cycle detect_negative_cycle finds
         for case in GRAPH_GOLDEN:
             inst, a, alpha = self.load(case)
             g = build_exchange_graph(inst, a, alpha)
@@ -411,13 +415,14 @@ class TestGolden:
                 assert all(type(v) is Fraction for v in pot.q + pot.p)
                 assert detect_negative_cycle(g) is None
             else:
-                with pytest.raises(NegativeCycleError) as info:
+                with pytest.raises(NegativeCycleError):
                     compute_potentials(inst, a, alpha)
-                assert info.value.cycle == [tuple(node) for node in case["negative_cycle_error"]]
-                weight = info.value.weight
+                witness = certify_fpo(inst, a, alpha).witness
+                assert witness["negative_cycle"] == [tuple(node) for node in case["negative_cycle_error"]]
+                weight = witness["cycle_weight"]
                 assert type(weight) is Fraction
                 assert weight == Fraction(case["certify_fpo"]["cycle_weight"])
-                assert detect_negative_cycle(g) == info.value.cycle
+                assert detect_negative_cycle(g) == witness["negative_cycle"]
 
     def test_certify_fpo_witness(self):
         for case in GRAPH_GOLDEN:

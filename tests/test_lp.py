@@ -298,7 +298,7 @@ class TestCheckFpo:
         assert all(sum(row) == ref_instance.k for row in x)
         mine = [bundle_value(ref_instance, i, {1, 4} if i == 1 else {2, 3}) for i in (1, 2)]
         theirs = [
-            sum(x[i - 1][j - 1] * ref_instance.value(i, j) for j in ref_instance.goods())
+            sum(x[i - 1][j - 1] * ref_instance.values[i - 1][j - 1] for j in ref_instance.goods())
             for i in (1, 2)
         ]
         assert all(t >= m for t, m in zip(theirs, mine))
@@ -334,7 +334,7 @@ class TestCheckFpo:
                 else:
                     x = res.dominating
                     theirs = [
-                        sum(x[i - 1][j - 1] * inst.value(i, j) for j in inst.goods())
+                        sum(x[i - 1][j - 1] * inst.values[i - 1][j - 1] for j in inst.goods())
                         for i in inst.agents()
                     ]
                     assert all(t >= m_ for t, m_ in zip(theirs, mine))

@@ -5,7 +5,7 @@ The reference below is the grid scan: every critical ratio from
 per change of split, the first EF1 deal's run start as gamma, and the
 exchange fallback over the runs.  The walk must give the same runs and the
 same `Solution`, field by field.  It ends each run at the upper end of
-its deal's `core.gamma_range`, so on every instance of three small boxes
+its deal's `core.gamma_bounds`, so on every instance of three small boxes
 the runs' ranges must tile the weights from 0 up, end to end.
 """
 
@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from fairbalance import core, graph, solve, twotypes
-from fairbalance.core import InternalInvariantError, Solution, gamma_range, make_instance, two_type_view
+from fairbalance.core import InternalInvariantError, Solution, gamma_bounds, make_instance, two_type_view
 from fairbalance.lp import verify_complementary_slackness
 from fairbalance.twotypes import (
     AllValuesEqual,
@@ -33,6 +33,8 @@ from fairbalance.twotypes import (
     solve_two_types,
 )
 from fairbalance.verify import is_ef1
+
+from conftest import fraction_range
 
 EXCHANGE_CASES = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "exchange_path.json").read_text(encoding="utf-8")
@@ -244,13 +246,13 @@ def test_run_ranges_tile_the_weights_on_every_box_instance():
         starts = [start for _, _, start in runs]
         lows = [None] + starts[1:]
         highs = starts[1:] + [None]
-        assert [gamma_range(view, deal) for _, deal, _ in runs] == list(zip(lows, highs))
+        assert [fraction_range(gamma_bounds(view, deal)) for _, deal, _ in runs] == list(zip(lows, highs))
 
 
 def test_walk_reads_gamma_range_once_per_run_it_leaves(monkeypatch):
     read = []
-    real = twotypes.gamma_range
-    monkeypatch.setattr(twotypes, "gamma_range", lambda view, deal: read.append(deal) or real(view, deal))
+    real = twotypes.gamma_bounds
+    monkeypatch.setattr(twotypes, "gamma_bounds", lambda view, deal: read.append(deal) or real(view, deal))
     for inst in BOX:
         view = two_type_view(inst)
         read.clear()
@@ -264,7 +266,7 @@ def test_walk_reads_gamma_range_once_per_run_it_leaves(monkeypatch):
 def test_walk_refuses_a_split_that_fits_no_weight(monkeypatch):
     inst = BOX[0]
     view = two_type_view(inst)
-    monkeypatch.setattr(twotypes, "gamma_range", lambda view, deal: None)
+    monkeypatch.setattr(twotypes, "gamma_bounds", lambda view, deal: None)
     runs = walk(inst, view)
     next(runs)
     with pytest.raises(InternalInvariantError):

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from fairbalance.core import TooLargeError, make_instance
+from fairbalance import graph
+from fairbalance.core import InternalInvariantError, TooLargeError, make_instance
 from fairbalance.graph import compute_potentials
 from fairbalance.lp import check_fpo
 from fairbalance.oracle import is_po_bruteforce
@@ -56,9 +57,9 @@ class TestIsEf1:
 def reference_ef1(inst, a):
     """EF1 verdict and witness summed in Fractions, straight from the definition."""
     for i in inst.agents():
-        own = sum((inst.value(i, j) for j in a.bundle(i)), Fraction(0))
+        own = sum((inst.values[i - 1][j - 1] for j in a.bundle(i)), Fraction(0))
         for other in inst.agents():
-            their = [inst.value(i, j) for j in a.bundle(other)]
+            their = [inst.values[i - 1][j - 1] for j in a.bundle(other)]
             if other == i or not their:
                 continue
             rest = sum(their, Fraction(0)) - max(their)
@@ -166,6 +167,13 @@ class TestCertifyFpo:
         with pytest.raises(ValueError) as info:
             certify_fpo(ref_instance, alloc(*bundles), alpha)
         assert str(info.value) == message
+
+    def test_cycle_the_exchange_graph_lacks_raises(self, ref_instance, monkeypatch):
+        # an agent-graph cycle on an optimal allocation is a broken invariant,
+        # raised rather than reported as a witness with no cycle
+        monkeypatch.setattr(graph, "_agent_potentials", lambda weights, bundles: None)
+        with pytest.raises(InternalInvariantError, match="exchange graph lacks"):
+            certify_fpo(ref_instance, alloc({3, 4}, {1, 2}), ONE)
 
     def test_implies_lp_check(self):
         rng = random.Random(59)
