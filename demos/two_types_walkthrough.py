@@ -12,15 +12,18 @@ at its gamma.
 
 from fractions import Fraction
 
-from fairbalance import check_fpo, is_ef1, make_instance, solve_two_types
-from fairbalance.core import two_type_view
-from fairbalance.twotypes import (
-    _certify_deal,
-    _deal,
+from fairbalance import (
+    check_fpo,
     compute_delta,
+    compute_potentials,
     critical_values,
+    is_ef1,
+    make_allocation,
+    make_instance,
     optimal_split,
+    solve_two_types,
 )
+from fairbalance.core import two_type_view
 
 inst = make_instance(2, 4, [[10, 10, 21, 22], [0, 1, 6, 8]])
 view = two_type_view(inst)
@@ -34,7 +37,7 @@ print("\noptimal type-1 good sets per interval (computed at midpoints):")
 for ell in range(1, grid.interval_count + 1):
     lo, hi = grid.interval(ell)
     split = optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
-    print(f"  gamma in [{lo}, {hi}]: type 1 gets {sorted(split.s)}")
+    print(f"  gamma in [{lo}, {hi}]: type 1 gets {sorted(split)}")
 
 print("\ndealt allocations and prices at a few grid points:")
 for gamma in (delta, Fraction(1), Fraction(3, 2), grid.upper):
@@ -44,8 +47,9 @@ for gamma in (delta, Fraction(1), Fraction(3, 2), grid.upper):
     )
     lo, hi = grid.interval(ell)
     split = optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
-    dealt = _deal(inst, view, split)
-    pot = _certify_deal(inst, view, dealt, gamma).potentials
+    # one agent per type, so the deal gives agent 1 the split and agent 2 the rest
+    dealt = make_allocation([split, set(inst.goods()) - split])
+    pot = compute_potentials(inst, dealt, view.weights(gamma))
     print(f"  gamma={str(gamma):7s} type-1 bundles {[sorted(dealt.bundle(i)) for i in view.members1]} "
           f"type-2 bundles {[sorted(dealt.bundle(i)) for i in view.members2]} "
           f"prices {[str(p) for p in pot.p]}")

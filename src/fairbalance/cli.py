@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 a requested check failed, 2 unreadable or invalid
 input (a number longer than MAX_DIGITS digits included) or an unwritable
 output file, 3 no applicable algorithm or a size guard tripped (too many
-enumeration states, or a result number longer than MAX_DIGITS digits, which
-cannot be printed), 4 an internal invariant was violated.
+enumeration states, a reduced instance of more than MAX_REDUCED_VALUES
+values, or a result number longer than MAX_DIGITS digits, which cannot be
+printed), 4 an internal invariant was violated.
 
 All rationals travel as canonical "p/q" strings (integers may be plain
 JSON numbers), so files round-trip exactly.
@@ -199,10 +200,11 @@ def parse_instance(data: dict, require_balanced_shape: bool = True) -> Instance:
 
 
 def instance_to_json(inst: Instance) -> dict:
+    """The instance as JSON, written from its int rows (no Fraction built)."""
     return {
         "n": inst.n,
         "m": inst.m,
-        "valuations": [[rational_to_json(v) for v in row] for row in inst.values],
+        "valuations": [[_pair_to_json(v, inst.scale) for v in row] for row in inst.rows],
     }
 
 
@@ -461,8 +463,15 @@ def cmd_gen(args) -> int:
 
 # --- reduce -------------------------------------------------------------------
 
+# the most values (n x n*m) a reduced instance may hold
+MAX_REDUCED_VALUES = 10 ** 7
+
+
 def cmd_reduce(args) -> int:
     inst = parse_instance(load_json(args.input), require_balanced_shape=False)
+    size = inst.n * inst.n * inst.m
+    if size > MAX_REDUCED_VALUES:
+        raise TooLargeError(f"the reduced instance would hold {size} values, more than {MAX_REDUCED_VALUES}")
     reduced, dummies = reduce_unconstrained(inst)
     dump_json(instance_to_json(reduced), args.output)
     mapping = {

@@ -287,27 +287,27 @@ def two_type_view(inst: Instance) -> TwoType:
     return inst._two_type
 
 
-def gamma_bounds(view: TwoType, alloc: Allocation) -> Optional[tuple]:
-    """The type-2 weights gamma > 0 at which a balanced allocation
-    maximizes the welfare weighted by :meth:`TwoType.weights`, as int
-    ratios ``((lo1, lo2), (hi1, hi2))``: every gamma with lo1/lo2 <= gamma
-    <= hi1/hi2, where lo1 = 0 is no bound but gamma > 0 and hi2 = 0 is no
-    upper bound (one type fits every gamma).  None when no gamma > 0 will
-    do.  Builds no Fraction: the two-type walk reads ``hi1/hi2`` and
+def gamma_bounds(view: TwoType, s: frozenset) -> Optional[tuple]:
+    """The type-2 weights gamma > 0 at which a balanced allocation whose
+    type-1 agents hold the goods ``s`` (its split) maximizes the welfare
+    weighted by :meth:`TwoType.weights`, as int ratios ``((lo1, lo2),
+    (hi1, hi2))``: every gamma with lo1/lo2 <= gamma <= hi1/hi2, where lo1
+    = 0 is no bound but gamma > 0 and hi2 = 0 is no upper bound (one type
+    fits every gamma).  None when no gamma > 0 will do.  Builds no
+    Fraction: the two-type walk reads ``hi1/hi2`` and
     ``solver.class_certificate`` the gamma nearest 1.
 
     That welfare depends only on how much of each good each type gets.
-    So with S the goods the type-1 agents hold and T the rest, the
-    allocation maximizes it exactly when a1_j - a1_j' >= gamma (a2_j -
-    a2_j') for every j in S and j' in T: one pass over those pairs on the
-    int rows.  A pair with a2_j = a2_j' needs a1_j >= a1_j'.
+    So with S = ``s`` and T the rest, the allocation maximizes it exactly
+    when a1_j - a1_j' >= gamma (a2_j - a2_j') for every j in S and j' in
+    T: one pass over those pairs on the int rows.  A pair with a2_j =
+    a2_j' needs a1_j >= a1_j'.
     """
     lo1, lo2 = 0, 1  # the greatest lower bound so far as lo1/lo2; 0/1 is none yet
     hi1, hi2 = 1, 0  # the least upper bound so far as hi1/hi2; 1/0 is none yet
     if view.n2 == 0:
         return (lo1, lo2), (hi1, hi2)
     a1, a2 = view.row1, view.row2
-    s = frozenset().union(*(alloc.bundle(i) for i in view.members1))
     t_rows = [(a1[j], a2[j]) for j in range(len(a1)) if j + 1 not in s]
     for j in s:
         x1, x2 = a1[j - 1], a2[j - 1]

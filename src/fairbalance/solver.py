@@ -56,21 +56,22 @@ def class_certificate(inst: Instance, alloc: Allocation) -> Optional[tuple]:
 
     A bivalued instance (as :func:`classify` names it) takes alpha_i =
     1/(a_i - b_i), and one or two valuation rows take
-    :meth:`~fairbalance.core.TwoType.weights` at the gamma of
-    :func:`~fairbalance.core.gamma_bounds` nearest to 1 (every weight 1 on
-    one row, which every gamma fits); a general instance has no class
-    weights.  The proof is always :func:`compute_potentials` at the chosen
-    weights (Bellman-Ford, naming no cycle); the class only picks them.  On
-    a bivalued instance and on two agents of two types, None means the
-    allocation is not fPO; with more agents per type it may still be fPO at
-    weights that differ within a type, which only ``check_fpo``'s LP decides.
+    :meth:`~fairbalance.core.TwoType.weights` at the gamma nearest to 1 in
+    the :func:`~fairbalance.core.gamma_bounds` of the goods the type-1
+    agents hold (every weight 1 on one row, which every gamma fits); a
+    general instance has no class weights.  The proof is always
+    :func:`compute_potentials` at the chosen weights (Bellman-Ford, naming
+    no cycle); the class only picks them.  On a bivalued instance and on
+    two agents of two types, None means the allocation is not fPO; with
+    more agents per type it may still be fPO at weights that differ within
+    a type, which only ``check_fpo``'s LP decides.
     """
     klass = classify(inst)
     if klass == "bivalued":
         alpha = certificate_alpha(inst)
     elif klass == "two-types":
         view = two_type_view(inst)
-        bounds = gamma_bounds(view, alloc)
+        bounds = gamma_bounds(view, frozenset().union(*map(alloc.bundle, view.members1)))
         if bounds is None:
             return None
         (lo1, lo2), (hi1, hi2) = bounds

@@ -9,7 +9,7 @@ exactly as its values do: the value deal is the price deal at every gamma
 of the interval.  The solver walks gamma upward from delta over the points
 where the split changes, never listing every critical ratio
 (:func:`critical_values` builds that grid for inspection): a run of equal
-splits ends at the upper end of its deal's ``core.gamma_bounds``, and
+splits ends at the upper end of its split's ``core.gamma_bounds``, and
 ``TwoType.weights`` builds every certificate's weights.  It returns the
 first split whose deal is EF1; when there is none, it walks good swaps at
 a gamma where the split changes and price condition (a) holds on the left
@@ -78,14 +78,6 @@ class GammaGrid:
         return self.endpoint(ell - 1), self.endpoint(ell)
 
 
-@dataclass(frozen=True)
-class Split:
-    """Partition of the goods between the two agent types."""
-
-    s: frozenset  # goods for type-1 agents, |s| = k*n1
-    t: frozenset
-
-
 def compute_delta(u1: Sequence, u2: Sequence) -> Fraction:
     """Smallest positive same-type value difference scaled by one plus the
     largest value; every interesting weight ratio lies in (delta, 1/delta)."""
@@ -125,10 +117,10 @@ def critical_values(u1: Sequence, u2: Sequence) -> GammaGrid:
     return GammaGrid(delta=delta, criticals=tuple(sorted(Fraction(*r) for r in found)))
 
 
-def optimal_split(u1: Sequence, u2: Sequence, gamma: Fraction, n1: int, k: int) -> Split:
-    """The k*n1 goods with the largest score u1j - gamma*u2j go to type 1
-    (ties toward type 1 by good index); this maximizes the gamma-weighted
-    welfare over all balanced allocations."""
+def optimal_split(u1: Sequence, u2: Sequence, gamma: Fraction, n1: int, k: int) -> frozenset:
+    """The split: the k*n1 goods with the largest score u1j - gamma*u2j,
+    which go to type 1 (ties toward type 1 by good index); this maximizes
+    the gamma-weighted welfare over all balanced allocations."""
     u1 = [as_rational(v) for v in u1]
     u2 = [as_rational(v) for v in u2]
     gamma = as_rational(gamma)
@@ -139,7 +131,7 @@ def optimal_split(u1: Sequence, u2: Sequence, gamma: Fraction, n1: int, k: int) 
     _, (a1, a2) = integer_rows((u1, u2))
     key = [gamma.numerator * b - gamma.denominator * a for a, b in zip(a1, a2)]
     order = sorted(range(1, len(u1) + 1), key=lambda j: key[j - 1])  # stable: ties by index
-    return Split(s=frozenset(order[: k * n1]), t=frozenset(order[k * n1:]))
+    return frozenset(order[: k * n1])
 
 
 def _split_runs(inst: Instance, view: TwoType, delta: Fraction):
@@ -149,20 +141,19 @@ def _split_runs(inst: Instance, view: TwoType, delta: Fraction):
 
     Just above a gamma, goods tied at it rank by ascending a2, so sorting
     the int rows by the score there, then a2, then index gives the split
-    of the run that starts there.  Its deal's ``gamma_bounds`` are (that
-    gamma, the next change), with no lower end on the first run and no
-    upper end (``hi2 == 0``) on the last, so the walk ends each run at
-    ``hi1/hi2``, the one Fraction it builds per run.
+    of the run that starts there.  Its ``gamma_bounds`` are (that gamma,
+    the next change), with no lower end on the first run and no upper end
+    (``hi2 == 0``) on the last, so the walk ends each run at ``hi1/hi2``,
+    the one Fraction it builds per run.
     """
     a1, a2, size = view.row1, view.row2, view.n1 * inst.k
     start = delta
     while start is not None:
         num, den = start.numerator, start.denominator
         order = sorted(inst.goods(), key=lambda j: (num * a2[j - 1] - den * a1[j - 1], a2[j - 1], j))
-        split = Split(s=frozenset(order[:size]), t=frozenset(order[size:]))
-        deal = _deal(inst, view, split)
-        yield split, deal, start
-        bounds = gamma_bounds(view, deal)
+        split = frozenset(order[:size])
+        yield split, _deal(inst, view, split), start
+        bounds = gamma_bounds(view, split)
         if bounds is None:
             raise InternalInvariantError(f"the split walked at gamma {start} is optimal at no gamma")
         hi1, hi2 = bounds[1]
@@ -172,10 +163,9 @@ def _split_runs(inst: Instance, view: TwoType, delta: Fraction):
 def round_robin_by_price(goods, prices: Sequence, agents: int, k: int) -> tuple:
     """Deal the goods cyclically to ``agents`` bundles in descending price
     order (good index breaks ties).  prices[j-1] is the price of good j."""
-    goods = sorted(goods)
-    if len(goods) != agents * k:
-        raise ValueError(f"{len(goods)} goods cannot be dealt as {agents} x {k}")
     order = sorted(goods, key=lambda j: (-prices[j - 1], j))
+    if len(order) != agents * k:
+        raise ValueError(f"{len(order)} goods cannot be dealt as {agents} x {k}")
     bundles = [set() for _ in range(agents)]
     for pos, j in enumerate(order):
         bundles[pos % agents].add(j)
@@ -207,19 +197,15 @@ def conditions_ab(view: TwoType, alloc: Allocation, p: Sequence) -> tuple:
 
 # --- solver internals ---------------------------------------------------------
 
-def _interval_split(inst: Instance, view: TwoType, grid: GammaGrid, ell: int) -> Split:
-    """The optimal split on interval ell (taken at its midpoint)."""
-    lo, hi = grid.interval(ell)
-    return optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
-
-
-def _deal(inst: Instance, view: TwoType, split: Split) -> Allocation:
-    """Deal each type's goods round-robin in descending value of that type,
-    the richest bundle to the type's first member.  Each type is dealt by
-    its int row, whose one positive scale keeps the values' order."""
+def _deal(inst: Instance, view: TwoType, split: frozenset) -> Allocation:
+    """Deal the split to type 1 and every other good to type 2, each
+    type's goods round-robin in descending value of that type, the richest
+    bundle to the type's first member.  Each type is dealt by its int row,
+    whose one positive scale keeps the values' order."""
     bundles = [None] * inst.n
-    for goods, members, row in ((split.s, view.members1, view.row1),
-                                (split.t, view.members2, view.row2)):
+    rest = [j for j in inst.goods() if j not in split]
+    for goods, members, row in ((split, view.members1, view.row1),
+                                (rest, view.members2, view.row2)):
         for agent, bundle in zip(members, round_robin_by_price(goods, row, len(members), inst.k)):
             bundles[agent - 1] = bundle
     return Allocation(tuple(bundles))
@@ -243,10 +229,10 @@ class _PriceModel:
     gamma*u2j - q2.
     """
 
-    def __init__(self, view: TwoType, split: Split):
+    def __init__(self, view: TwoType, split: frozenset):
         u1, u2 = view.u1, view.u2
-        s_goods = sorted(split.s)
-        t_goods = sorted(split.t)
+        s_goods = sorted(split)
+        t_goods = [j for j in range(1, len(u1) + 1) if j not in split]
         c11 = min(u1[j - 1] for j in s_goods)
         u2t = min(u2[j - 1] for j in t_goods)
         # affine functions are (slope, intercept) pairs over gamma
@@ -284,7 +270,7 @@ def case1_sweep(inst: Instance, grid: GammaGrid, ell: int) -> tuple:
     """
     view = two_type_view(inst)
     lo, hi = grid.interval(ell)
-    split = _interval_split(inst, view, grid, ell)
+    split = optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
     alloc = _deal(inst, view, split)
     points = sorted({lo, hi} | _PriceModel(view, split).kinks(lo, hi))
     pots = {g: _certify_deal(inst, view, alloc, g).potentials for g in points}
@@ -301,7 +287,8 @@ def case1_sweep(inst: Instance, grid: GammaGrid, ell: int) -> tuple:
     raise InternalInvariantError(f"interval {ell} had no point satisfying both conditions")
 
 
-def case2_exchange(inst: Instance, view: TwoType, split: Split, target: Split, cert: Solution) -> Solution:
+def case2_exchange(inst: Instance, view: TwoType, split: frozenset, target: frozenset,
+                   cert: Solution) -> Solution:
     """Walk from ``split`` to ``target``, the splits of two intervals that
     share the end ``cert.gamma``, one good swap at a time, re-dealing by
     value after each swap, and return ``cert`` with the first EF1
@@ -320,9 +307,7 @@ def case2_exchange(inst: Instance, view: TwoType, split: Split, target: Split, c
             return Solution(alloc, cert.alpha, cert.gamma, cert.potentials)
         if split == target:
             break
-        j_out = min(split.s - target.s)
-        j_in = min(split.t - target.t)
-        split = Split(s=split.s - {j_out} | {j_in}, t=split.t - {j_in} | {j_out})
+        split = split - {min(split - target)} | {min(target - split)}
     raise InternalInvariantError(f"no EF1 allocation on the exchange walk at gamma {cert.gamma}")
 
 
@@ -340,8 +325,6 @@ def solve_two_types(inst: Instance) -> Solution:
     potentials are the optimal duals at that gamma.
     """
     view = two_type_view(inst)
-    inst.k  # fail fast on unbalanced shapes
-
     if view.n2 == 0:
         return _trivial_solution(inst, view)
     try:

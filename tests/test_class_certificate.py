@@ -119,9 +119,14 @@ def test_weights_follow_the_class():
 # core.gamma_bounds gives the range as int ratios; fraction_range reads it
 # as (lo, hi) Fractions
 
+def split_of(view, allocation):
+    """The goods the type-1 agents hold."""
+    return frozenset().union(*(allocation.bundle(i) for i in view.members1))
+
+
 def scores_fit(view, allocation, gamma):
     """Does every type-1 good score a1 - gamma*a2 at least every other good?"""
-    s = set().union(*(allocation.bundle(i) for i in view.members1))
+    s = split_of(view, allocation)
     score = [x - gamma * y for x, y in zip(view.row1, view.row2)]
     t = [score[j - 1] for j in range(1, len(score) + 1) if j not in s]
     return not t or min(score[j - 1] for j in s) >= max(t)
@@ -155,7 +160,7 @@ def test_gamma_range_is_the_set_of_fitting_weights(seed):
             continue
         view = two_type_view(inst)
         for allocation in enumerate_balanced(inst):
-            bounds = fraction_range(gamma_bounds(view, allocation))
+            bounds = fraction_range(gamma_bounds(view, split_of(view, allocation)))
             fits = {g: scores_fit(view, allocation, g) for g in candidate_gammas(view)}
             if bounds is None:
                 assert not any(fits.values()), allocation
@@ -178,7 +183,7 @@ def test_gamma_bounds_are_the_range_as_int_ratios(seed):
         view = two_type_view(inst)
         two_types = classify(inst) == "two-types"
         for allocation in enumerate_balanced(inst):
-            bounds = gamma_bounds(view, allocation)
+            bounds = gamma_bounds(view, split_of(view, allocation))
             if bounds is None:
                 assert not two_types or class_certificate(inst, allocation) is None
                 continue
@@ -198,30 +203,30 @@ def test_gamma_range_reads_pairs_of_equal_type_2_value():
     # goods 1 and 2 tie for type 2, so type 1 must hold the one it values more
     inst = make_instance(2, 2, [[1, 2], [3, 3]])
     view = two_type_view(inst)
-    assert fraction_range(gamma_bounds(view, alloc({2}, {1}))) == (None, None)
-    assert gamma_bounds(view, alloc({1}, {2})) is None
+    assert fraction_range(gamma_bounds(view, frozenset({2}))) == (None, None)
+    assert gamma_bounds(view, frozenset({1})) is None
 
 
 def test_gamma_range_ends():
     inst = make_instance(2, 4, [[4, 3, 1, 0], [1, 3, 0, 2]])
     view = two_type_view(inst)
     # S = {1, 2}: (4 - g) and (3 - 3g) against (1 - 0g) and (0 - 2g)
-    assert fraction_range(gamma_bounds(view, alloc({1, 2}, {3, 4}))) == (None, Fraction(2, 3))
+    assert fraction_range(gamma_bounds(view, frozenset({1, 2}))) == (None, Fraction(2, 3))
     # S = {1, 3}: type 1 holds good 3 for 1 - 0g >= 3 - 3g, against good 2
-    assert fraction_range(gamma_bounds(view, alloc({1, 3}, {2, 4}))) == (Fraction(2, 3), None)
+    assert fraction_range(gamma_bounds(view, frozenset({1, 3}))) == (Fraction(2, 3), None)
     # both ends: 3 - 3g >= 1 - g and 1 - 0g >= 2 - 2g
     view = two_type_view(make_instance(2, 4, [[3, 1, 1, 2], [3, 0, 1, 2]]))
-    assert fraction_range(gamma_bounds(view, alloc({1, 2}, {3, 4}))) == (Fraction(1, 2), Fraction(1))
+    assert fraction_range(gamma_bounds(view, frozenset({1, 2}))) == (Fraction(1, 2), Fraction(1))
     view = two_type_view(make_instance(2, 4, [[3, 1, 1, 2], [2, 0, 1, 1]]))
-    assert fraction_range(gamma_bounds(view, alloc({1, 2}, {3, 4}))) == (Fraction(1), Fraction(1))
+    assert fraction_range(gamma_bounds(view, frozenset({1, 2}))) == (Fraction(1), Fraction(1))
 
 
 def test_gamma_range_fits_every_weight_on_one_type():
     # one row: every allocation maximizes every weighting of it
     view = two_type_view(make_instance(2, 4, [[4, 3, 1, 0], [4, 3, 1, 0]]))
     assert view.n2 == 0
-    assert fraction_range(gamma_bounds(view, alloc({1, 2}, {3, 4}))) == (None, None)
-    assert fraction_range(gamma_bounds(view, alloc({3, 4}, {1, 2}))) == (None, None)
+    assert fraction_range(gamma_bounds(view, frozenset({1, 2}))) == (None, None)
+    assert fraction_range(gamma_bounds(view, frozenset({3, 4}))) == (None, None)
 
 
 # --- which decider check --fpo runs ---------------------------------------------

@@ -785,6 +785,24 @@ class TestReduce:
         assert main(["reduce", path, "--output", str(out)]) == 0
         assert json.loads(out.read_text())["m"] == 3
 
+    def test_oversized_reduction_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # 100 x 1001 pads to 100 x 100,100: 10,010,000 values, past the bound
+        path = write_json(tmp_path / "big.json", {"n": 100, "m": 1001, "valuations": [[1] * 1001] * 100})
+        out = tmp_path / "r.json"
+        assert main(["reduce", path, "--output", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: the reduced instance would hold 10010000 values, more than 10000000\n")
+        assert not out.exists() and not (tmp_path / "r.json.mapping.json").exists()
+
+    def test_bound_counts_the_padded_values(self, tmp_path, monkeypatch):
+        # n x n*m values: 2 x 3 pads to 2 x 6 (12 values), 2 x 4 to 2 x 8 (16)
+        monkeypatch.setattr(cli, "MAX_REDUCED_VALUES", 12)
+        out = tmp_path / "r.json"
+        at = write_json(tmp_path / "at.json", {"n": 2, "m": 3, "valuations": [[1, 2, 3], [3, 2, 1]]})
+        assert main(["reduce", at, "--output", str(out)]) == 0
+        past = write_json(tmp_path / "past.json", {"n": 2, "m": 4, "valuations": [[1, 2, 3, 4]] * 2})
+        assert main(["reduce", past, "--output", str(tmp_path / "p.json")]) == 3
+
 
 class TestJsonRoundTrip:
     def test_instance_round_trip(self, tmp_path):
@@ -795,6 +813,35 @@ class TestJsonRoundTrip:
         )
         again = parse_instance(instance_to_json(inst))
         assert again == inst
+
+    @pytest.mark.parametrize("data", [
+        {"n": 2, "m": 2, "valuations": [["1/2", 3], [0, "7/3"]]},
+        {"n": 2, "m": 3, "valuations": [[1, 2, 3], [9, 1, 1]]},
+        {"n": 1, "m": 3, "valuations": [[1, 2, 3]]},
+        {"n": 2, "m": 3, "valuations": [["3/4", "5/6", 2], ["7/2", 0, "11/12"]]},
+    ], ids=["fractions", "reduce", "one-agent", "p/q"])
+    def test_instance_writer_reads_the_int_rows(self, data, monkeypatch):
+        # the same bytes as writing each Fraction value, with no Fraction built
+        from fairbalance.cli import instance_to_json
+
+        def no_fraction(*args):
+            raise AssertionError("instance_to_json built a Fraction")
+
+        def parsed(reduced):
+            inst = parse_instance(data, require_balanced_shape=False)
+            return core.reduce_unconstrained(inst)[0] if reduced else inst
+
+        for reduced in (False, True):
+            inst = parsed(reduced)
+            old = {"n": inst.n, "m": inst.m,
+                   "valuations": [[rational_to_json(v) for v in row] for row in inst.values]}
+            inst = parsed(reduced)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "Fraction", no_fraction)
+                patch.setattr(core, "Fraction", no_fraction)
+                written = instance_to_json(inst)
+            assert "values" not in inst.__dict__
+            assert json.dumps(written, indent=2) == json.dumps(old, indent=2)
 
     def test_allocation_round_trip(self, ref_path, tmp_path):
         from fairbalance.cli import allocation_to_json, parse_allocation

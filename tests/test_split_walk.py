@@ -5,7 +5,7 @@ The reference below is the grid scan: every critical ratio from
 per change of split, the first EF1 deal's run start as gamma, and the
 exchange fallback over the runs.  The walk must give the same runs and the
 same `Solution`, field by field.  It ends each run at the upper end of
-its deal's `core.gamma_bounds`, so on every instance of three small boxes
+its split's `core.gamma_bounds`, so on every instance of three small boxes
 the runs' ranges must tile the weights from 0 up, end to end.
 """
 
@@ -246,13 +246,15 @@ def test_run_ranges_tile_the_weights_on_every_box_instance():
         starts = [start for _, _, start in runs]
         lows = [None] + starts[1:]
         highs = starts[1:] + [None]
-        assert [fraction_range(gamma_bounds(view, deal)) for _, deal, _ in runs] == list(zip(lows, highs))
+        assert [fraction_range(gamma_bounds(view, split)) for split, _, _ in runs] == list(zip(lows, highs))
 
 
 def test_walk_reads_gamma_range_once_per_run_it_leaves(monkeypatch):
+    # each run's range is read from the very set the walk yields as its
+    # split, so no split is rebuilt from the deal
     read = []
     real = twotypes.gamma_bounds
-    monkeypatch.setattr(twotypes, "gamma_bounds", lambda view, deal: read.append(deal) or real(view, deal))
+    monkeypatch.setattr(twotypes, "gamma_bounds", lambda view, s: read.append(s) or real(view, s))
     for inst in BOX:
         view = two_type_view(inst)
         read.clear()
@@ -260,13 +262,14 @@ def test_walk_reads_gamma_range_once_per_run_it_leaves(monkeypatch):
         first = next(runs)
         assert read == []  # a solve whose first deal is EF1 reads no range
         runs = [first, *runs]
-        assert read == [deal for _, deal, _ in runs]
+        assert len(read) == len(runs)
+        assert all(s is split for s, (split, _, _) in zip(read, runs))
 
 
 def test_walk_refuses_a_split_that_fits_no_weight(monkeypatch):
     inst = BOX[0]
     view = two_type_view(inst)
-    monkeypatch.setattr(twotypes, "gamma_bounds", lambda view, deal: None)
+    monkeypatch.setattr(twotypes, "gamma_bounds", lambda view, s: None)
     runs = walk(inst, view)
     next(runs)
     with pytest.raises(InternalInvariantError):

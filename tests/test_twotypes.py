@@ -19,7 +19,6 @@ from fairbalance.twotypes import (
     _PriceModel,
     _certify_deal,
     _deal,
-    _interval_split,
     case1_sweep,
     case2_exchange,
     compute_delta,
@@ -44,6 +43,17 @@ EXCHANGE_CASES = json.loads(
 def potentials_at(inst, view, dealt, gamma):
     """The potentials that certify a deal at weight ratio gamma."""
     return _certify_deal(inst, view, dealt, gamma).potentials
+
+
+def interval_split(inst, view, grid, ell):
+    """The optimal split on interval ell, taken at its midpoint."""
+    lo, hi = grid.interval(ell)
+    return optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
+
+
+def rest(inst, split):
+    """The goods outside a split: type 2's."""
+    return frozenset(inst.goods()) - split
 
 
 REF_U1 = [10, 10, 21, 22]
@@ -178,14 +188,14 @@ class TestCriticalValuesAgainstFractions:
 
 class TestOptimalSplit:
     def test_reference_at_one(self):
-        assert optimal_split(REF_U1, REF_U2, Fraction(1), 1, 2).s == frozenset({3, 4})
+        assert optimal_split(REF_U1, REF_U2, Fraction(1), 1, 2) == frozenset({3, 4})
 
     def test_reference_at_two(self):
-        assert optimal_split(REF_U1, REF_U2, Fraction(2), 1, 2).s == frozenset({1, 3})
+        assert optimal_split(REF_U1, REF_U2, Fraction(2), 1, 2) == frozenset({1, 3})
 
     def test_zero_second_type_reduces_to_top_values(self):
         split = optimal_split([5, 3, 9, 1], [0, 0, 0, 0], Fraction(7), 1, 2)
-        assert split.s == frozenset({1, 3})
+        assert split == frozenset({1, 3})
 
     def test_split_attains_lp_optimum(self):
         rng = random.Random(12)
@@ -198,8 +208,8 @@ class TestOptimalSplit:
                 continue
             gamma = Fraction(rng.randint(1, 12), rng.randint(1, 6))
             split = optimal_split(view.u1, view.u2, gamma, view.n1, inst.k)
-            welfare = sum(view.u1[j - 1] for j in split.s) + gamma * sum(
-                view.u2[j - 1] for j in split.t
+            welfare = sum(view.u1[j - 1] for j in split) + gamma * sum(
+                view.u2[j - 1] for j in rest(inst, split)
             )
             alpha = tuple(
                 Fraction(1) if i in view.members1 else gamma for i in inst.agents()
@@ -218,8 +228,8 @@ class TestOptimalSplit:
             size = rng.randint(0, m)
             order = sorted(range(1, m + 1), key=lambda j: (-(u1[j - 1] - gamma * u2[j - 1]), j))
             split = optimal_split(u1, u2, gamma, 1, size)
-            assert split.s == frozenset(order[:size])
-            assert split.t == frozenset(order[size:])
+            assert split == frozenset(order[:size])
+            assert frozenset(range(1, m + 1)) - split == frozenset(order[size:])
 
 
 class TestRoundRobinByPrice:
@@ -311,7 +321,7 @@ class TestDealPlacement:
         self.grid = critical_values(self.view.u1, self.view.u2)
 
     def dealt(self, ell):
-        return _deal(self.inst, self.view, _interval_split(self.inst, self.view, self.grid, ell))
+        return _deal(self.inst, self.view, interval_split(self.inst, self.view, self.grid, ell))
 
     def test_bundles_per_agent(self):
         assert (self.view.members1, self.view.members2) == ((1, 3), (2, 4))
@@ -361,9 +371,9 @@ class TestPriceModel:
                 assert all(pot.q[i - 1] == q1 for i in view.members1)
                 assert all(pot.q[i - 1] == q2 for i in view.members2)
                 # owned goods are tight: a price is a value minus its type's q
-                for j in split.s:
+                for j in split:
                     assert pot.p[j - 1] == view.u1[j - 1] - q1
-                for j in split.t:
+                for j in rest(inst, split):
                     assert pot.p[j - 1] == gamma * view.u2[j - 1] - q2
             checked += 1
 
@@ -396,6 +406,18 @@ class TestSolveTwoTypes:
         inst = make_instance(3, 3, [[1, 2, 3], [3, 1, 2], [2, 3, 1]])
         with pytest.raises(MoreThanTwoTypes):
             solve_two_types(inst)
+        # before the shape: m = 4 is not a multiple of n = 3
+        with pytest.raises(MoreThanTwoTypes):
+            solve_two_types(make_instance(3, 4, [[1, 2, 3, 4], [4, 3, 2, 1], [1, 1, 2, 2]]))
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 2, 3], [1, 2, 3]],
+        [[1, 1, 1], [2, 2, 2]],
+        [[1, 2, 3], [3, 2, 1]],
+    ], ids=["one-type", "constant-rows", "walk"])
+    def test_unbalanced_shape_raises_on_every_path(self, rows):
+        with pytest.raises(ValueError, match="m=3 is not a multiple of n=2"):
+            solve_two_types(make_instance(2, 3, rows))
 
     def test_interleaved_membership(self):
         inst = make_instance(3, 6, [[9, 1, 5, 0, 2, 2], [4, 4, 4, 0, 1, 7], [9, 1, 5, 0, 2, 2]])
@@ -441,8 +463,8 @@ class TestIntervalStructure:
                 lo, hi = grid.interval(ell)
                 split = optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
                 for gamma in (lo, hi):
-                    welfare = sum(view.u1[j - 1] for j in split.s) + gamma * sum(
-                        view.u2[j - 1] for j in split.t
+                    welfare = sum(view.u1[j - 1] for j in split) + gamma * sum(
+                        view.u2[j - 1] for j in rest(inst, split)
                     )
                     alpha = tuple(
                         Fraction(1) if i in view.members1 else gamma for i in inst.agents()
@@ -495,8 +517,8 @@ class TestIntervalStructure:
                 lo, hi = grid.interval(ell)
                 split = optimal_split(view.u1, view.u2, (lo + hi) / 2, view.n1, inst.k)
                 by_value = (
-                    round_robin_by_price(split.s, view.u1, view.n1, inst.k),
-                    round_robin_by_price(split.t, view.u2, view.n2, inst.k),
+                    round_robin_by_price(split, view.u1, view.n1, inst.k),
+                    round_robin_by_price(rest(inst, split), view.u2, view.n2, inst.k),
                 )
                 dealt = _deal(inst, view, split)
                 assert tuple(tuple(dealt.bundle(i) for i in members)
@@ -504,8 +526,8 @@ class TestIntervalStructure:
                 for gamma in (lo, hi):
                     pot = potentials_at(inst, view, dealt, gamma)
                     by_price = (
-                        round_robin_by_price(split.s, pot.p, view.n1, inst.k),
-                        round_robin_by_price(split.t, pot.p, view.n2, inst.k),
+                        round_robin_by_price(split, pot.p, view.n1, inst.k),
+                        round_robin_by_price(rest(inst, split), pot.p, view.n2, inst.k),
                     )
                     assert by_price == by_value
 
@@ -600,8 +622,8 @@ class TestCaseDrivers:
             for ell in range(1, grid.interval_count):
                 shared = grid.endpoint(ell)
                 if conds[(ell, shared)][0] and conds[(ell + 1, shared)][1]:
-                    left = _interval_split(inst, view, grid, ell)
-                    right = _interval_split(inst, view, grid, ell + 1)
+                    left = interval_split(inst, view, grid, ell)
+                    right = interval_split(inst, view, grid, ell + 1)
                     cert = _certify_deal(inst, view, _deal(inst, view, left), shared)
                     allocation = case2_exchange(inst, view, left, right, cert).allocation
                     assert is_ef1(inst, allocation).holds
@@ -673,7 +695,7 @@ class TestCaseDrivers:
                 grid = critical_values(view.u1, view.u2)
             except AllValuesEqual:
                 continue
-            splits = [_interval_split(inst, view, grid, ell) for ell in range(1, grid.interval_count + 1)]
+            splits = [interval_split(inst, view, grid, ell) for ell in range(1, grid.interval_count + 1)]
             for ell in range(1, grid.interval_count):
                 if splits[ell - 1] != splits[ell]:
                     continue
@@ -692,7 +714,7 @@ class TestCaseDrivers:
         inst = make_instance(spec["n"], spec["m"], spec["valuations"])
         view = two_type_view(inst)
         grid = critical_values(view.u1, view.u2)
-        splits = {_interval_split(inst, view, grid, ell) for ell in range(1, grid.interval_count + 1)}
+        splits = {interval_split(inst, view, grid, ell) for ell in range(1, grid.interval_count + 1)}
         calls = []
         real = twotypes._certify_deal
         monkeypatch.setattr(twotypes, "_certify_deal", lambda *args: calls.append(args) or real(*args))
